@@ -13,7 +13,7 @@ from .model import Domain, LinExpr, QipProblem, deserialize
 from .oracle import check_equivalence, enumerate_fzn, enumerate_qip, solve_optimum
 from .rewrite import RewriteOptions, compile_model
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "CapExceeded",

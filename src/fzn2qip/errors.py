@@ -105,13 +105,22 @@ class CapExceeded(Fzn2QipError):
 
     code = "cap-exceeded"
 
-    def __init__(self, size: int, cap: int):
-        super().__init__(f"state space of {size} assignments exceeds cap {cap}")
+    def __init__(self, size: int, cap: int, largest: list[tuple[str, int]]):
+        """``largest``: the biggest enumeration units as (name, size)."""
+        from decimal import Decimal  # formats any size; imported only here
+
+        magnitude = f"{Decimal(size):.1e}".replace("+", "")
+        units = ", ".join(f"{name} ({n})" for name, n in largest)
+        super().__init__(
+            f"state space of ~{magnitude} assignments exceeds cap {cap}"
+            + (f"; largest free units: {units}" if units else "")
+        )
         self.size = size
         self.cap = cap
 
 
-# Bound arithmetic stays well inside int64 so numpy/numba enumeration is safe.
+# Bound arithmetic stays well inside int64; the enumerator checks its own
+# sums and products and switches to exact Python ints when they could wrap.
 INT_LIMIT = 2**62
 
 

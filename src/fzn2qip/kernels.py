@@ -1,89 +1,20 @@
-"""Feasibility-mask kernels for exhaustive enumeration.
+"""Feasibility-mask kernel for exhaustive enumeration.
 
-Given a chunk of candidate assignments (one row per assignment, one
+Given a table of candidate assignments (one row per assignment, one
 column per variable), the kernel marks the rows satisfying every linear
 equality (``coef @ x + const == 0``), every linear inequality
-(``coef @ x + const <= 0``) and every product constraint
-(``x[res] == x[left] * x[right]``).
+(``coef @ x + const <= 0``), every product constraint
+(``x[res] == x[left] * x[right]``) and, if given, every column bound
+(``lows <= x <= highs``).
 
-Two implementations exist: a numba ``@njit`` loop with early exit per
-row, and a vectorized pure-numpy fallback.  The numpy path is selected
-when numba is unavailable or when the environment variable
-``FZN2QIP_NO_NUMBA`` is set to a non-empty value.
+Tables are int64, or object arrays of Python ints when the enumerator
+has found that int64 arithmetic could wrap; the same numpy code serves
+both.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:  # pragma: no cover - exercised indirectly via the env flag
-    if os.environ.get("FZN2QIP_NO_NUMBA"):
-        raise ImportError("disabled by FZN2QIP_NO_NUMBA")
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def active_backend() -> str:
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-@njit(cache=True)
-def _mask_jit(values, eq_coef, eq_const, ineq_coef, ineq_const, prod_idx):
-    n_rows, n_vars = values.shape
-    out = np.ones(n_rows, dtype=np.bool_)
-    for r in range(n_rows):
-        ok = True
-        for i in range(eq_coef.shape[0]):
-            acc = eq_const[i]
-            for j in range(n_vars):
-                acc += eq_coef[i, j] * values[r, j]
-            if acc != 0:
-                ok = False
-                break
-        if ok:
-            for i in range(ineq_coef.shape[0]):
-                acc = ineq_const[i]
-                for j in range(n_vars):
-                    acc += ineq_coef[i, j] * values[r, j]
-                if acc > 0:
-                    ok = False
-                    break
-        if ok:
-            for i in range(prod_idx.shape[0]):
-                if (
-                    values[r, prod_idx[i, 0]]
-                    != values[r, prod_idx[i, 1]] * values[r, prod_idx[i, 2]]
-                ):
-                    ok = False
-                    break
-        out[r] = ok
-    return out
-
-
-def _mask_numpy(values, eq_coef, eq_const, ineq_coef, ineq_const, prod_idx):
-    mask = np.ones(values.shape[0], dtype=bool)
-    if eq_coef.shape[0]:
-        mask &= np.all(values @ eq_coef.T + eq_const == 0, axis=1)
-    if ineq_coef.shape[0]:
-        mask &= np.all(values @ ineq_coef.T + ineq_const <= 0, axis=1)
-    if prod_idx.shape[0]:
-        res = values[:, prod_idx[:, 0]]
-        prod = values[:, prod_idx[:, 1]] * values[:, prod_idx[:, 2]]
-        mask &= np.all(res == prod, axis=1)
-    return mask
 
 
 def feasible_mask(
@@ -93,8 +24,19 @@ def feasible_mask(
     ineq_coef: np.ndarray,
     ineq_const: np.ndarray,
     prod_idx: np.ndarray,
+    lows: np.ndarray | None = None,
+    highs: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Boolean mask of feasible rows of ``values`` (all int64 inputs)."""
-    if _HAVE_NUMBA:
-        return _mask_jit(values, eq_coef, eq_const, ineq_coef, ineq_const, prod_idx)
-    return _mask_numpy(values, eq_coef, eq_const, ineq_coef, ineq_const, prod_idx)
+    """Boolean mask of feasible rows of ``values``."""
+    mask = np.ones(values.shape[0], dtype=bool)
+    if lows is not None:
+        mask &= np.all((values >= lows) & (values <= highs), axis=1)
+    if eq_coef.shape[0]:
+        mask &= np.all(values @ eq_coef.T + eq_const == 0, axis=1)
+    if ineq_coef.shape[0]:
+        mask &= np.all(values @ ineq_coef.T + ineq_const <= 0, axis=1)
+    if prod_idx.shape[0]:
+        res = values[:, prod_idx[:, 0]]
+        prod = values[:, prod_idx[:, 1]] * values[:, prod_idx[:, 2]]
+        mask &= np.all(res == prod, axis=1)
+    return mask

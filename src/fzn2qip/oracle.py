@@ -4,9 +4,11 @@ Two independent enumerations are compared:
 
 * the source model, evaluated with direct builtin semantics over the
   declared variable domains (``eval_builtin``), and
-* the compiled problem, enumerated over the free variables with every
-  computable auxiliary substituted, feasibility checked by the numeric
-  kernel, and solutions projected back onto the source variables.
+* the compiled problem, enumerated unit by unit (free variables and
+  categorical one-hot groups) with every computable variable
+  substituted, each constraint checked by the numeric kernel as soon as
+  its columns are known, and solutions projected back onto the source
+  variables.
 
 Both are fully exhaustive, so agreement of the projected solution sets
 is a proof of equivalence over the given domains.
@@ -15,6 +17,7 @@ is a proof of equivalence over the given domains.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,10 +25,12 @@ import numpy as np
 from . import kernels
 from .errors import CapExceeded
 from .frontend import Arr, FzModel, Lit, Ref, SetVal
-from .model import QipProblem
+from .model import Domain, QipProblem
 
 DEFAULT_CAP = 2_000_000
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # rows per enumeration table
+_CELLS = 1 << 20  # values per enumeration table, for wide problems
+_BLOCK = 1 << 11  # coefficients per dense check block
 
 
 def truncdiv(n: int, d: int) -> int:
@@ -139,14 +144,18 @@ def eval_builtin(name: str, args: tuple, asg: dict[str, int]) -> bool:
 # source-model enumeration
 
 
+def _size(domain: Domain) -> int:
+    # not len(domain): len() fails above sys.maxsize, as -2**62..2**62 is
+    return domain.hi - domain.lo + 1
+
+
 def enumerate_fzn(model: FzModel, cap: int = DEFAULT_CAP) -> tuple[list[str], set]:
     """All satisfying assignments of the model, as (names, set of tuples)."""
     names = list(model.vars)
-    size = 1
-    for decl in model.vars.values():
-        size *= len(decl.domain)
+    sizes = {name: _size(decl.domain) for name, decl in model.vars.items()}
+    size = math.prod(sizes.values())
     if size > cap:
-        raise CapExceeded(size, cap)
+        raise CapExceeded(size, cap, sorted(sizes.items(), key=lambda nv: -nv[1])[:3])
     domains = [decl.domain.values() for decl in model.vars.values()]
     solutions = set()
     for combo in itertools.product(*domains):
@@ -158,6 +167,8 @@ def enumerate_fzn(model: FzModel, cap: int = DEFAULT_CAP) -> tuple[list[str], se
 
 # ----------------------------------------------------------------------
 # compiled-problem enumeration
+
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass
@@ -172,71 +183,205 @@ class _Step:
     sign: int = 1  # coefficient of the target in the equality (+-1)
 
 
-def _build_substitution(problem: QipProblem) -> list[_Step]:
-    """Greedy plan of variables computable from the remaining ones.
+def _build_substitution(problem: QipProblem, known: set[int]) -> list[_Step]:
+    """Greedy plan of variables computable from the enumerated ones.
 
-    A product always determines its result; an equality determines its
-    single not-yet-determined variable when that variable's coefficient
-    is +-1.  A rule is skipped if using it would make the computation
-    cyclic (some input already depends on the target).
+    Columns in ``known`` are fixed without a step.  Each sweep plans the
+    products first: a product determines its result.  An equality then
+    determines its single undetermined term; when it has several, it
+    determines its single undetermined auxiliary, counting model
+    variables as known (they are enumerated instead).  Only a term with
+    coefficient +-1 is determined, and a rule is skipped if using it
+    would make the computation cyclic.  Returns the steps with inputs
+    before targets.
     """
     index = {name: i for i, name in enumerate(problem.vars)}
+    aux = {index[n] for n, v in problem.vars.items() if not v.is_model}
+    equalities = [([(index[n], c) for n, c in e.terms.items()], e.constant)
+                  for e in problem.equalities]
+    products = [(index[p.result], index[p.left], index[p.right])
+                for p in problem.products]
     defs: dict[int, _Step] = {}
+    readers: dict[int, list[int]] = {}  # column -> targets of steps reading it
 
-    def depends_on(v: int, t: int, seen: set[int]) -> bool:
-        if v == t:
-            return True
-        if v in seen:
-            return False
-        seen.add(v)
-        step = defs.get(v)
-        if step is None:
-            return False
-        return any(depends_on(i, t, seen) for i in step.inputs)
+    def plan(step: _Step) -> bool:
+        # cyclic iff an input depends on the target: search the target's
+        # dependents, which are few when steps are planned in order
+        inputs = set(step.inputs)
+        stack, seen = [step.target], set()
+        while stack:
+            v = stack.pop()
+            if v in inputs:
+                return False
+            if v not in seen:
+                seen.add(v)
+                stack.extend(readers.get(v, ()))
+        defs[step.target] = step
+        for i in inputs:
+            readers.setdefault(i, []).append(step.target)
+        return True
+
+    def undetermined(i: int) -> bool:
+        return i not in defs and i not in known
 
     changed = True
     while changed:
         changed = False
-        for expr in problem.equalities:
-            undet = [(index[n], c) for n, c in expr.terms.items()
-                     if index[n] not in defs]
+        for t, left, right in products:
+            if undetermined(t):
+                changed |= plan(_Step("product", t, [left, right]))
+        for terms, constant in equalities:
+            undet = [(i, c) for i, c in terms if undetermined(i)]
+            if len(undet) > 1:
+                undet = [(i, c) for i, c in undet if i in aux]
             if len(undet) != 1 or abs(undet[0][1]) != 1:
                 continue
-            t, coef = undet[0]
-            inputs = [index[n] for n in expr.terms if index[n] != t]
-            if any(depends_on(i, t, set()) for i in inputs):
-                continue
-            coefs = [expr.terms[n] for n in expr.terms if index[n] != t]
-            defs[t] = _Step("equality", t, inputs, coefs, expr.constant, coef)
-            changed = True
-        for pc in problem.products:
-            t = index[pc.result]
-            if t in defs:
-                continue
-            inputs = [index[pc.left], index[pc.right]]
-            if any(depends_on(i, t, set()) for i in inputs):
-                continue
-            defs[t] = _Step("product", t, inputs)
-            changed = True
+            t, sign = undet[0]
+            rest = [(i, c) for i, c in terms if i != t]
+            changed |= plan(_Step("equality", t, [i for i, _ in rest],
+                                  [c for _, c in rest], constant, sign))
 
-    # topological order: inputs before targets
+    # topological order (iterative post-order): inputs before targets
     ordered: list[_Step] = []
     visited: set[int] = set()
-
-    def visit(t: int) -> None:
-        if t in visited:
-            return
-        visited.add(t)
-        step = defs.get(t)
-        if step is None:
-            return
-        for i in step.inputs:
-            visit(i)
-        ordered.append(step)
-
-    for t in defs:
-        visit(t)
+    for root in defs:
+        stack = [(root, False)]
+        while stack:
+            t, expanded = stack.pop()
+            if expanded:
+                ordered.append(defs[t])
+            elif t not in visited and t in defs:
+                visited.add(t)
+                stack.append((t, True))
+                stack.extend((i, False) for i in defs[t].inputs)
     return ordered
+
+
+@dataclass
+class _Unit:
+    """One enumeration column: a free variable, or a categorical one-hot
+    group whose choice j sets its j-th bit to 1 and the others to 0."""
+
+    name: str
+    cols: list[int]
+    size: int
+    lo: int = 0  # value of choice 0 of a variable
+    onehot: bool = False
+
+    def choices(self, idx: np.ndarray) -> np.ndarray:
+        """Values of ``cols`` for the choice numbers ``idx``, one row each."""
+        if self.onehot:
+            return (idx[:, None] == np.arange(self.size)).astype(np.int64)
+        return (idx + self.lo)[:, None]
+
+
+def _categorical_groups(problem: QipProblem, index: dict[str, int]) -> list[_Unit]:
+    """One-hot groups that can be enumerated as one column of k choices.
+
+    A group qualifies only when the problem contains its exact
+    ``sum(bits) - 1 = 0`` equality and every bit domain lies in 0..1:
+    then exactly one bit is 1 on every solution.
+    """
+    sums = {frozenset(e.terms) for e in problem.equalities
+            if e.constant == -1 and all(c == 1 for c in e.terms.values())}
+    units: list[_Unit] = []
+    taken: set[int] = set()
+    for g in problem.onehot_groups:
+        bits = [b for b, _ in g.bits]
+        if not bits or frozenset(bits) not in sums or len(set(bits)) != len(bits):
+            continue
+        cols = [index[b] for b in bits]
+        doms = [problem.vars[b].domain for b in bits]
+        if taken.isdisjoint(cols) and all(d.lo >= 0 and d.hi <= 1 for d in doms):
+            taken.update(cols)
+            units.append(_Unit(f"onehot:{g.int_var}", cols, len(cols), onehot=True))
+    return units
+
+
+def _table_dtype(problem: QipProblem, index: dict[str, int], steps: list[_Step]):
+    """int64, or object (exact Python ints) if some linear form, step or
+    product can leave the int64 range over the domains.
+
+    Rows holding a value outside its domain may compute garbage, but the
+    earliest such value (in step order) is exact and fails its own
+    domain check in the same stage, so those rows are dropped anyway.
+    """
+    mag = [max(abs(v.domain.lo), abs(v.domain.hi)) for v in problem.vars.values()]
+
+    def lin(terms, constant: int) -> int:
+        return sum(abs(c) * mag[i] for i, c in terms) + abs(constant)
+
+    worst = [lin(((index[n], c) for n, c in e.terms.items()), e.constant)
+             for e in (*problem.equalities, *problem.inequalities, problem.objective)]
+    worst += [mag[index[p.left]] * mag[index[p.right]] for p in problem.products]
+    worst += [lin(zip(s.inputs, s.coefs), s.constant) for s in steps
+              if s.kind == "equality"]
+    return object if max(worst, default=0) > _INT64_MAX else np.int64
+
+
+def _check_blocks(eqs: list, ineqs: list, prods: list, bounded: list[int],
+                  doms: list[Domain], dtype) -> list[tuple]:
+    """One stage's checks as ``(columns, feasible_mask arguments)`` blocks.
+
+    The domains of the ``bounded`` columns come first, in one block.  The
+    dense matrices of the other blocks span only the columns they read
+    and hold at most about ``_BLOCK`` coefficients, which bounds their
+    memory and lets each block see only the rows the earlier ones kept.
+    """
+    blocks = []
+    if bounded:
+        cols, no_rows = _block([], set(bounded), dtype)
+        lows = np.array([doms[c].lo for c in cols], dtype=dtype)
+        highs = np.array([doms[c].hi for c in cols], dtype=dtype)
+        blocks.append((cols, (*no_rows, lows, highs)))
+    items = ([("eq", e) for e in eqs] + [("ineq", e) for e in ineqs]
+             + [("prod", p) for p in prods])
+    part, cols = [], set()
+    for kind, item in items:
+        item_cols = {i for i, _ in item[0]} if kind != "prod" else set(item)
+        if part and (len(part) + 1) * len(cols | item_cols) > _BLOCK:
+            blocks.append(_block(part, cols, dtype))
+            part, cols = [], set()
+        part.append((kind, item))
+        cols |= item_cols
+    if part:
+        blocks.append(_block(part, cols, dtype))
+    return blocks
+
+
+def _block(part: list, cols: set[int], dtype) -> tuple:
+    """Columns and dense ``feasible_mask`` arguments of the checks in ``part``."""
+    order = sorted(cols)
+    local = {c: j for j, c in enumerate(order)}
+
+    def dense(forms):
+        coef = np.zeros((len(forms), len(order)), dtype=dtype)
+        for r, (terms, _) in enumerate(forms):
+            for i, c in terms:
+                coef[r, local[i]] = c
+        return coef, np.array([k for _, k in forms], dtype=dtype)
+
+    prod_idx = np.array([[local[i] for i in p] for kind, p in part if kind == "prod"],
+                        dtype=np.int64).reshape(-1, 3)
+    return order, (*dense([e for kind, e in part if kind == "eq"]),
+                   *dense([e for kind, e in part if kind == "ineq"]), prod_idx)
+
+
+def _advance(rows: np.ndarray, steps: list[_Step], blocks: list[tuple]) -> np.ndarray:
+    """Compute a stage's steps on ``rows`` and keep the rows passing its checks."""
+    for s in steps:
+        if s.kind == "product":
+            rows[:, s.target] = rows[:, s.inputs[0]] * rows[:, s.inputs[1]]
+        else:
+            acc = rows[:, s.inputs] @ np.array(s.coefs, dtype=rows.dtype)
+            rows[:, s.target] = -s.sign * (acc + s.constant)
+    for cols, args in blocks:
+        mask = kernels.feasible_mask(rows[:, cols], *args)
+        if not mask.all():  # a wide table is costly to copy
+            rows = rows[mask]
+            if not len(rows):
+                break
+    return rows
 
 
 @dataclass
@@ -244,7 +389,7 @@ class QipEnumeration:
     names: list[str]  # all problem variables, declaration order
     model_names: list[str]
     solutions: set  # tuples over model_names
-    free_names: list[str]
+    free_names: list[str]  # enumeration units; a categorical group is "onehot:<int_var>"
     space_size: int
     best_value: int | None = None  # minimal internal objective value
     best_assignment: dict[str, int] | None = None
@@ -254,92 +399,81 @@ class QipEnumeration:
 def enumerate_qip(
     problem: QipProblem, cap: int = DEFAULT_CAP, keep_full: bool = False
 ) -> QipEnumeration:
-    """Exhaustively enumerate the compiled problem.
+    """Exhaustively enumerate the compiled problem, one unit at a time.
 
-    Only variables with no substitution rule are enumerated; the cap
-    applies to the product of their domain sizes.  Every constraint and
-    every domain is still checked on the fully reconstructed rows.
+    The units are the variables with no substitution rule and the
+    categorical one-hot groups; the cap applies to the product of their
+    sizes.  Units of size 1 are preset in the seed row and the others are
+    added smallest first.  After each unit, every step whose inputs are
+    known is computed, and every constraint, product and domain of a
+    non-free column whose variables are all known is checked, so only
+    surviving rows meet the next unit.  Every constraint and every domain
+    is checked on every row.  Tables hold at most ``_CHUNK`` rows (fewer
+    when rows are wide, so a table has at most ``_CELLS`` values) and are
+    expanded depth first, one table per unit of size >= 2 at a time, so
+    at most log2(cap) tables are alive.
     """
     names = list(problem.vars)
     index = {name: i for i, name in enumerate(names)}
-    model_cols = [i for i, n in enumerate(names) if problem.vars[n].is_model]
-    steps = _build_substitution(problem)
-    determined = {s.target for s in steps}
-    free = [i for i in range(len(names)) if i not in determined]
+    doms = [v.domain for v in problem.vars.values()]
+    units = _categorical_groups(problem, index)
+    grouped = {c for u in units for c in u.cols}
+    singletons = {i for i, d in enumerate(doms) if d.lo == d.hi}
+    steps = _build_substitution(problem, grouped | singletons)
+    computed = grouped | {s.target for s in steps}  # the non-free columns
+    units += [_Unit(names[i], [i], _size(doms[i]), doms[i].lo)
+              for i in range(len(names)) if i not in computed]
+    units.sort(key=lambda u: min(u.cols))
 
-    size = 1
-    for i in free:
-        size *= len(problem.vars[names[i]].domain)
+    size = math.prod(u.size for u in units)
     if size > cap:
-        raise CapExceeded(size, cap)
+        largest = sorted(units, key=lambda u: -u.size)[:3]
+        raise CapExceeded(size, cap, [(u.name, u.size) for u in largest])
 
-    n_vars = len(names)
-    lows = np.array([problem.vars[n].domain.lo for n in names], dtype=np.int64)
-    highs = np.array([problem.vars[n].domain.hi for n in names], dtype=np.int64)
+    # stage 0 fills the seed row; stage k adds the k-th enumerated unit
+    order = sorted((u for u in units if u.size > 1), key=lambda u: u.size)
+    stage = [0] * len(names)
+    for k, u in enumerate(order, start=1):
+        for c in u.cols:
+            stage[c] = k
+    n_stages = len(order) + 1
+    stage_steps: list[list[_Step]] = [[] for _ in range(n_stages)]
+    for s in steps:
+        stage[s.target] = max((stage[i] for i in s.inputs), default=0)
+        stage_steps[stage[s.target]].append(s)
+    eqs: list[list] = [[] for _ in range(n_stages)]
+    ineqs: list[list] = [[] for _ in range(n_stages)]
+    prods: list[list] = [[] for _ in range(n_stages)]
+    bounded: list[list[int]] = [[] for _ in range(n_stages)]  # non-free columns
+    for exprs, out in ((problem.equalities, eqs), (problem.inequalities, ineqs)):
+        for e in exprs:
+            terms = [(index[n], c) for n, c in e.terms.items()]
+            out[max((stage[i] for i, _ in terms), default=0)].append((terms, e.constant))
+    for p in problem.products:
+        cols = (index[p.result], index[p.left], index[p.right])
+        prods[max(stage[i] for i in cols)].append(cols)
+    for c in sorted(computed):
+        bounded[stage[c]].append(c)
+    dtype = _table_dtype(problem, index, steps)
+    stages = [(stage_steps[k],
+               _check_blocks(eqs[k], ineqs[k], prods[k], bounded[k], doms, dtype))
+              for k in range(n_stages)]
 
-    def dense(exprs):
-        coef = np.zeros((len(exprs), n_vars), dtype=np.int64)
-        const = np.zeros(len(exprs), dtype=np.int64)
-        for i, e in enumerate(exprs):
-            for n, c in e.terms.items():
-                coef[i, index[n]] = c
-            const[i] = e.constant
-        return coef, const
-
-    eq_coef, eq_const = dense(problem.equalities)
-    ineq_coef, ineq_const = dense(problem.inequalities)
-    prod_idx = np.array(
-        [[index[p.result], index[p.left], index[p.right]] for p in problem.products],
-        dtype=np.int64,
-    ).reshape(-1, 3)
-
-    # mixed-radix layout of the free variables (last one fastest)
-    sizes = [len(problem.vars[names[i]].domain) for i in free]
-    strides = [0] * len(free)
-    acc = 1
-    for k in range(len(free) - 1, -1, -1):
-        strides[k] = acc
-        acc *= sizes[k]
-
-    det_cols = sorted(determined)
-    obj_vec = np.zeros(n_vars, dtype=np.int64)
+    model_cols = [i for i, n in enumerate(names) if problem.vars[n].is_model]
+    obj_vec = np.zeros(len(names), dtype=dtype)
     for n, c in problem.objective.terms.items():
         obj_vec[index[n]] = c
     has_obj = bool(problem.objective.terms) or problem.objective_sense == "min"
-
     result = QipEnumeration(
         names=names,
         model_names=[names[i] for i in model_cols],
         solutions=set(),
-        free_names=[names[i] for i in free],
+        free_names=[u.name for u in units],
         space_size=size,
         full_solutions=set() if keep_full else None,
     )
 
-    for start in range(0, size, _CHUNK):
-        stop = min(start + _CHUNK, size)
-        idx = np.arange(start, stop, dtype=np.int64)
-        values = np.zeros((stop - start, n_vars), dtype=np.int64)
-        for k, col in enumerate(free):
-            values[:, col] = idx // strides[k] % sizes[k] + lows[col]
-        for step in steps:
-            if step.kind == "product":
-                values[:, step.target] = (
-                    values[:, step.inputs[0]] * values[:, step.inputs[1]]
-                )
-            else:
-                acc_col = np.full(stop - start, step.constant, dtype=np.int64)
-                for i, c in zip(step.inputs, step.coefs):
-                    acc_col += c * values[:, i]
-                values[:, step.target] = -step.sign * acc_col
-        mask = kernels.feasible_mask(
-            values, eq_coef, eq_const, ineq_coef, ineq_const, prod_idx
-        )
-        for col in det_cols:
-            mask &= (values[:, col] >= lows[col]) & (values[:, col] <= highs[col])
-        feas = values[mask]
-        if feas.shape[0] == 0:
-            continue
+    def collect(feas: np.ndarray) -> None:
         result.solutions.update(map(tuple, feas[:, model_cols].tolist()))
         if keep_full:
             result.full_solutions.update(map(tuple, feas.tolist()))
@@ -349,6 +483,31 @@ def enumerate_qip(
             if result.best_value is None or objs[k] < result.best_value:
                 result.best_value = int(objs[k])
                 result.best_assignment = dict(zip(names, feas[k].tolist()))
+
+    seed = np.zeros((1, len(names)), dtype=dtype)
+    for u in units:
+        if u.size == 1:
+            seed[:, u.cols] = u.choices(np.zeros(1, dtype=np.int64))
+    chunk = max(1, min(_CHUNK, _CELLS // max(1, len(names))))
+    # depth-first: (next unit, table, first flat index of table x unit not done)
+    stack = [(0, _advance(seed, *stages[0]), 0)]
+    while stack:
+        k, table, start = stack.pop()
+        if k == len(order):
+            if len(table):
+                collect(table)
+            continue
+        unit = order[k]
+        total = len(table) * unit.size
+        stop = min(start + chunk, total)
+        if stop < total:
+            stack.append((k, table, stop))
+        idx = np.arange(start, stop, dtype=np.int64)
+        rows = table[idx // unit.size]
+        rows[:, unit.cols] = unit.choices(idx % unit.size)
+        rows = _advance(rows, *stages[k + 1])
+        if len(rows):
+            stack.append((k + 1, rows, 0))
     return result
 
 

@@ -1,11 +1,17 @@
 """Direct-semantics evaluator, enumeration, and differential checking."""
 
+import itertools
+import math
+import random
+import sys
+
 import numpy as np
 import pytest
 
+from fzn2qip import fuzz, oracle
 from fzn2qip.errors import CapExceeded
 from fzn2qip.frontend import Arr, Lit, Ref, parse_model, typecheck
-from fzn2qip.kernels import _mask_numpy, feasible_mask
+from fzn2qip.kernels import feasible_mask
 from fzn2qip.model import Domain, LinExpr, QipProblem, QipVar
 from fzn2qip.oracle import (
     check_equivalence,
@@ -160,17 +166,44 @@ def test_solve_optimum_unsat_agreement():
     assert res.agrees
 
 
-def test_kernel_backends_agree():
+def test_feasible_mask_matches_row_reference():
     rng = np.random.default_rng(7)
-    values = rng.integers(-5, 6, size=(500, 6)).astype(np.int64)
-    eq_coef = rng.integers(-3, 4, size=(3, 6)).astype(np.int64)
-    eq_const = rng.integers(-2, 3, size=3).astype(np.int64)
-    ineq_coef = rng.integers(-3, 4, size=(4, 6)).astype(np.int64)
-    ineq_const = rng.integers(-2, 3, size=4).astype(np.int64)
+    values = rng.integers(-2, 3, size=(2000, 6)).astype(np.int64)
+    values[::3, 5] = values[::3, 0] * values[::3, 1]  # some products hold
+    eq_coef = np.array([[1, -1, 0, 0, 0, 0]], dtype=np.int64)
+    eq_const = np.array([1], dtype=np.int64)
+    ineq_coef = rng.integers(-3, 4, size=(3, 6)).astype(np.int64)
+    ineq_const = rng.integers(-2, 3, size=3).astype(np.int64)
     prod_idx = np.array([[5, 0, 1], [4, 2, 3]], dtype=np.int64)
-    a = feasible_mask(values, eq_coef, eq_const, ineq_coef, ineq_const, prod_idx)
-    b = _mask_numpy(values, eq_coef, eq_const, ineq_coef, ineq_const, prod_idx)
-    assert np.array_equal(a, b)
+    lows = np.array([-2, -1, -2, -2, 0, -2], dtype=np.int64)
+    highs = np.array([2, 2, 1, 2, 2, 2], dtype=np.int64)
+    rows = values.tolist()
+
+    def lin_ok(row, coef, const, holds):
+        return all(holds(sum(int(c) * x for c, x in zip(co, row)) + int(k))
+                   for co, k in zip(coef, const))
+
+    def prod_ok(row, idx):
+        return all(row[r] == row[a] * row[b] for r, a, b in idx.tolist())
+
+    none2, none1, none_prod = eq_coef[:0], eq_const[:0], prod_idx[:0]
+    blocks = [
+        ((eq_coef, eq_const, none2, none1, none_prod),
+         lambda r: lin_ok(r, eq_coef, eq_const, lambda v: v == 0)),
+        ((none2, none1, ineq_coef, ineq_const, none_prod),
+         lambda r: lin_ok(r, ineq_coef, ineq_const, lambda v: v <= 0)),
+        ((none2, none1, none2, none1, prod_idx), lambda r: prod_ok(r, prod_idx)),
+        ((none2, none1, none2, none1, none_prod, lows, highs),
+         lambda r: all(lo <= x <= hi for lo, x, hi in zip(lows, r, highs))),
+        ((eq_coef, eq_const, ineq_coef, ineq_const, prod_idx),
+         lambda r: (lin_ok(r, eq_coef, eq_const, lambda v: v == 0)
+                    and lin_ok(r, ineq_coef, ineq_const, lambda v: v <= 0)
+                    and prod_ok(r, prod_idx))),
+    ]
+    for args, reference in blocks:
+        want = [reference(r) for r in rows]
+        assert feasible_mask(values, *args).tolist() == want
+        assert any(want) and not all(want)
 
 
 def test_kernel_handles_empty_constraint_blocks():
@@ -180,3 +213,205 @@ def test_kernel_handles_empty_constraint_blocks():
     empty_prod = np.zeros((0, 3), dtype=np.int64)
     mask = feasible_mask(values, empty2, empty1, empty2, empty1, empty_prod)
     assert mask.all()
+
+
+# ----------------------------------------------------------------------
+# staged enumeration
+
+
+def test_int_times_chain_of_1000_links_solves():
+    links = 1000
+    decls = [f"var 0..1: x{i};" for i in range(links + 1)]
+    cons = [f"constraint int_times(x{i}, x{i}, x{i + 1});" for i in range(links)]
+    m = check("\n".join(decls + cons + ["solve satisfy;"]) + "\n")
+    assert sys.getrecursionlimit() <= 1000
+    enum = enumerate_qip(compile_model(m))
+    assert enum.free_names == ["x0"]
+    assert len(enum.solutions) == 2
+
+
+@pytest.mark.parametrize("seed", [310, 1169])
+def test_int_lin_ne_reif_fits_default_cap(seed):
+    m = check(fuzz.generate("int_lin_ne_reif", seed))
+    assert check_equivalence(m, compile_model(m)).equal
+
+
+def _onehot_problem(with_sum: bool) -> QipProblem:
+    p = QipProblem()
+    p.add_var(QipVar("x", Domain(0, 3)))
+    p.onehot_get_or_create("x", {1, 2})
+    if not with_sum:  # the group's sum equality is emitted first
+        del p.equalities[0], p.equality_sources[0]
+    return p
+
+
+def test_categorical_group_is_one_unit():
+    p = _onehot_problem(with_sum=True)
+    enum = enumerate_qip(p)
+    assert enum.free_names == ["onehot:x"]
+    assert enum.space_size == 2
+    assert enum.solutions == {(1,), (2,)}
+
+
+def test_group_without_sum_equality_enumerated_as_binaries():
+    p = _onehot_problem(with_sum=False)
+    bits = [b for b, _ in p.onehot_groups[0].bits]
+    enum = enumerate_qip(p)
+    assert enum.free_names == ["x", *bits]
+    assert enum.space_size == 4 * 2 * 2
+    # x = b1 + 2*b2 without "exactly one bit": all four bit patterns
+    assert enum.solutions == {(0,), (1,), (2,), (3,)}
+
+
+def test_group_bit_fixed_to_zero_prunes_rows():
+    p = _onehot_problem(with_sum=True)
+    p.restrict_domain(p.onehot_groups[0].bit_for(1), Domain(0, 0))
+    enum = enumerate_qip(p, keep_full=True)
+    assert enum.free_names == ["onehot:x"]
+    assert enum.solutions == {(2,)}
+    assert len(enum.full_solutions) == 1
+
+
+def test_cap_message_is_one_short_line():
+    p = QipProblem()
+    for i in range(300):
+        p.add_var(QipVar(f"b{i}", Domain(0, 1)))
+    p.add_var(QipVar("wide", Domain(0, 9)))
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_qip(p)
+    msg = exc.value.message
+    assert "\n" not in msg and len(msg) < 200
+    assert "~2.0e91" in msg
+    assert "wide (10), b0 (2), b1 (2)" in msg
+
+
+WRAP_SRC = """
+var 4611686018427387904..4611686018427387904: a;
+var 4611686018427387904..4611686018427387904: b;
+constraint int_lin_eq([2, 2], [a, b], 0);
+solve satisfy;
+"""
+
+
+def test_int64_wraparound_checks_equal():
+    # 2*2^62 + 2*2^62 = 2^64 is 0 in int64: no solution really exists
+    m = check(WRAP_SRC)
+    res = check_equivalence(m, compile_model(m))
+    assert res.describe() == "Equal (0 solutions)"
+
+
+@pytest.mark.parametrize("c_coef", [1, -1])
+def test_substituted_auxiliary_beyond_int64_is_exact(c_coef):
+    big = 2**62
+    p = QipProblem()
+    for name in ("a", "b", "c"):
+        p.add_var(QipVar(name, Domain(big - 1, big)))
+    x = p.fresh_var("t", "x", Domain(-big, big))
+    # the step x = a + b + c_coef*c can leave int64: with c_coef = 1 and
+    # a = b = c = 2^62 it wraps to -2^62, inside x's domain
+    p.add_equality(LinExpr({"a": 1, "b": 1, "c": c_coef, x.name: -1}))
+    enum = enumerate_qip(p)
+    assert enum.free_names == ["a", "b", "c"]
+    values = (big - 1, big)
+    want = {(a, b, c) for a in values for b in values for c in values
+            if -big <= a + b + c_coef * c <= big}
+    assert enum.solutions == want
+    assert bool(want) == (c_coef == -1)
+
+
+def _random_problem(rng: random.Random) -> QipProblem:
+    """A small problem with equalities, inequalities, products and maybe a
+    one-hot group, built around a planted solution."""
+    p = QipProblem()
+    planted: dict[str, int] = {}
+
+    def add(var: QipVar, value: int) -> str:
+        if var.name not in p.vars:
+            p.add_var(var)
+        planted[var.name] = value
+        return var.name
+
+    def near(value: int) -> Domain:
+        return Domain(value - rng.randint(0, 2), value + rng.randint(0, 2))
+
+    def form(names: list[str], target_coef: int = 0) -> LinExpr:
+        expr = LinExpr()
+        for n in rng.sample(names, rng.randint(1, min(3, len(names)))):
+            expr.add_term(n, rng.choice([-2, -1, 1, 2]))
+        expr.add_const(-expr.evaluate(planted))
+        return expr
+
+    for i in range(rng.randint(2, 3)):
+        lo = rng.randint(-3, 2)
+        d = Domain(lo, rng.randint(lo, min(lo + 3, 3)))
+        add(QipVar(f"m{i}", d), rng.randint(d.lo, d.hi))
+    model = list(planted)
+    if rng.random() < 0.5:
+        x = rng.choice(model)
+        values = set(rng.sample(list(p.vars[x].domain.values()),
+                                min(3, len(p.vars[x].domain))))
+        values.add(planted[x])
+        for bit, v in p.onehot_get_or_create(x, values).bits:
+            planted[bit] = int(v == planted[x])
+    for _ in range(rng.randint(1, 2)):
+        names = list(planted)
+        if rng.random() < 0.5:
+            left, right = rng.choice(names), rng.choice(names)
+            value = planted[left] * planted[right]
+            y = add(p.fresh_var("t", "y", near(value)), value)
+            p.add_product(y, left, right)
+        else:
+            expr = form(names)
+            value = rng.randint(-3, 3)
+            z = add(p.fresh_var("t", "z", near(value)), value)
+            expr.add_term(z, rng.choice([-1, 1, 2]))
+            expr.add_const(-expr.evaluate(planted))
+            p.add_equality(expr)
+    names = list(planted)
+    for _ in range(rng.randint(0, 2)):
+        expr = form(names)
+        if rng.random() < 0.2:
+            expr.add_const(1)  # maybe no longer satisfiable
+        p.add_equality(expr)
+    for _ in range(rng.randint(0, 2)):
+        p.add_inequality(form(names).add_const(-rng.randint(0, 2)))
+    if rng.random() < 0.5:
+        p.objective_sense = "min"
+        p.objective = form(names)
+    return p
+
+
+def _flat_enumerate(p: QipProblem):
+    """Reference: every assignment of every variable, checked directly."""
+    names = list(p.vars)
+    solutions, full, best = set(), set(), None
+    for combo in itertools.product(*(p.vars[n].domain.values() for n in names)):
+        a = dict(zip(names, combo))
+        if (all(e.evaluate(a) == 0 for e in p.equalities)
+                and all(e.evaluate(a) <= 0 for e in p.inequalities)
+                and all(a[q.result] == a[q.left] * a[q.right] for q in p.products)):
+            full.add(combo)
+            solutions.add(tuple(a[n] for n in names if p.vars[n].is_model))
+            if p.objective_sense == "min":
+                value = p.objective.evaluate(a)
+                best = value if best is None else min(best, value)
+    return solutions, full, best
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_enumerate_qip_matches_flat_enumeration(chunk, monkeypatch):
+    if chunk is not None:  # split every table into many small ones
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    rng = random.Random(2024)
+    compared = with_solutions = 0
+    while compared < 60:
+        p = _random_problem(rng)
+        if math.prod(len(v.domain) for v in p.vars.values()) > 5000:
+            continue
+        solutions, full, best = _flat_enumerate(p)
+        enum = enumerate_qip(p, keep_full=True)
+        assert (enum.solutions, enum.full_solutions, enum.best_value) == (
+            solutions, full, best), p.serialize()
+        compared += 1
+        with_solutions += bool(solutions)
+    assert with_solutions > 30
