@@ -284,6 +284,9 @@ class _Parser:
             items = []
             if not self.accept("]"):
                 while True:
+                    if self.cur.kind == "[":  # FlatZinc arrays are flat
+                        raise FznSyntaxError("nested array", self.cur.line,
+                                             self.cur.col)
                     items.append(self.parse_expr())
                     if self.accept("]"):
                         break

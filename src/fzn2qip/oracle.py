@@ -3,7 +3,12 @@
 Two independent enumerations are compared:
 
 * the source model, evaluated with direct builtin semantics over the
-  declared variable domains (``eval_builtin``), and
+  declared variable domains: the flat product of the domains is
+  enumerated in chunks, one numpy array per variable, and each builtin
+  is evaluated column-wise over a whole chunk, in exact Python integers
+  when an interval bound shows that int64 could wrap
+  (``_COLUMNWISE``; ``eval_builtin`` is the scalar reference it is
+  tested against), and
 * the compiled problem, enumerated unit by unit (free variables and
   categorical one-hot groups) with every computable variable
   substituted, each constraint checked by the numeric kernel as soon as
@@ -16,7 +21,7 @@ is a proof of equivalence over the given domains.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,6 +36,7 @@ DEFAULT_CAP = 2_000_000
 _CHUNK = 1 << 16  # rows per enumeration table
 _CELLS = 1 << 20  # values per enumeration table, for wide problems
 _BLOCK = 1 << 11  # coefficients per dense check block
+_INT64_MAX = 2**63 - 1
 
 
 def truncdiv(n: int, d: int) -> int:
@@ -141,6 +147,215 @@ def eval_builtin(name: str, args: tuple, asg: dict[str, int]) -> bool:
 
 
 # ----------------------------------------------------------------------
+# column-wise direct builtin semantics
+#
+# The same formulas as ``eval_builtin``, over many assignments at once: a
+# variable is a numpy array of its values, a literal a Python int, an
+# array a list of either, a set a frozenset.  Each entry returns a bool
+# array (or a bool scalar when every argument is a literal).  Divisors equal to 0 and
+# negative exponents are replaced before the arithmetic and their rows
+# answer False.  Bool values are 0/1, so ``and``/``or`` are ``&``/``|``.
+
+
+def _lin(coefs: list, xs: list):
+    acc = 0
+    for c, x in zip(coefs, xs):
+        acc = acc + c * x
+    return acc
+
+
+def _truncdiv_cols(n, d):
+    """``truncdiv`` over columns; ``d`` holds no 0."""
+    q = abs(n) // abs(d)
+    return np.where((n >= 0) == (d >= 0), q, -q)
+
+
+def _div(v):
+    n, d, q = v
+    nz = d != 0
+    return nz & (_truncdiv_cols(n, np.where(nz, d, 1)) == q)
+
+
+def _mod(v):
+    n, d, r = v
+    nz = d != 0
+    d = np.where(nz, d, 1)
+    return nz & (n - _truncdiv_cols(n, d) * d == r)
+
+
+def _pow(v):
+    x, y, z = v
+    ok = y >= 0
+    return ok & (x ** np.where(ok, y, 0) == z)
+
+
+def _any(cols):
+    acc = False
+    for c in cols:
+        acc = acc | c
+    return acc
+
+
+def _all(cols):
+    acc = True
+    for c in cols:
+        acc = acc & c
+    return acc
+
+
+def _element(v):
+    i, arr, c = v
+    return _any((i == k) & (x == c) for k, x in enumerate(arr, start=1))
+
+
+def _extremum(pick):
+    # an empty array has no extremum: unsatisfiable, as the rewriter says
+    return lambda v: bool(v[1]) and v[0] == functools.reduce(pick, v[1])
+
+
+def _member(x, values: frozenset):
+    return np.isin(x, list(values))
+
+
+_COLUMNWISE = {
+    "int_eq": lambda v: v[0] == v[1],
+    "bool_eq": lambda v: v[0] == v[1],
+    "bool2int": lambda v: v[0] == v[1],
+    "int_ne": lambda v: v[0] != v[1],
+    "int_le": lambda v: v[0] <= v[1],
+    "bool_le": lambda v: v[0] <= v[1],
+    "int_lt": lambda v: v[0] < v[1],
+    "bool_lt": lambda v: v[0] < v[1],
+    "int_plus": lambda v: v[0] + v[1] == v[2],
+    "int_times": lambda v: v[0] * v[1] == v[2],
+    "int_div": _div,
+    "int_mod": _mod,
+    "int_abs": lambda v: abs(v[0]) == v[1],
+    "int_min": lambda v: np.minimum(v[0], v[1]) == v[2],
+    "int_max": lambda v: np.maximum(v[0], v[1]) == v[2],
+    "int_pow": _pow,
+    "int_eq_reif": lambda v: (v[0] == v[1]) == (v[2] != 0),
+    "int_ne_reif": lambda v: (v[0] != v[1]) == (v[2] != 0),
+    "int_le_reif": lambda v: (v[0] <= v[1]) == (v[2] != 0),
+    "int_lt_reif": lambda v: (v[0] < v[1]) == (v[2] != 0),
+    "int_lin_eq": lambda v: _lin(v[0], v[1]) == v[2],
+    "bool_lin_eq": lambda v: _lin(v[0], v[1]) == v[2],
+    "int_lin_le": lambda v: _lin(v[0], v[1]) <= v[2],
+    "bool_lin_le": lambda v: _lin(v[0], v[1]) <= v[2],
+    "int_lin_ne": lambda v: _lin(v[0], v[1]) != v[2],
+    "int_lin_eq_reif": lambda v: (_lin(v[0], v[1]) == v[2]) == (v[3] != 0),
+    "int_lin_le_reif": lambda v: (_lin(v[0], v[1]) <= v[2]) == (v[3] != 0),
+    "int_lin_ne_reif": lambda v: (_lin(v[0], v[1]) != v[2]) == (v[3] != 0),
+    "bool_not": lambda v: v[0] != v[1],
+    "bool_and": lambda v: (v[0] & v[1]) == v[2],
+    "bool_or": lambda v: (v[0] | v[1]) == v[2],
+    "bool_xor": lambda v: (v[0] != v[1]) if len(v) == 2 else (
+        (v[0] != v[1]) == (v[2] != 0)),
+    "bool_eq_reif": lambda v: (v[0] == v[1]) == (v[2] != 0),
+    "bool_le_reif": lambda v: (v[0] <= v[1]) == (v[2] != 0),
+    "bool_lt_reif": lambda v: (v[0] < v[1]) == (v[2] != 0),
+    "bool_clause": lambda v: _any([*(x != 0 for x in v[0]), *(x == 0 for x in v[1])]),
+    "array_bool_and": lambda v: _all(x != 0 for x in v[0]) == (v[1] != 0),
+    # "exactly one" semantics, matching the linear encoding
+    "array_bool_xor": lambda v: _lin([1] * len(v[0]), v[0]) == 1,
+    "array_int_element": _element,
+    "array_bool_element": _element,
+    "array_var_int_element": _element,
+    "array_var_bool_element": _element,
+    "array_int_maximum": _extremum(np.maximum),
+    "array_int_minimum": _extremum(np.minimum),
+    "set_in": lambda v: _member(v[0], v[1]),
+    "set_in_reif": lambda v: _member(v[0], v[1]) == (v[2] != 0),
+}
+
+
+def _pow_bound(base: int, exp: int) -> int:
+    """Bound on ``|x ** y|`` for ``|x| <= base``, ``0 <= y <= exp``,
+    without computing a power far beyond int64."""
+    if base <= 1 or exp <= 0:
+        return 1
+    if exp * (base.bit_length() - 1) > 64:
+        return _INT64_MAX + 1
+    return base**exp
+
+
+def _worst_value(name: str, v: list) -> int:
+    """Largest magnitude of an intermediate that ``_COLUMNWISE`` computes
+    for one constraint, from the magnitudes ``v`` of its arguments (a
+    list for an array); 0 if it computes none beyond its arguments.
+    ``int_div``/``int_mod`` compute none: ``|q|``, ``|q*d|`` and
+    ``|n - q*d|`` are at most ``|n|``."""
+    if name == "int_plus":
+        return v[0] + v[1]
+    if name == "int_times":
+        return v[0] * v[1]
+    if name == "int_pow":
+        return _pow_bound(v[0], v[1])
+    if name.startswith(("int_lin_", "bool_lin_")):
+        return sum(c * x for c, x in zip(v[0], v[1]))
+    if name == "array_bool_xor":
+        return sum(v[0])
+    return 0
+
+
+def _source_dtype(model: FzModel):
+    """int64, or object (exact Python ints) if a value or intermediate of
+    some constraint can leave the int64 range over the domains."""
+    mag = {n: max(abs(d.domain.lo), abs(d.domain.hi)) for n, d in model.vars.items()}
+    worst = [max(mag.values(), default=0)]
+
+    def bound(arg):
+        t = type(arg)
+        if t is Ref:
+            return mag[arg.name]
+        if t is Lit:
+            worst.append(abs(arg.value))
+            return worst[-1]
+        if t is Arr:
+            return [bound(a) for a in arg.items]
+        worst.append(max(map(abs, arg.values), default=0))
+        return worst[-1]
+
+    for c in model.constraints:
+        worst.append(_worst_value(c.name, [bound(a) for a in c.args]))
+    return object if max(worst) > _INT64_MAX else np.int64
+
+
+def _cv(arg, table: np.ndarray, index: dict[str, int]):
+    """An argument over ``table``: a variable becomes its row of values."""
+    t = type(arg)
+    if t is Ref:
+        return table[index[arg.name]]
+    if t is Lit:
+        return arg.value
+    if t is Arr:
+        return [_cv(a, table, index) for a in arg.items]
+    if t is SetVal:
+        return arg.values
+    raise TypeError(f"cannot evaluate {arg!r}")
+
+
+def _holds(name: str, args: tuple, table: np.ndarray, index: dict[str, int]):
+    """Truth of one builtin constraint for every assignment in ``table``,
+    whose row ``index[v]`` holds the values of variable ``v``; a bool
+    scalar if ``args`` name no variable."""
+    return _COLUMNWISE[name]([_cv(a, table, index) for a in args])
+
+
+def _source_table(radix: list[int], lows: np.ndarray, start: int, stop: int,
+                  dtype) -> np.ndarray:
+    """Assignments ``start..stop-1`` of the flat product of the domains,
+    decoded by mixed radix (the last variable fastest), one per column.
+    Row ``j`` holds the values of variable ``j``, so each variable's
+    values are contiguous; ``lows`` holds the domain minima, shape (n, 1)."""
+    table = np.empty((len(radix), stop - start), dtype=dtype)
+    if radix:
+        table[:] = np.unravel_index(np.arange(start, stop), radix)
+    table += lows
+    return table
+
+
+# ----------------------------------------------------------------------
 # source-model enumeration
 
 
@@ -150,25 +365,36 @@ def _size(domain: Domain) -> int:
 
 
 def enumerate_fzn(model: FzModel, cap: int = DEFAULT_CAP) -> tuple[list[str], set]:
-    """All satisfying assignments of the model, as (names, set of tuples)."""
+    """All satisfying assignments of the model, as (names, set of tuples).
+
+    The flat product of the domains is enumerated in tables of at most
+    ``_CHUNK`` assignments (fewer when there are many variables, so a
+    table has at most ``_CELLS`` values), and every constraint is
+    evaluated over a whole table by its ``_COLUMNWISE`` entry.
+    """
     names = list(model.vars)
     sizes = {name: _size(decl.domain) for name, decl in model.vars.items()}
     size = math.prod(sizes.values())
     if size > cap:
         raise CapExceeded(size, cap, sorted(sizes.items(), key=lambda nv: -nv[1])[:3])
-    domains = [decl.domain.values() for decl in model.vars.values()]
+    index = {name: j for j, name in enumerate(names)}
+    radix = list(sizes.values())
+    dtype = _source_dtype(model)
+    lows = np.array([decl.domain.lo for decl in model.vars.values()], dtype=dtype)
+    lows = lows.reshape(-1, 1)
+    chunk = max(1, min(_CHUNK, _CELLS // max(1, len(names))))
     solutions = set()
-    for combo in itertools.product(*domains):
-        asg = dict(zip(names, combo))
-        if all(eval_builtin(c.name, c.args, asg) for c in model.constraints):
-            solutions.add(combo)
+    for start in range(0, size, chunk):
+        table = _source_table(radix, lows, start, min(start + chunk, size), dtype)
+        mask = np.ones(table.shape[1], dtype=bool)
+        for c in model.constraints:
+            mask &= _holds(c.name, c.args, table, index)
+        solutions.update(map(tuple, table[:, mask].T.tolist()))
     return names, solutions
 
 
 # ----------------------------------------------------------------------
 # compiled-problem enumeration
-
-_INT64_MAX = 2**63 - 1
 
 
 @dataclass

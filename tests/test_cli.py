@@ -149,3 +149,23 @@ def test_fuzz_subcommand_deterministic(capsys):
 def test_missing_file_exit_1(capsys):
     assert run(["compile", "/nonexistent/x.fzn"]) == 1
     assert capsys.readouterr().err
+
+
+def test_nested_array_is_a_syntax_error(tmp_path, capsys):
+    deep = "[" * 3000 + "x" + "]" * 3000
+    src = write(tmp_path, "m.fzn",
+                f"var bool: x;\nconstraint bool_clause({deep}, []);\nsolve satisfy;\n")
+    assert run(["check", src]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err == f"{src}:2:25: syntax-error: nested array\n"
+
+
+def test_check_empty_extremum_is_equal(tmp_path, capsys):
+    src = write(tmp_path, "m.fzn", """\
+var 0..3: x;
+constraint array_int_minimum(x, []);
+solve satisfy;
+""")
+    assert run(["check", src]) == 0
+    assert capsys.readouterr().out.startswith("Equal (0 solutions)")

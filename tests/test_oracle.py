@@ -10,7 +10,15 @@ import pytest
 
 from fzn2qip import fuzz, oracle
 from fzn2qip.errors import CapExceeded
-from fzn2qip.frontend import Arr, Lit, Ref, parse_model, typecheck
+from fzn2qip.frontend import (
+    SIGNATURES,
+    Arr,
+    Lit,
+    Ref,
+    model_to_fzn,
+    parse_model,
+    typecheck,
+)
 from fzn2qip.kernels import feasible_mask
 from fzn2qip.model import Domain, LinExpr, QipProblem, QipVar
 from fzn2qip.oracle import (
@@ -26,6 +34,14 @@ from fzn2qip.rewrite import RewriteOptions, compile_model
 
 def check(src):
     return typecheck(parse_model(src))
+
+
+WRAP_SRC = """
+var 4611686018427387904..4611686018427387904: a;
+var 4611686018427387904..4611686018427387904: b;
+constraint int_lin_eq([2, 2], [a, b], 0);
+solve satisfy;
+"""
 
 
 def test_truncdiv_toward_zero():
@@ -69,8 +85,133 @@ def test_enumerate_fzn_reference():
 
 def test_enumerate_fzn_cap():
     m = check("\n".join(f"var -4..4: v{i};" for i in range(8)) + "\nsolve satisfy;\n")
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as exc:
         enumerate_fzn(m, cap=1000)
+    assert exc.value.message == (
+        "state space of ~4.3e7 assignments exceeds cap 1000; "
+        "largest free units: v0 (9), v1 (9), v2 (9)")
+
+
+def test_enumerate_fzn_without_variables():
+    assert enumerate_fzn(check("solve satisfy;\n")) == ([], {()})
+    false = check("constraint int_eq(1, 2);\nsolve satisfy;\n")
+    assert enumerate_fzn(false) == ([], set())
+
+
+def test_enumerate_fzn_split_tables_match(monkeypatch):
+    models = [check(fuzz.generate(b, seed)) for b in sorted(SIGNATURES)
+              for seed in range(5)]
+    models.append(check(WRAP_SRC))
+    whole = [enumerate_fzn(m) for m in models]
+    monkeypatch.setattr(oracle, "_CHUNK", 3)  # split every table into many
+    assert [enumerate_fzn(m) for m in models] == whole
+    assert any(len(sols) > 3 for _, sols in whole)
+
+
+def test_enumerate_fzn_int64_wraparound_has_no_solution():
+    # 2*2^62 + 2*2^62 = 2^64 is 0 in int64
+    m = check(WRAP_SRC)
+    assert oracle._source_dtype(m) is object
+    assert enumerate_fzn(m) == (["a", "b"], set())
+
+
+# ----------------------------------------------------------------------
+# column-wise evaluator against the scalar reference
+
+
+def _assert_columnwise_matches_reference(m):
+    """Every constraint, on every assignment of the flat product, holds
+    column-wise exactly when ``eval_builtin`` says so."""
+    names = list(m.vars)
+    radix = [oracle._size(d.domain) for d in m.vars.values()]
+    size = math.prod(radix)
+    dtype = oracle._source_dtype(m)
+    lows = np.array([d.domain.lo for d in m.vars.values()], dtype=dtype).reshape(-1, 1)
+    table = oracle._source_table(radix, lows, 0, size, dtype)
+    rows = table.T.tolist()
+    assert sorted(map(tuple, rows)) == sorted(
+        itertools.product(*(d.domain.values() for d in m.vars.values())))
+    index = {n: j for j, n in enumerate(names)}
+    assignments = [dict(zip(names, r)) for r in rows]
+    for c in m.constraints:
+        got = np.broadcast_to(oracle._holds(c.name, c.args, table, index), size)
+        want = [eval_builtin(c.name, c.args, a) for a in assignments]
+        assert got.tolist() == want, (c, model_to_fzn(m))
+
+
+@pytest.mark.parametrize("builtin", sorted(SIGNATURES))
+def test_columnwise_matches_eval_builtin(builtin):
+    for seed in range(50):
+        _assert_columnwise_matches_reference(check(fuzz.generate(builtin, seed)))
+
+
+BIG = 2**62
+
+HAND_CASES = {
+    "division by zero": """
+        var -3..3: n; var -2..2: d; var -3..3: q;
+        constraint int_div(n, d, q); constraint int_mod(n, d, q);
+        constraint int_div(n, 0, q); constraint int_mod(n, 0, q);
+        constraint int_div(0, 0, q); constraint int_mod(n, d, 0);
+        solve satisfy;""",
+    "int_pow exponents": """
+        var -2..2: x; var -3..3: y; var -9..9: z;
+        constraint int_pow(x, y, z); constraint int_pow(0, 0, z);
+        constraint int_pow(x, -1, z); constraint int_pow(0, y, 1);
+        constraint int_pow(2, 3, 8);
+        solve satisfy;""",
+    "element index out of range": """
+        var -1..4: i; var 0..9: c; var bool: b;
+        constraint array_int_element(i, [4, 7, 9], c);
+        constraint array_bool_element(i, [true, false, true], b);
+        solve satisfy;""",
+    "element with variable entries": """
+        var 0..4: i; var 0..2: a; var 0..2: e; var 0..2: c;
+        var bool: p; var bool: q; var bool: r;
+        constraint array_var_int_element(i, [a, 1, e], c);
+        constraint array_var_bool_element(i, [p, true, q], r);
+        constraint array_var_int_element(2, [a, e], c);
+        solve satisfy;""",
+    "empty clause": """
+        var bool: p; var bool: q;
+        constraint bool_clause([], []); constraint bool_clause([p], []);
+        constraint bool_clause([], [q]); constraint bool_clause([false], [true]);
+        solve satisfy;""",
+    "constant literal arguments": """
+        var -2..2: x; var bool: b;
+        constraint int_plus(2, x, 3); constraint int_le(3, 4);
+        constraint int_times(2, 3, 6); constraint int_lin_le([1, 2], [1, x], 3);
+        constraint set_in(3, {1, 3}); constraint set_in_reif(x, {-1, 2}, true);
+        constraint int_eq_reif(1, 2, b); constraint bool_xor(true, b, false);
+        constraint array_int_maximum(3, [1, 3, x]); constraint int_abs(-2, 2);
+        constraint array_bool_and([true, b], b); constraint array_bool_xor([b, false]);
+        solve satisfy;""",
+    "2^62 domains": f"""
+        var {BIG - 1}..{BIG}: a; var {BIG - 1}..{BIG}: b; var {-BIG}..{-BIG + 1}: c;
+        var bool: r;
+        constraint int_lin_eq([2, 2], [a, b], 0); constraint int_plus(a, b, c);
+        constraint int_times(a, c, b); constraint int_div(a, c, r);
+        constraint int_mod(a, b, c); constraint int_min(a, c, c);
+        constraint int_abs(c, a); constraint int_lin_ne_reif([1, 1], [a, b], 0, r);
+        constraint int_le_reif(a, b, r); constraint int_pow(c, 2, a);
+        solve satisfy;""",
+    "int_times beyond int64": """
+        var 4294967296..4294967297: a; var 0..9: z;
+        constraint int_times(a, a, z);
+        solve satisfy;""",
+    "int_pow beyond int64": """
+        var 2..3: x; var 0..9: z;
+        constraint int_pow(x, 40, z); constraint int_pow(x, 2, z);
+        solve satisfy;""",
+}
+EXACT_CASES = {"2^62 domains", "int_times beyond int64", "int_pow beyond int64"}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_CASES))
+def test_columnwise_matches_eval_builtin_by_hand(case):
+    m = check(HAND_CASES[case])
+    assert (oracle._source_dtype(m) is object) == (case in EXACT_CASES)
+    _assert_columnwise_matches_reference(m)
 
 
 def test_enumerate_qip_single_inequality():
@@ -283,14 +424,6 @@ def test_cap_message_is_one_short_line():
     assert "\n" not in msg and len(msg) < 200
     assert "~2.0e91" in msg
     assert "wide (10), b0 (2), b1 (2)" in msg
-
-
-WRAP_SRC = """
-var 4611686018427387904..4611686018427387904: a;
-var 4611686018427387904..4611686018427387904: b;
-constraint int_lin_eq([2, 2], [a, b], 0);
-solve satisfy;
-"""
 
 
 def test_int64_wraparound_checks_equal():
