@@ -384,7 +384,11 @@ class QipProblem:
 
 
 def deserialize(text: str) -> QipProblem:
-    """Parse serialized problem text; raises SchemaError on bad input."""
+    """Parse and validate serialized problem text.
+
+    Raises SchemaError on bad input, naming the first violation when the
+    document parses but breaks an invariant of ``QipProblem.validate``.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -451,6 +455,9 @@ def deserialize(text: str) -> QipProblem:
         len(prob.inequalities) - len(prob.inequality_sources)
     )
     prob.product_sources += [""] * (len(prob.products) - len(prob.product_sources))
+    violations = prob.validate()
+    if violations:
+        raise SchemaError(f"invalid problem: {violations[0]}")
     return prob
 
 

@@ -7,11 +7,18 @@ products, with auxiliary variables bounded via the interval formulas in
 an empty restricted domain proves the model unsatisfiable and aborts
 compilation.
 
-Strict inequalities are integer-tightened (``a < b`` becomes
-``a - b + 1 <= 0``).  Products of a variable with a constant are always
-folded into linear coefficients.  Product constraints are only ever
-emitted with a fresh auxiliary result, so operand-before-result
-acyclicity holds by construction.
+Every comparison builtin (``=``, ``<=``, ``<``, ``!=``; binary or
+``int_lin_*``/``bool_lin_le``; plain or reified) is one relation
+``s rel 0`` on the linear form ``s = sum(a_i * x_i) - c``, rewritten in
+one place (``_rw_relation``).  A binary builtin is the form
+``[1, -1], [a, b], 0``, literals fold into the constant, and strict
+inequalities are integer-tightened (``s < 0`` becomes ``s + 1 <= 0``).
+``=`` and ``<=`` are one row each; ``!=`` and the reified forms take the
+bounds of s as big-M constants and add at most one binary auxiliary and
+no product.  Products of a variable with a constant are always folded
+into linear coefficients.  Product constraints are only ever emitted
+with a fresh auxiliary result, so operand-before-result acyclicity holds
+by construction.
 """
 
 from __future__ import annotations
@@ -94,34 +101,33 @@ def _linexpr(terms: list[tuple[str, int]], constant: int = 0) -> LinExpr:
     return expr
 
 
-def _linear_sum(ctx: RewriteContext, coeffs, args) -> tuple[LinExpr, list[Domain]]:
+def _combine(*parts: tuple[int, LinExpr], constant: int = 0) -> LinExpr:
+    """The linear form ``sum(k * expr for k, expr in parts) + constant``."""
+    out = LinExpr(constant=constant)
+    for k, expr in parts:
+        out.add_const(k * expr.constant)
+        for var, coef in expr.terms.items():
+            out.add_term(var, k * coef)
+    return out
+
+
+def _linear_sum(ctx: RewriteContext, coeffs: list[int],
+                args) -> tuple[LinExpr, list[Domain]]:
     """LinExpr of sum(coef*arg) and the per-term domains (literals folded)."""
     expr = LinExpr()
     doms = []
     for coef, arg in zip(coeffs, args):
         if isinstance(arg, Lit):
-            expr.add_const(coef.value * arg.value)
+            expr.add_const(coef * arg.value)
             doms.append(Domain(arg.value, arg.value))
         else:
-            expr.add_term(arg.name, coef.value)
+            expr.add_term(arg.name, coef)
             doms.append(ctx.dom(arg.name))
     return expr, doms
 
 
 # ----------------------------------------------------------------------
 # shared pieces
-
-
-def _emit_abs(ctx: RewriteContext, builtin: str, w: str, u_dom: Domain,
-              role: str = "u") -> str:
-    """Emit ``u = |w|`` (selector product + linear equation); returns u."""
-    dw = ctx.dom(w)
-    u = ctx.fresh(builtin, role, u_dom)
-    sel = ctx.fresh(builtin, role + "c", BINARY)
-    pv = ctx.fresh(builtin, role + "p", _min0max0(dw))
-    ctx.product(pv, sel, w)
-    ctx.eq0(_linexpr([(u, 1), (w, -1), (pv, 2)]))
-    return u
 
 
 def _emit_div(ctx: RewriteContext, builtin: str, n: str, d: str, q: str) -> str:
@@ -293,19 +299,62 @@ def _rw_mod(ctx, item):
     ctx.restrict(r, Domain(r_lo, r_hi))
 
 
-def _rw_int_eq(ctx, item):
-    a, b = (ctx.var(x) for x in item.args[:2])
-    ctx.eq0(_linexpr([(a, 1), (b, -1)]))
+# the relation that each comparison builtin states (see _rw_relation)
+_RELATION = {
+    "bool_eq": "eq", "bool_eq_reif": "eq", "bool_le": "le",
+    "bool_le_reif": "le", "bool_lin_le": "le", "bool_lt_reif": "lt",
+    "bool_xor": "ne",
+    "int_eq": "eq", "int_eq_reif": "eq", "int_le": "le", "int_le_reif": "le",
+    "int_lt": "lt", "int_lt_reif": "lt", "int_ne": "ne", "int_ne_reif": "ne",
+    "int_lin_eq": "eq", "int_lin_eq_reif": "eq", "int_lin_le": "le",
+    "int_lin_le_reif": "le", "int_lin_ne": "ne", "int_lin_ne_reif": "ne",
+}
 
 
-def _rw_int_le(ctx, item):
-    a, b = (ctx.var(x) for x in item.args[:2])
-    ctx.le0(_linexpr([(a, 1), (b, -1)]))
+def _rw_relation(ctx, item):
+    """``s rel 0`` over ``s = sum(a_i * x_i) - c``, plain or reified by r.
 
-
-def _rw_int_lt(ctx, item):
-    a, b = (ctx.var(x) for x in item.args[:2])
-    ctx.le0(_linexpr([(a, 1), (b, -1)], 1))
+    A binary builtin ``rel(a, b[, r])`` is ``[1, -1], [a, b], 0``; a
+    linear one is ``rel(as, xs, c[, r])``.  Literals fold into the
+    constant of s, and ``lt`` is ``le`` with c - 1.  The bounds [lo, hi]
+    of s are the big-M constants of the rows, which hold s itself, so s
+    needs no auxiliary variable.
+    """
+    rel = _RELATION[item.name]
+    if item.name.startswith(("int_lin_", "bool_lin_")):
+        coeffs = [a.value for a in item.args[0].items]
+        xs, c, rest = item.args[1].items, item.args[2].value, item.args[3:]
+    else:
+        coeffs, xs, c, rest = [1, -1], item.args[:2], 0, item.args[2:]
+    if rel == "lt":
+        rel, c = "le", c - 1
+    s, doms = _linear_sum(ctx, coeffs, xs)
+    s.add_const(-c)
+    if not rest and rel != "ne":
+        # no bounds: s may be exact while its bounds leave the safe range
+        (ctx.eq0 if rel == "eq" else ctx.le0)(s)
+        return
+    s_dom = bounds.lin_bounds(coeffs, doms, c)
+    lo, hi = s_dom.lo, s_dom.hi
+    if rest:
+        r = LinExpr({ctx.var(rest[0]): 1})
+        if rel == "le":
+            # r = 1: s <= 0; r = 0: s >= 1
+            ctx.le0(_combine((1, s), (hi, r), constant=-hi))
+            ctx.le0(_combine((-1, s), (lo - 1, r), constant=1))
+            return
+        # t = 1 forces s = 0 and relaxes the s != 0 rows below
+        t = r if rel == "eq" else _combine((-1, r), constant=1)
+        ctx.le0(_combine((1, s), (hi, t), constant=-hi))
+        ctx.le0(_combine((-1, s), (-lo, t), constant=lo))
+    else:
+        if lo == hi == 0:
+            raise EmptyDomain("the compared values are always equal")
+        t = LinExpr()
+    # s != 0 when t = 0: b = 0 gives s <= -1, b = 1 gives s >= 1
+    b = LinExpr({ctx.fresh(item.name, "b", BINARY): 1})
+    ctx.le0(_combine((1, s), (-(hi + 1), b), (-max(0, hi + 1), t), constant=1))
+    ctx.le0(_combine((-1, s), (1 - lo, b), (-max(0, 1 - lo), t), constant=lo))
 
 
 def _rw_int_plus(ctx, item):
@@ -320,138 +369,11 @@ def _rw_int_times(ctx, item):
     ctx.eq0(_linexpr([(c, 1), (y, -1)]))
 
 
-def _rw_int_ne(ctx, item):
-    a, b = (ctx.var(x) for x in item.args[:2])
-    da, db = ctx.dom(a), ctx.dom(b)
-    r = ctx.fresh("int_ne", "r", BINARY)
-    k1 = da.hi - db.lo + 1
-    k2 = db.hi - da.lo + 1
-    ctx.le0(_linexpr([(a, 1), (b, -1), (r, -k1)], 1))
-    ctx.le0(_linexpr([(b, 1), (a, -1), (r, k2)], 1 - k2))
-
-
-def _rw_int_le_reif(ctx, item):
-    a, b, r = (ctx.var(x) for x in item.args)
-    da, db = ctx.dom(a), ctx.dom(b)
-    k1 = da.hi - db.lo
-    k2 = db.hi - da.lo + 1
-    ctx.le0(_linexpr([(a, 1), (b, -1), (r, k1)], -k1))
-    ctx.le0(_linexpr([(b, 1), (a, -1), (r, -k2)], 1))
-
-
-def _rw_int_lt_reif(ctx, item):
-    a, b, r = (ctx.var(x) for x in item.args)
-    da, db = ctx.dom(a), ctx.dom(b)
-    k1 = da.hi - db.lo + 1
-    k2 = db.hi - da.lo
-    ctx.le0(_linexpr([(a, 1), (b, -1), (r, k1)], 1 - k1))
-    ctx.le0(_linexpr([(b, 1), (a, -1), (r, -k2)]))
-
-
-def _rw_int_eq_reif(ctx, item):
-    a, b, r = (ctx.var(x) for x in item.args)
-    da, db = ctx.dom(a), ctx.dom(b)
-    x = ctx.fresh("int_eq_reif", "x", _min0max0(da))
-    y = ctx.fresh("int_eq_reif", "y", _min0max0(db))
-    ctx.product(x, r, a)
-    ctx.product(y, r, b)
-    ctx.eq0(_linexpr([(x, 1), (y, -1)]))
-    # difference channel: r = 0 forces |a - b| >= 1
-    w = ctx.fresh("int_eq_reif", "w", Domain(da.lo - db.hi, da.hi - db.lo))
-    ctx.eq0(_linexpr([(w, 1), (a, -1), (b, 1)]))
-    u = _emit_abs(ctx, "int_eq_reif", w, bounds.abs_bounds(ctx.dom(w)))
-    s = ctx.fresh("int_eq_reif", "s", _min0max0(ctx.dom(u)))
-    ctx.product(s, r, u)
-    ctx.le0(_linexpr([(s, 1), (u, -1), (r, -1)], 1))
-
-
-def _rw_int_ne_reif(ctx, item):
-    a, b, r = (ctx.var(x) for x in item.args)
-    da, db = ctx.dom(a), ctx.dom(b)
-    z_dom = Domain(da.lo - db.hi, da.hi - db.lo)
-    z = ctx.fresh("int_ne_reif", "z", z_dom)
-    ctx.eq0(_linexpr([(z, 1), (a, -1), (b, 1)]))
-    y = ctx.fresh("int_ne_reif", "y", _min0max0(z_dom))
-    ctx.product(y, r, z)
-    ctx.eq0(_linexpr([(z, 1), (y, -1)]))
-    u_dom = Domain(0 if z_dom.lo <= 0 else z_dom.lo,
-                   max(abs(z_dom.lo), abs(z_dom.hi)))
-    u = _emit_abs(ctx, "int_ne_reif", z, u_dom)
-    w = ctx.fresh("int_ne_reif", "w", _min0max0(u_dom))
-    ctx.product(w, r, u)
-    ctx.le0(_linexpr([(r, 1), (w, -1)]))
-
-
-def _rw_int_linear(ctx, item):
-    expr, _doms = _linear_sum(ctx, item.args[0].items, item.args[1].items)
-    expr.add_const(-item.args[2].value)
-    if item.name == "int_lin_eq":
-        ctx.eq0(expr)
-    else:
-        ctx.le0(expr)
-
-
 def _rw_bool_lin_eq(ctx, item):
-    expr, _doms = _linear_sum(ctx, item.args[0].items, item.args[1].items)
+    coeffs = [a.value for a in item.args[0].items]
+    expr, _doms = _linear_sum(ctx, coeffs, item.args[1].items)
     expr.add_term(ctx.var(item.args[2]), -1)
     ctx.eq0(expr)
-
-
-def _rw_int_lin_ne(ctx, item):
-    coeffs = [c.value for c in item.args[0].items]
-    expr, doms = _linear_sum(ctx, item.args[0].items, item.args[1].items)
-    c = item.args[2].value
-    expr.add_const(-c)
-    x_dom = bounds.lin_bounds(coeffs, doms, c)
-    x = ctx.fresh("int_lin_ne", "x", x_dom)
-    expr.add_term(x, -1)
-    ctx.eq0(expr)
-    au = bounds.abs_bounds(x_dom)
-    u_dom = Domain(max(1, au.lo), au.hi)  # lower bound 1 encodes "is nonzero"
-    _emit_abs(ctx, "int_lin_ne", x, u_dom)
-
-
-def _lin_aux(ctx, item, builtin: str) -> tuple[str, Domain]:
-    """Auxiliary x = sum(as*bs) - c with its exact bounds."""
-    coeffs = [c.value for c in item.args[0].items]
-    expr, doms = _linear_sum(ctx, item.args[0].items, item.args[1].items)
-    c = item.args[2].value
-    expr.add_const(-c)
-    x_dom = bounds.lin_bounds(coeffs, doms, c)
-    x = ctx.fresh(builtin, "x", x_dom)
-    expr.add_term(x, -1)
-    ctx.eq0(expr)
-    return x, x_dom
-
-
-def _rw_int_lin_eq_reif(ctx, item):
-    r = ctx.var(item.args[3])
-    x, x_dom = _lin_aux(ctx, item, "int_lin_eq_reif")
-    u = _emit_abs(ctx, "int_lin_eq_reif", x, bounds.abs_bounds(x_dom))
-    k = max(abs(x_dom.lo), abs(x_dom.hi))
-    ctx.le0(_linexpr([(u, 1), (r, k)], -k))
-    ctx.le0(_linexpr([(r, -1), (u, -1)], 1))
-
-
-def _rw_int_lin_le_reif(ctx, item):
-    r = ctx.var(item.args[3])
-    x, x_dom = _lin_aux(ctx, item, "int_lin_le_reif")
-    ctx.le0(_linexpr([(x, 1), (r, x_dom.hi)], -x_dom.hi))
-    ctx.le0(_linexpr([(x, -1), (r, x_dom.lo - 1)], 1))
-
-
-def _rw_int_lin_ne_reif(ctx, item):
-    r = ctx.var(item.args[3])
-    x, x_dom = _lin_aux(ctx, item, "int_lin_ne_reif")
-    y = ctx.fresh("int_lin_ne_reif", "y", _min0max0(x_dom))
-    ctx.product(y, r, x)
-    ctx.eq0(_linexpr([(x, 1), (y, -1)]))
-    u_dom = Domain(0 if x_dom.lo <= 0 else x_dom.lo,
-                   max(abs(x_dom.lo), abs(x_dom.hi)))
-    u = _emit_abs(ctx, "int_lin_ne_reif", x, u_dom)
-    z = ctx.fresh("int_lin_ne_reif", "z", _min0max0(u_dom))
-    ctx.product(z, r, u)
-    ctx.le0(_linexpr([(r, 1), (z, -1)]))
 
 
 def _rw_int_minmax(ctx, item):
@@ -589,41 +511,17 @@ def _rw_bool_xor(ctx, item):
         a, b = (ctx.var(x) for x in item.args)
         ctx.eq0(_linexpr([(a, 1), (b, 1)], -1))
         return
-    a, b, r = (ctx.var(x) for x in item.args)
-    x = ctx.fresh("bool_xor", "x", BINARY)
-    y = ctx.fresh("bool_xor", "y", BINARY)
-    ctx.product(x, r, a)
-    ctx.product(y, r, b)
-    ctx.eq0(_linexpr([(a, 1), (x, -1), (b, -1), (y, 1)]))
-    ctx.eq0(_linexpr([(x, 1), (y, 1), (r, -1)]))
-
-
-def _rw_bool_eq_reif(ctx, item):
-    a, b, r = (ctx.var(x) for x in item.args)
-    x = ctx.fresh("bool_eq_reif", "x", BINARY)
-    y = ctx.fresh("bool_eq_reif", "y", BINARY)
-    ctx.product(x, r, a)
-    ctx.product(y, r, b)
-    ctx.eq0(_linexpr([(x, 1), (y, -1)]))
-    # (1 - r) = (1 - r)(a + b), expanded over the products above
-    ctx.eq0(_linexpr([(a, 1), (b, 1), (x, -1), (y, -1), (r, 1)], -1))
-
-
-def _rw_bool_le_reif(ctx, item):
-    a, b, r = (ctx.var(x) for x in item.args)
-    ctx.le0(_linexpr([(a, 1), (b, -1), (r, 1)], -1))
-    ctx.le0(_linexpr([(b, 1), (a, -1), (r, -2)], 1))
+    _rw_relation(ctx, item)  # r <-> a != b
 
 
 def _rw_bool_lt_reif(ctx, item):
-    a, b, r = (ctx.var(x) for x in item.args)
-    if ctx.options.prefer_products:
-        t = ctx.fresh("bool_lt_reif", "t", BINARY)
-        ctx.product(t, a, b)
-        ctx.eq0(_linexpr([(r, 1), (b, -1), (t, 1)]))
+    if not ctx.options.prefer_products:
+        _rw_relation(ctx, item)
         return
-    ctx.le0(_linexpr([(a, 1), (b, -1), (r, 2)], -1))
-    ctx.le0(_linexpr([(b, 1), (a, -1), (r, -1)]))
+    a, b, r = (ctx.var(x) for x in item.args)
+    t = ctx.fresh("bool_lt_reif", "t", BINARY)
+    ctx.product(t, a, b)
+    ctx.eq0(_linexpr([(r, 1), (b, -1), (t, 1)]))
 
 
 def _rw_set_in(ctx, item):
@@ -662,12 +560,12 @@ _DISPATCH = {
     "bool2int": _rw_bool2int,
     "bool_and": _rw_bool_and,
     "bool_clause": _rw_bool_clause,
-    "bool_eq": _rw_int_eq,
-    "bool_eq_reif": _rw_bool_eq_reif,
-    "bool_le": _rw_int_le,
-    "bool_le_reif": _rw_bool_le_reif,
+    "bool_eq": _rw_relation,
+    "bool_eq_reif": _rw_relation,
+    "bool_le": _rw_relation,
+    "bool_le_reif": _rw_relation,
     "bool_lin_eq": _rw_bool_lin_eq,
-    "bool_lin_le": _rw_int_linear,
+    "bool_lin_le": _rw_relation,
     "bool_lt": _rw_bool_lt,
     "bool_lt_reif": _rw_bool_lt_reif,
     "bool_not": _rw_bool_not,
@@ -675,23 +573,23 @@ _DISPATCH = {
     "bool_xor": _rw_bool_xor,
     "int_abs": _rw_abs,
     "int_div": _rw_div,
-    "int_eq": _rw_int_eq,
-    "int_eq_reif": _rw_int_eq_reif,
-    "int_le": _rw_int_le,
-    "int_le_reif": _rw_int_le_reif,
-    "int_lin_eq": _rw_int_linear,
-    "int_lin_eq_reif": _rw_int_lin_eq_reif,
-    "int_lin_le": _rw_int_linear,
-    "int_lin_le_reif": _rw_int_lin_le_reif,
-    "int_lin_ne": _rw_int_lin_ne,
-    "int_lin_ne_reif": _rw_int_lin_ne_reif,
-    "int_lt": _rw_int_lt,
-    "int_lt_reif": _rw_int_lt_reif,
+    "int_eq": _rw_relation,
+    "int_eq_reif": _rw_relation,
+    "int_le": _rw_relation,
+    "int_le_reif": _rw_relation,
+    "int_lin_eq": _rw_relation,
+    "int_lin_eq_reif": _rw_relation,
+    "int_lin_le": _rw_relation,
+    "int_lin_le_reif": _rw_relation,
+    "int_lin_ne": _rw_relation,
+    "int_lin_ne_reif": _rw_relation,
+    "int_lt": _rw_relation,
+    "int_lt_reif": _rw_relation,
     "int_max": _rw_int_minmax,
     "int_min": _rw_int_minmax,
     "int_mod": _rw_mod,
-    "int_ne": _rw_int_ne,
-    "int_ne_reif": _rw_int_ne_reif,
+    "int_ne": _rw_relation,
+    "int_ne_reif": _rw_relation,
     "int_plus": _rw_int_plus,
     "int_pow": _rw_int_pow,
     "int_times": _rw_int_times,

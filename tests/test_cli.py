@@ -169,3 +169,14 @@ solve satisfy;
 """)
     assert run(["check", src]) == 0
     assert capsys.readouterr().out.startswith("Equal (0 solutions)")
+
+
+def test_int_lin_ne_of_a_constant_zero_form_is_unsat(tmp_path, capsys):
+    src = write(tmp_path, "m.fzn", """\
+constraint int_lin_ne([1], [2], 2);
+solve satisfy;
+""")
+    assert run(["compile", src]) == 4
+    assert capsys.readouterr().err.startswith("UNSAT: constraint int_lin_ne#0")
+    assert run(["check", src]) == 0
+    assert capsys.readouterr().out == "Equal (0 solutions)\n"

@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from fzn2qip import fuzz, oracle
-from fzn2qip.errors import CapExceeded
+from fzn2qip import fuzz, oracle, rewrite
+from fzn2qip.errors import CapExceeded, CompileUnsat
 from fzn2qip.frontend import (
     SIGNATURES,
     Arr,
@@ -548,3 +548,61 @@ def test_enumerate_qip_matches_flat_enumeration(chunk, monkeypatch):
         compared += 1
         with_solutions += bool(solutions)
     assert with_solutions > 30
+
+
+# ----------------------------------------------------------------------
+# constraints that share variables
+
+def _shared_comparisons(seed: int) -> str:
+    """2-3 comparison builtins over 3 int and 2 bool shared variables."""
+    rng = random.Random(f"comparisons:{seed}")
+    ints, bools = ["x1", "x2", "x3"], ["p1", "p2"]
+    lines = []
+    for x in ints:
+        lo = rng.randint(-4, 4)
+        lines.append(f"var {lo}..{rng.randint(lo, 4)}: {x};")
+    lines += [f"var bool: {p};" for p in bools]
+
+    def int_arg():
+        if rng.random() < fuzz.LITERAL_PROB:
+            return str(rng.randint(-4, 4))
+        return rng.choice(ints)
+
+    def bool_arg():
+        if rng.random() < fuzz.LITERAL_PROB:
+            return rng.choice(["true", "false"])
+        return rng.choice(bools)
+
+    for _ in range(rng.randint(2, 3)):
+        b = rng.choice(sorted(rewrite._RELATION))
+        arg = bool_arg if b.startswith("bool_") else int_arg
+        if "_lin_" in b:
+            n = rng.randint(1, 3)
+            coeffs = ", ".join(str(rng.randint(-3, 3)) for _ in range(n))
+            xs = ", ".join(arg() for _ in range(n))
+            args = [f"[{coeffs}]", f"[{xs}]", str(rng.randint(-8, 8))]
+        else:
+            args = [arg(), arg()]
+        if b.endswith("_reif") or b == "bool_xor":
+            args.append(bool_arg())
+        lines.append(f"constraint {b}({', '.join(args)});")
+    return "\n".join(lines + ["solve satisfy;"]) + "\n"
+
+
+def test_shared_comparisons_check_equal():
+    failures = []
+    satisfiable = 0
+    for seed in range(300):
+        m = check(_shared_comparisons(seed))
+        try:
+            p = compile_model(m)
+        except CompileUnsat:
+            if enumerate_fzn(m)[1]:
+                failures.append(f"seed {seed}: compile UNSAT but satisfiable")
+            continue
+        res = check_equivalence(m, p)
+        if not res.equal:
+            failures.append(f"seed {seed}: {res.describe()}")
+        satisfiable += res.fzn_count > 0
+    assert not failures, failures[:5]
+    assert satisfiable > 100

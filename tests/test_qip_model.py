@@ -124,3 +124,29 @@ def test_deserialize_rejects_garbage():
         deserialize("not json")
     with pytest.raises(SchemaError):
         deserialize("{}")
+
+
+def _undeclared_equality() -> QipProblem:
+    p = QipProblem()
+    p.add_var(QipVar("x", Domain(0, 1)))
+    p.add_equality(LinExpr({"x": 1, "ghost": 1}))
+    return p
+
+
+def _result_before_operand() -> QipProblem:
+    p = QipProblem()
+    p.add_var(QipVar("a", Domain(0, 2)))
+    p.add_var(QipVar("r", Domain(0, 4)))
+    p.add_var(QipVar("b", Domain(0, 2)))
+    p.add_product("r", "a", "b")
+    return p
+
+
+@pytest.mark.parametrize("build, message", [
+    (_undeclared_equality, "equality[0]: undeclared variable 'ghost'"),
+    (_result_before_operand, "product[0]: product-order (r = a*b)"),
+])
+def test_deserialize_rejects_invalid_problem(build, message):
+    with pytest.raises(SchemaError) as exc:
+        deserialize(build().serialize())
+    assert exc.value.message == f"invalid problem: {message}"

@@ -6,6 +6,8 @@ frozen values; structural expectations (counts of products, bits)
 follow from the documented encodings.
 """
 
+import itertools
+
 import pytest
 
 from fzn2qip.errors import CompileUnsat, UnsupportedExponent
@@ -384,3 +386,114 @@ def test_compiled_problems_always_validate():
     for src in sources:
         _, p = compile_src(src)
         assert p.validate() == []
+
+
+
+# Every comparison builtin is one relation on s = a - b (a linear one
+# written [1, -1], [a, b], c with c = 0).  An argument is a domain
+# "lo..hi", "bool" or a literal; the cases put s below, above, around and
+# at 0, with a literal in each argument position.
+RELATIONS = {
+    "eq": lambda s: s == 0, "le": lambda s: s <= 0,
+    "lt": lambda s: s < 0, "ne": lambda s: s != 0,
+}
+ROUTED = {
+    "int_eq": "eq", "int_le": "le", "int_lt": "lt", "int_ne": "ne",
+    "int_eq_reif": "eq", "int_le_reif": "le", "int_lt_reif": "lt",
+    "int_ne_reif": "ne", "int_lin_eq": "eq", "int_lin_le": "le",
+    "int_lin_ne": "ne", "int_lin_eq_reif": "eq", "int_lin_le_reif": "le",
+    "int_lin_ne_reif": "ne", "bool_eq": "eq", "bool_le": "le",
+    "bool_lin_le": "le", "bool_eq_reif": "eq", "bool_le_reif": "le",
+    "bool_lt_reif": "lt", "bool_xor": "ne",
+}
+INT_CASES = {
+    "negative": ("1..2", "4..5"),
+    "positive": ("3..5", "0..1"),
+    "straddle": ("-2..2", "-1..1"),
+    "point-zero": ("2..2", "2..2"),
+    "literal-a": (3, "-1..2"),
+    "literal-b": ("-2..1", 1),
+}
+BOOL_CASES = {
+    "straddle": ("bool", "bool"),
+    "nonpositive": (False, "bool"),
+    "nonnegative": ("bool", False),
+    "point-negative": (False, True),
+    "point-positive": (True, False),
+    "point-zero": (True, True),
+}
+
+
+def _values(spec):
+    if spec is None:
+        return [None]
+    if spec == "bool":
+        return range(2)
+    if not isinstance(spec, str):
+        return [int(spec)]
+    lo, hi = spec.split("..")
+    return range(int(lo), int(hi) + 1)
+
+
+def _comparison_src(builtin, a, b, r=None, c=0):
+    """Model text for ``builtin`` on a and b, reified by r if given."""
+    decls, args = [], []
+    for name, spec in (("a", a), ("b", b), ("r", r)):
+        if isinstance(spec, str):
+            decls.append(f"var {spec}: {name};")
+            args.append(name)
+        elif spec is not None:
+            args.append(str(spec).lower())  # 3, true, false
+    if "_lin_" in builtin:
+        args[:2] = ["[1, -1]", f"[{args[0]}, {args[1]}]", str(c)]
+    return "\n".join(decls + [f"constraint {builtin}({', '.join(args)});",
+                               "solve satisfy;"]) + "\n"
+
+
+def _comparison_cases():
+    for builtin in ROUTED:
+        cases = BOOL_CASES if builtin.startswith("bool_") else INT_CASES
+        reified = builtin.endswith("_reif") or builtin == "bool_xor"
+        for (case, (a, b)), r in itertools.product(
+                cases.items(), ["bool", True, False] if reified else [None]):
+            yield pytest.param(builtin, a, b, r, id=f"{builtin}-{case}-r={r}")
+
+
+@pytest.mark.parametrize("builtin, a, b, r", list(_comparison_cases()))
+def test_comparison_truth_table(builtin, a, b, r):
+    holds = RELATIONS[ROUTED[builtin]]
+    specs = {"a": a, "b": b, "r": r}
+    names = [n for n, spec in specs.items() if isinstance(spec, str)]
+    want = set()
+    for values in itertools.product(*(_values(s) for s in specs.values())):
+        point = dict(zip(specs, values))
+        held = holds(point["a"] - point["b"])
+        if held if r is None else held == point["r"]:
+            want.add(tuple(point[n] for n in names))
+    try:
+        _, p = compile_src(_comparison_src(builtin, a, b, r))
+    except CompileUnsat:
+        assert not want
+        return
+    assert not p.products
+    assert solutions(p, *names) == want
+
+
+@pytest.mark.parametrize("r", [None, "bool"])
+@pytest.mark.parametrize("binary, linear, c", [
+    ("int_eq", "int_lin_eq", 0), ("int_le", "int_lin_le", 0),
+    ("int_ne", "int_lin_ne", 0), ("int_lt", "int_lin_le", -1),
+])
+@pytest.mark.parametrize("a, b", list(INT_CASES.values()), ids=list(INT_CASES))
+def test_binary_and_linear_forms_compile_alike(binary, linear, c, a, b, r):
+    suffix = "_reif" if r else ""
+
+    def counts(builtin, c=0):
+        try:
+            _, p = compile_src(_comparison_src(builtin + suffix, a, b, r, c))
+        except CompileUnsat:
+            return "unsat"
+        return (len(p.vars), len(p.equalities), len(p.inequalities),
+                len(p.products))
+
+    assert counts(binary) == counts(linear, c)
