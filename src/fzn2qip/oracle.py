@@ -618,7 +618,6 @@ class QipEnumeration:
     free_names: list[str]  # enumeration units; a categorical group is "onehot:<int_var>"
     space_size: int
     best_value: int | None = None  # minimal internal objective value
-    best_assignment: dict[str, int] | None = None
     full_solutions: set | None = None  # tuples over names, if requested
 
 
@@ -705,10 +704,9 @@ def enumerate_qip(
             result.full_solutions.update(map(tuple, feas.tolist()))
         if has_obj:
             objs = feas @ obj_vec + problem.objective.constant
-            k = int(np.argmin(objs))
-            if result.best_value is None or objs[k] < result.best_value:
-                result.best_value = int(objs[k])
-                result.best_assignment = dict(zip(names, feas[k].tolist()))
+            best = int(objs.min())
+            if result.best_value is None or best < result.best_value:
+                result.best_value = best
 
     seed = np.zeros((1, len(names)), dtype=dtype)
     for u in units:

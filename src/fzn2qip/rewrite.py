@@ -7,18 +7,21 @@ products, with auxiliary variables bounded via the interval formulas in
 an empty restricted domain proves the model unsatisfiable and aborts
 compilation.
 
-Every comparison builtin (``=``, ``<=``, ``<``, ``!=``; binary or
-``int_lin_*``/``bool_lin_le``; plain or reified) is one relation
-``s rel 0`` on the linear form ``s = sum(a_i * x_i) - c``, rewritten in
-one place (``_rw_relation``).  A binary builtin is the form
-``[1, -1], [a, b], 0``, literals fold into the constant, and strict
-inequalities are integer-tightened (``s < 0`` becomes ``s + 1 <= 0``).
-``=`` and ``<=`` are one row each; ``!=`` and the reified forms take the
-bounds of s as big-M constants and add at most one binary auxiliary and
-no product.  Products of a variable with a constant are always folded
-into linear coefficients.  Product constraints are only ever emitted
-with a fresh auxiliary result, so operand-before-result acyclicity holds
-by construction.
+Every linear builtin (each comparison ``=``, ``<=``, ``<``, ``!=``,
+binary or linear, plain or reified, and the Boolean gates, sums and
+clauses listed in ``_FORMS``) is one relation ``s rel 0`` on the linear
+form ``s = sum(a_i * x_i) - c``, rewritten in one place
+(``_rw_relation``).  A binary builtin is the form ``[1, -1], [a, b], 0``,
+literals fold into the constant, a literal reification argument leaves
+the relation or its negation, and strict inequalities are
+integer-tightened (``s < 0`` becomes ``s + 1 <= 0``).  ``=`` and ``<=``
+are one row each; ``!=`` and the reified forms take the bounds of s as
+big-M constants and add at most one binary auxiliary and no product.
+The extremum builtins are big-M rows with selector binaries and no
+product either (``_rw_extremum``).  The other rewrites still turn a
+literal argument into a singleton ``__const_*`` variable.  Product
+constraints are only ever emitted with a fresh auxiliary result, so
+operand-before-result acyclicity holds by construction.
 """
 
 from __future__ import annotations
@@ -78,6 +81,12 @@ class RewriteContext:
     def dom(self, name: str) -> Domain:
         return self.problem.vars[name].domain
 
+    def arg_dom(self, arg) -> Domain:
+        """Domain of an argument; a literal's holds its value only."""
+        if isinstance(arg, Lit):
+            return Domain(arg.value, arg.value)
+        return self.dom(arg.name)
+
     def fresh(self, builtin: str, role: str, domain: Domain) -> str:
         return self.problem.fresh_var(builtin, role, domain).name
 
@@ -119,10 +128,9 @@ def _linear_sum(ctx: RewriteContext, coeffs: list[int],
     for coef, arg in zip(coeffs, args):
         if isinstance(arg, Lit):
             expr.add_const(coef * arg.value)
-            doms.append(Domain(arg.value, arg.value))
         else:
             expr.add_term(arg.name, coef)
-            doms.append(ctx.dom(arg.name))
+        doms.append(ctx.arg_dom(arg))
     return expr, doms
 
 
@@ -239,34 +247,6 @@ def _rw_element_var(ctx, item):
     ctx.eq0(expr)
 
 
-def _rw_array_minmax(ctx, item):
-    mode = "max" if item.name == "array_int_maximum" else "min"
-    m = ctx.var(item.args[0])
-    xs = [ctx.var(a) for a in item.args[1].items]
-    if not xs:
-        raise EmptyDomain("extremum of an empty array")
-    m_dom, xs_doms = bounds.minmax_domain_restrict(
-        ctx.dom(m), [ctx.dom(x) for x in xs], mode
-    )
-    ctx.restrict(m, m_dom)
-    for x, d in zip(xs, xs_doms):
-        ctx.restrict(x, d)
-    sel_sum = LinExpr(constant=-1)
-    m_sum = _linexpr([(m, -1)])
-    for j, x in enumerate(xs, start=1):
-        b = ctx.fresh(item.name, f"b{j}", BINARY)
-        z = ctx.fresh(item.name, f"z{j}", _min0max0(ctx.dom(x)))
-        ctx.product(z, x, b)
-        sel_sum.add_term(b, 1)
-        m_sum.add_term(z, 1)
-        if mode == "max":
-            ctx.le0(_linexpr([(x, 1), (m, -1)]))
-        else:
-            ctx.le0(_linexpr([(m, 1), (x, -1)]))
-    ctx.eq0(sel_sum)
-    ctx.eq0(m_sum)
-
-
 def _rw_abs(ctx, item):
     x = ctx.var(item.args[0])
     y = ctx.var(item.args[1])
@@ -299,45 +279,79 @@ def _rw_mod(ctx, item):
     ctx.restrict(r, Domain(r_lo, r_hi))
 
 
-# the relation that each comparison builtin states (see _rw_relation)
-_RELATION = {
-    "bool_eq": "eq", "bool_eq_reif": "eq", "bool_le": "le",
-    "bool_le_reif": "le", "bool_lin_le": "le", "bool_lt_reif": "lt",
-    "bool_xor": "ne",
-    "int_eq": "eq", "int_eq_reif": "eq", "int_le": "le", "int_le_reif": "le",
-    "int_lt": "lt", "int_lt_reif": "lt", "int_ne": "ne", "int_ne_reif": "ne",
-    "int_lin_eq": "eq", "int_lin_eq_reif": "eq", "int_lin_le": "le",
-    "int_lin_le_reif": "le", "int_lin_ne": "ne", "int_lin_ne_reif": "ne",
+def _binary(rel: str):
+    """``rel(a, b[, r])`` states ``a - b rel 0``."""
+    return lambda args: (rel, [1, -1], args[:2], 0, *args[2:])
+
+
+def _lin(rel: str):
+    """``rel(as, xs, c[, r])`` states ``sum(as * xs) - c rel 0``."""
+    return lambda args: (rel, [a.value for a in args[0].items],
+                         args[1].items, args[2].value, *args[3:])
+
+
+# every linear builtin as (relation, coefficients, terms, constant[, r]),
+# built from its arguments: sum(coefficients * terms) - constant rel 0
+_FORMS = {
+    "array_bool_xor": lambda args: ("eq", [1] * len(args[0].items),
+                                    args[0].items, 1),
+    "bool2int": _binary("eq"),
+    # some positive literal is 1 or some negative one is 0
+    "bool_clause": lambda args: (
+        "le", [-1] * len(args[0].items) + [1] * len(args[1].items),
+        args[0].items + args[1].items, len(args[1].items) - 1),
+    "bool_eq": _binary("eq"), "bool_eq_reif": _binary("eq"),
+    "bool_le": _binary("le"), "bool_le_reif": _binary("le"),
+    "bool_lin_eq": lambda args: ("eq", [a.value for a in args[0].items] + [-1],
+                                 (*args[1].items, args[2]), 0),
+    "bool_lin_le": _lin("le"),
+    "bool_lt": _binary("lt"), "bool_lt_reif": _binary("lt"),
+    "bool_not": lambda args: ("eq", [1, 1], args, 1),
+    # r <-> 1 - a - b <= 0
+    "bool_or": lambda args: ("le", [-1, -1], args[:2], -1, args[2]),
+    "bool_xor": lambda args: (("eq", [1, 1], args, 1) if len(args) == 2
+                              else ("ne", [1, -1], args[:2], 0, args[2])),
+    "int_eq": _binary("eq"), "int_eq_reif": _binary("eq"),
+    "int_le": _binary("le"), "int_le_reif": _binary("le"),
+    "int_lt": _binary("lt"), "int_lt_reif": _binary("lt"),
+    "int_ne": _binary("ne"), "int_ne_reif": _binary("ne"),
+    "int_lin_eq": _lin("eq"), "int_lin_eq_reif": _lin("eq"),
+    "int_lin_le": _lin("le"), "int_lin_le_reif": _lin("le"),
+    "int_lin_ne": _lin("ne"), "int_lin_ne_reif": _lin("ne"),
+    "int_plus": lambda args: ("eq", [1, 1, -1], args, 0),
 }
 
 
 def _rw_relation(ctx, item):
     """``s rel 0`` over ``s = sum(a_i * x_i) - c``, plain or reified by r.
 
-    A binary builtin ``rel(a, b[, r])`` is ``[1, -1], [a, b], 0``; a
-    linear one is ``rel(as, xs, c[, r])``.  Literals fold into the
-    constant of s, and ``lt`` is ``le`` with c - 1.  The bounds [lo, hi]
-    of s are the big-M constants of the rows, which hold s itself, so s
-    needs no auxiliary variable.
+    ``_FORMS`` gives the relation, the a_i, the x_i, c and r.  Literals
+    fold into the constant of s, and ``lt`` is ``le`` with c - 1.  A
+    literal r leaves the relation (true) or its negation (false).  The
+    bounds [lo, hi] of s are the big-M constants of the rows, which hold
+    s itself, so s needs no auxiliary variable.
     """
-    rel = _RELATION[item.name]
-    if item.name.startswith(("int_lin_", "bool_lin_")):
-        coeffs = [a.value for a in item.args[0].items]
-        xs, c, rest = item.args[1].items, item.args[2].value, item.args[3:]
-    else:
-        coeffs, xs, c, rest = [1, -1], item.args[:2], 0, item.args[2:]
+    rel, coeffs, xs, c, *rest = _FORMS[item.name](item.args)
+    r = rest[0] if rest else None
     if rel == "lt":
         rel, c = "le", c - 1
     s, doms = _linear_sum(ctx, coeffs, xs)
     s.add_const(-c)
-    if not rest and rel != "ne":
+    if isinstance(r, Lit):
+        if not r.value:
+            if rel == "le":
+                s = _combine((-1, s), constant=1)  # s >= 1
+            else:
+                rel = "ne" if rel == "eq" else "eq"
+        r = None
+    if r is None and rel != "ne":
         # no bounds: s may be exact while its bounds leave the safe range
         (ctx.eq0 if rel == "eq" else ctx.le0)(s)
         return
     s_dom = bounds.lin_bounds(coeffs, doms, c)
     lo, hi = s_dom.lo, s_dom.hi
-    if rest:
-        r = LinExpr({ctx.var(rest[0]): 1})
+    if r is not None:
+        r = LinExpr({r.name: 1})
         if rel == "le":
             # r = 1: s <= 0; r = 0: s >= 1
             ctx.le0(_combine((1, s), (hi, r), constant=-hi))
@@ -357,9 +371,37 @@ def _rw_relation(ctx, item):
     ctx.le0(_combine((-1, s), (1 - lo, b), (-max(0, 1 - lo), t), constant=lo))
 
 
-def _rw_int_plus(ctx, item):
-    a, b, c = (ctx.var(x) for x in item.args)
-    ctx.eq0(_linexpr([(a, 1), (b, 1), (c, -1)]))
+def _rw_extremum(ctx, item):
+    """``m = max(xs)`` (sign 1) or ``m = min(xs)`` (sign -1), no product.
+
+    Every x_j has ``sign * (x_j - m) <= 0``, and the selected one also
+    ``sign * (m - x_j) <= M_j * (1 - sel_j)``, with M_j the upper bound of
+    ``sign * (m - x_j)``.  Binaries b_2..b_n select x_2..x_n and x_1 is
+    selected by ``1 - sum(b)``, so ``sum(b) <= 1``.
+    """
+    sign = 1 if item.name in ("int_max", "array_int_maximum") else -1
+    if item.name.startswith("int_"):
+        m, xs = item.args[2], item.args[:2]
+    else:
+        m, xs = item.args[0], item.args[1].items
+    if not xs:
+        raise EmptyDomain("extremum of an empty array")
+    m_dom, x_doms = bounds.minmax_domain_restrict(
+        ctx.arg_dom(m), [ctx.arg_dom(x) for x in xs], "max" if sign == 1 else "min"
+    )
+    # a literal keeps its value: Domain raised if the restriction emptied it
+    for arg, d in zip((m, *xs), (m_dom, *x_doms)):
+        if isinstance(arg, Ref):
+            ctx.restrict(arg.name, d)
+    bits = [LinExpr({ctx.fresh(item.name, "b", BINARY): 1}) for _ in xs[1:]]
+    picked = _combine(*((1, bit) for bit in bits))
+    if len(bits) > 1:
+        ctx.le0(_combine((1, picked), constant=-1))
+    for x, sel in zip(xs, [_combine((-1, picked), constant=1), *bits]):
+        s, doms = _linear_sum(ctx, [sign, -sign], [x, m])  # sign * (x - m)
+        big_m = -bounds.lin_bounds([sign, -sign], doms, 0).lo
+        ctx.le0(s)
+        ctx.le0(_combine((-1, s), (big_m, sel), constant=-big_m))
 
 
 def _rw_int_times(ctx, item):
@@ -367,33 +409,6 @@ def _rw_int_times(ctx, item):
     y = ctx.fresh("int_times", "p", bounds.product_bounds(ctx.dom(a), ctx.dom(b)))
     ctx.product(y, a, b)
     ctx.eq0(_linexpr([(c, 1), (y, -1)]))
-
-
-def _rw_bool_lin_eq(ctx, item):
-    coeffs = [a.value for a in item.args[0].items]
-    expr, _doms = _linear_sum(ctx, coeffs, item.args[1].items)
-    expr.add_term(ctx.var(item.args[2]), -1)
-    ctx.eq0(expr)
-
-
-def _rw_int_minmax(ctx, item):
-    a, b, c = (ctx.var(x) for x in item.args)
-    da, db, dc = ctx.dom(a), ctx.dom(b), ctx.dom(c)
-    r = ctx.fresh(item.name, "r", BINARY)
-    if item.name == "int_max":
-        ctx.le0(_linexpr([(a, 1), (c, -1)]))
-        ctx.le0(_linexpr([(b, 1), (c, -1)]))
-        k1 = dc.hi - da.lo
-        k2 = dc.hi - db.lo
-        ctx.le0(_linexpr([(c, 1), (a, -1), (r, -k1)]))
-        ctx.le0(_linexpr([(c, 1), (b, -1), (r, k2)], -k2))
-    else:
-        ctx.le0(_linexpr([(c, 1), (a, -1)]))
-        ctx.le0(_linexpr([(c, 1), (b, -1)]))
-        k1 = da.hi - dc.lo
-        k2 = db.hi - dc.lo
-        ctx.le0(_linexpr([(a, 1), (c, -1), (r, -k1)]))
-        ctx.le0(_linexpr([(b, 1), (c, -1), (r, k2)], -k2))
 
 
 def _rw_int_pow(ctx, item):
@@ -436,22 +451,6 @@ def _rw_int_pow(ctx, item):
     ctx.eq0(_linexpr([(z, 1), (w, -1)]))
 
 
-def _rw_bool2int(ctx, item):
-    a, b = (ctx.var(x) for x in item.args)
-    ctx.eq0(_linexpr([(a, 1), (b, -1)]))
-
-
-def _rw_bool_lt(ctx, item):
-    a, b = (ctx.var(x) for x in item.args)
-    ctx.eq0(_linexpr([(a, 1)]))
-    ctx.eq0(_linexpr([(b, 1)], -1))
-
-
-def _rw_bool_not(ctx, item):
-    a, b = (ctx.var(x) for x in item.args)
-    ctx.eq0(_linexpr([(a, 1), (b, 1)], -1))
-
-
 def _rw_array_bool_and(ctx, item):
     elems = [ctx.var(a) for a in item.args[0].items]
     r = ctx.var(item.args[1])
@@ -467,16 +466,6 @@ def _rw_array_bool_and(ctx, item):
         ctx.le0(lower)
 
 
-def _rw_array_bool_xor(ctx, item):
-    expr = LinExpr(constant=-1)
-    for a in item.args[0].items:
-        if isinstance(a, Lit):
-            expr.add_const(a.value)
-        else:
-            expr.add_term(a.name, 1)
-    ctx.eq0(expr)
-
-
 def _rw_bool_and(ctx, item):
     a, b, r = (ctx.var(x) for x in item.args)
     if ctx.options.prefer_products:
@@ -487,31 +476,6 @@ def _rw_bool_and(ctx, item):
     ctx.le0(_linexpr([(r, 1), (a, -1)]))
     ctx.le0(_linexpr([(r, 1), (b, -1)]))
     ctx.le0(_linexpr([(a, 1), (b, 1), (r, -1)], -1))
-
-
-def _rw_bool_clause(ctx, item):
-    pos = [ctx.var(a) for a in item.args[0].items]
-    neg = [ctx.var(a) for a in item.args[1].items]
-    expr = LinExpr(constant=1 - len(neg))
-    for v in pos:
-        expr.add_term(v, -1)
-    for v in neg:
-        expr.add_term(v, 1)
-    ctx.le0(expr)
-
-
-def _rw_bool_or(ctx, item):
-    a, b, r = (ctx.var(x) for x in item.args)
-    ctx.le0(_linexpr([(r, 1), (a, -1), (b, -1)]))
-    ctx.le0(_linexpr([(a, 1), (b, 1), (r, -2)]))
-
-
-def _rw_bool_xor(ctx, item):
-    if len(item.args) == 2:
-        a, b = (ctx.var(x) for x in item.args)
-        ctx.eq0(_linexpr([(a, 1), (b, 1)], -1))
-        return
-    _rw_relation(ctx, item)  # r <-> a != b
 
 
 def _rw_bool_lt_reif(ctx, item):
@@ -548,49 +512,21 @@ def _rw_set_in_reif(ctx, item):
     ctx.eq0(expr)
 
 
-_DISPATCH = {
+_DISPATCH = {name: _rw_relation for name in _FORMS} | {
     "array_bool_and": _rw_array_bool_and,
     "array_bool_element": _rw_element_const,
-    "array_bool_xor": _rw_array_bool_xor,
     "array_int_element": _rw_element_const,
-    "array_int_maximum": _rw_array_minmax,
-    "array_int_minimum": _rw_array_minmax,
+    "array_int_maximum": _rw_extremum,
+    "array_int_minimum": _rw_extremum,
     "array_var_bool_element": _rw_element_var,
     "array_var_int_element": _rw_element_var,
-    "bool2int": _rw_bool2int,
     "bool_and": _rw_bool_and,
-    "bool_clause": _rw_bool_clause,
-    "bool_eq": _rw_relation,
-    "bool_eq_reif": _rw_relation,
-    "bool_le": _rw_relation,
-    "bool_le_reif": _rw_relation,
-    "bool_lin_eq": _rw_bool_lin_eq,
-    "bool_lin_le": _rw_relation,
-    "bool_lt": _rw_bool_lt,
     "bool_lt_reif": _rw_bool_lt_reif,
-    "bool_not": _rw_bool_not,
-    "bool_or": _rw_bool_or,
-    "bool_xor": _rw_bool_xor,
     "int_abs": _rw_abs,
     "int_div": _rw_div,
-    "int_eq": _rw_relation,
-    "int_eq_reif": _rw_relation,
-    "int_le": _rw_relation,
-    "int_le_reif": _rw_relation,
-    "int_lin_eq": _rw_relation,
-    "int_lin_eq_reif": _rw_relation,
-    "int_lin_le": _rw_relation,
-    "int_lin_le_reif": _rw_relation,
-    "int_lin_ne": _rw_relation,
-    "int_lin_ne_reif": _rw_relation,
-    "int_lt": _rw_relation,
-    "int_lt_reif": _rw_relation,
-    "int_max": _rw_int_minmax,
-    "int_min": _rw_int_minmax,
+    "int_max": _rw_extremum,
+    "int_min": _rw_extremum,
     "int_mod": _rw_mod,
-    "int_ne": _rw_relation,
-    "int_ne_reif": _rw_relation,
-    "int_plus": _rw_int_plus,
     "int_pow": _rw_int_pow,
     "int_times": _rw_int_times,
     "set_in": _rw_set_in,

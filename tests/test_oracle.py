@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fzn2qip import fuzz, oracle, rewrite
+from fzn2qip import fuzz, oracle
 from fzn2qip.errors import CapExceeded, CompileUnsat
 from fzn2qip.frontend import (
     SIGNATURES,
@@ -553,9 +553,28 @@ def test_enumerate_qip_matches_flat_enumeration(chunk, monkeypatch):
 # ----------------------------------------------------------------------
 # constraints that share variables
 
-def _shared_comparisons(seed: int) -> str:
-    """2-3 comparison builtins over 3 int and 2 bool shared variables."""
-    rng = random.Random(f"comparisons:{seed}")
+# generator pools of (builtin, argument kinds): the comparisons, and the
+# other builtins that are one linear relation or an extremum.  bool_xor
+# is reified among the comparisons and has 2 arguments among the others.
+SHARED_POOLS = {
+    "comparisons": [(b, SIGNATURES[b][-1]) for b in [
+        "bool_eq", "bool_eq_reif", "bool_le", "bool_le_reif", "bool_lin_le",
+        "bool_lt_reif", "bool_xor", "int_eq", "int_eq_reif", "int_le",
+        "int_le_reif", "int_lin_eq", "int_lin_eq_reif", "int_lin_le",
+        "int_lin_le_reif", "int_lin_ne", "int_lin_ne_reif", "int_lt",
+        "int_lt_reif", "int_ne", "int_ne_reif",
+    ]],
+    "linear": [(b, SIGNATURES[b][0]) for b in [
+        "array_bool_xor", "array_int_maximum", "array_int_minimum",
+        "bool2int", "bool_clause", "bool_lin_eq", "bool_lt", "bool_not",
+        "bool_or", "bool_xor", "int_max", "int_min", "int_plus",
+    ]],
+}
+
+
+def _shared_model(pool: str, seed: int) -> str:
+    """2-3 builtins of a pool over 3 int and 2 bool shared variables."""
+    rng = random.Random(f"{pool}:{seed}")
     ints, bools = ["x1", "x2", "x3"], ["p1", "p2"]
     lines = []
     for x in ints:
@@ -563,37 +582,37 @@ def _shared_comparisons(seed: int) -> str:
         lines.append(f"var {lo}..{rng.randint(lo, 4)}: {x};")
     lines += [f"var bool: {p};" for p in bools]
 
-    def int_arg():
+    def scalar(kind):
         if rng.random() < fuzz.LITERAL_PROB:
+            if kind == "bv":
+                return rng.choice(["true", "false"])
             return str(rng.randint(-4, 4))
-        return rng.choice(ints)
-
-    def bool_arg():
-        if rng.random() < fuzz.LITERAL_PROB:
-            return rng.choice(["true", "false"])
-        return rng.choice(bools)
+        return rng.choice(bools if kind == "bv" else ints)
 
     for _ in range(rng.randint(2, 3)):
-        b = rng.choice(sorted(rewrite._RELATION))
-        arg = bool_arg if b.startswith("bool_") else int_arg
-        if "_lin_" in b:
-            n = rng.randint(1, 3)
-            coeffs = ", ".join(str(rng.randint(-3, 3)) for _ in range(n))
-            xs = ", ".join(arg() for _ in range(n))
-            args = [f"[{coeffs}]", f"[{xs}]", str(rng.randint(-8, 8))]
-        else:
-            args = [arg(), arg()]
-        if b.endswith("_reif") or b == "bool_xor":
-            args.append(bool_arg())
+        b, kinds = rng.choice(SHARED_POOLS[pool])
+        args, n = [], None
+        for kind in kinds:
+            if kind == "ia":  # coefficients; the next array has as many terms
+                n = rng.randint(1, 3)
+                args.append(f"[{', '.join(str(rng.randint(-3, 3)) for _ in range(n))}]")
+            elif kind in ("iva", "bva"):
+                items = [scalar(kind[:2]) for _ in range(n or rng.randint(1, 3))]
+                args.append(f"[{', '.join(items)}]")
+            elif kind == "ic":
+                args.append(str(rng.randint(-8, 8)))
+            else:
+                args.append(scalar(kind))
         lines.append(f"constraint {b}({', '.join(args)});")
     return "\n".join(lines + ["solve satisfy;"]) + "\n"
 
 
-def test_shared_comparisons_check_equal():
+def _check_shared(pool: str) -> None:
+    """Seeds 0..299 of a pool check Equal or are UNSAT on both sides."""
     failures = []
     satisfiable = 0
     for seed in range(300):
-        m = check(_shared_comparisons(seed))
+        m = check(_shared_model(pool, seed))
         try:
             p = compile_model(m)
         except CompileUnsat:
@@ -606,3 +625,11 @@ def test_shared_comparisons_check_equal():
         satisfiable += res.fzn_count > 0
     assert not failures, failures[:5]
     assert satisfiable > 100
+
+
+def test_shared_comparisons_check_equal():
+    _check_shared("comparisons")
+
+
+def test_shared_linear_and_extremum_builtins_check_equal():
+    _check_shared("linear")

@@ -476,6 +476,8 @@ def test_comparison_truth_table(builtin, a, b, r):
         assert not want
         return
     assert not p.products
+    if r is not None and not isinstance(r, str):
+        assert not [v for v in p.vars if v.startswith("__const_")]
     assert solutions(p, *names) == want
 
 
