@@ -5,9 +5,9 @@ Subcommands: ``compile`` (emit the serialized problem), ``check``
 (optimize or decide satisfiability by enumeration), ``stats`` (size
 summary), ``fuzz`` (print seeded random test models).
 
-Exit codes: 0 success / Equal / optimal; 1 input diagnostics; 2
-counterexample found; 3 enumeration cap exceeded; 4 unsatisfiability
-proven at compile time.
+Exit codes: 0 success / Equal / optimal; 1 input diagnostics (input
+that is not UTF-8 included); 2 counterexample found; 3 enumeration cap
+exceeded; 4 unsatisfiability proven at compile time.
 """
 
 from __future__ import annotations
@@ -16,7 +16,13 @@ import argparse
 import sys
 
 from . import fuzz, oracle
-from .errors import CapExceeded, CompileUnsat, Diagnostic, Fzn2QipError
+from .errors import (
+    CapExceeded,
+    CompileUnsat,
+    Diagnostic,
+    Fzn2QipError,
+    InputEncodingError,
+)
 from .frontend import parse_model, typecheck
 from .rewrite import RewriteOptions, compile_model
 
@@ -66,7 +72,12 @@ def _arg_parser() -> argparse.ArgumentParser:
 
 def _load(path: str):
     with open(path, encoding="utf-8") as fh:
-        return typecheck(parse_model(fh.read()))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            # one read() decodes the whole file, so exc.start is a file offset
+            raise InputEncodingError(exc.object[exc.start], exc.start) from None
+    return typecheck(parse_model(text))
 
 
 def _options(ns) -> RewriteOptions:

@@ -30,6 +30,18 @@ class Diagnostic(Fzn2QipError):
         return f"{filename}:{self.line}:{self.col}: {self.code}: {self.message}"
 
 
+class InputEncodingError(Diagnostic):
+    """Input bytes that are not UTF-8; located by byte offset, not line."""
+
+    code = "encoding-error"
+
+    def __init__(self, byte: int, offset: int):
+        super().__init__(f"byte 0x{byte:02x} at offset {offset} is not valid UTF-8")
+
+    def render(self, filename: str) -> str:
+        return f"{filename}: {self.code}: {self.message}"
+
+
 class FznSyntaxError(Diagnostic):
     code = "syntax-error"
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     ArityMismatch,
@@ -156,13 +157,13 @@ _TOKEN_RE = re.compile(
   | (?P<dotdot>\.\.)
   | (?P<coloncolon>::)
   | (?P<punct>[()\[\]{},;:=\-+])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -170,27 +171,34 @@ class Token:
 
 
 def tokenize(source: str) -> list[Token]:
+    """Split ``source`` into tokens, each with its 1-based line and column.
+
+    One ``finditer`` pass covers the whole text: ``bad`` matches any
+    character no other group does.  Only whitespace can hold a newline
+    (comments and strings stop before one), so the line and the offset of
+    its first character change only on whitespace.
+    """
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise FznSyntaxError(f"unexpected character {source[pos]!r}", line, col)
-        text = m.group(0)
-        kind = m.lastgroup or "punct"
-        if kind == "punct":
-            kind = text
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
+    append = tokens.append
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "ws":
+            text = m.group()
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + text.rfind("\n") + 1
+        elif kind == "comment":
+            continue
+        elif kind == "bad":
+            raise FznSyntaxError(f"unexpected character {m.group()!r}",
+                                 line, m.start() - line_start + 1)
         else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+            text = m.group()
+            append(Token(text if kind == "punct" else kind, text,
+                         line, m.start() - line_start + 1))
+    append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 

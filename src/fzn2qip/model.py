@@ -323,64 +323,118 @@ class QipProblem:
     # ------------------------------------------------------------------
     # serialization
 
-    def to_json_obj(self) -> dict:
-        def expr_obj(e: LinExpr) -> dict:
-            return {
-                "terms": [{"var": v, "coef": c} for v, c in e.sorted_terms()],
-                "constant": e.constant,
-            }
-
-        variables = []
-        for v in self.vars.values():
-            origin = (
-                "model"
-                if v.origin is None
-                else {
-                    "builtin": v.origin.builtin,
-                    "ordinal": v.origin.ordinal,
-                    "role": v.origin.role,
-                }
-            )
-            variables.append(
-                {
-                    "name": v.name,
-                    "lo": v.domain.lo,
-                    "hi": v.domain.hi,
-                    "declared_lo": v.declared.lo,
-                    "declared_hi": v.declared.hi,
-                    "origin": origin,
-                }
-            )
-        return {
-            "variables": variables,
-            "objective": {
-                "sense": self.objective_sense,
-                "negated": self.objective_negated,
-                "terms": expr_obj(self.objective)["terms"],
-                "constant": self.objective.constant,
-            },
-            "equalities": [expr_obj(e) for e in self.equalities],
-            "inequalities": [expr_obj(e) for e in self.inequalities],
-            "products": [
-                {"result": p.result, "left": p.left, "right": p.right}
-                for p in self.products
-            ],
-            "onehot_groups": [
-                {
-                    "int_var": g.int_var,
-                    "bits": [{"var": b, "value": v} for b, v in g.bits],
-                }
-                for g in self.onehot_groups
-            ],
-            "meta": {
-                "equality_sources": self.equality_sources,
-                "inequality_sources": self.inequality_sources,
-                "product_sources": self.product_sources,
-            },
-        }
-
     def serialize(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=1) + "\n"
+        """Return the problem as canonical JSON text ending in a newline.
+
+        The text is exactly ``json.dumps(document, indent=1) + "\\n"``.  It
+        is written by the record templates below, since any ``indent``
+        sends json.dumps to its pure-Python encoder.
+        """
+        s = _str
+        variables = [
+            _VAR % (
+                s(v.name), v.domain.lo, v.domain.hi, v.declared.lo, v.declared.hi,
+                '"model"' if v.origin is None else _ORIGIN % (
+                    s(v.origin.builtin), v.origin.ordinal, s(v.origin.role)),
+            )
+            for v in self.vars.values()
+        ]
+        return _DOC % (
+            _list(variables, " "),
+            s(self.objective_sense),
+            "true" if self.objective_negated else "false",
+            _list([_OBJ_TERM % (s(v), c) for v, c in self.objective.sorted_terms()],
+                  "  "),
+            self.objective.constant,
+            _list([_expr(e) for e in self.equalities], " "),
+            _list([_expr(e) for e in self.inequalities], " "),
+            _list([_PRODUCT % (s(p.result), s(p.left), s(p.right))
+                   for p in self.products], " "),
+            _list([_GROUP % (s(g.int_var),
+                             _list([_BIT % (s(b), v) for b, v in g.bits], "   "))
+                   for g in self.onehot_groups], " "),
+            _list([_SOURCE % s(x) for x in self.equality_sources], "  "),
+            _list([_SOURCE % s(x) for x in self.inequality_sources], "  "),
+            _list([_SOURCE % s(x) for x in self.product_sources], "  "),
+        )
+
+
+# Serialization templates: one per record, each indented as json.dumps
+# with indent=1 places it.  Strings go through the encoder json.dumps
+# uses by default (ensure_ascii=True); integers print as repr.
+_str = json.encoder.encode_basestring_ascii
+_DOC = """{
+ "variables": %s,
+ "objective": {
+  "sense": %s,
+  "negated": %s,
+  "terms": %s,
+  "constant": %d
+ },
+ "equalities": %s,
+ "inequalities": %s,
+ "products": %s,
+ "onehot_groups": %s,
+ "meta": {
+  "equality_sources": %s,
+  "inequality_sources": %s,
+  "product_sources": %s
+ }
+}
+"""
+_VAR = """  {
+   "name": %s,
+   "lo": %d,
+   "hi": %d,
+   "declared_lo": %d,
+   "declared_hi": %d,
+   "origin": %s
+  }"""
+_ORIGIN = """{
+    "builtin": %s,
+    "ordinal": %d,
+    "role": %s
+   }"""
+_OBJ_TERM = """   {
+    "var": %s,
+    "coef": %d
+   }"""
+_TERM = """    {
+     "var": %s,
+     "coef": %d
+    }"""
+_EXPR = """  {
+   "terms": %s,
+   "constant": %d
+  }"""
+_PRODUCT = """  {
+   "result": %s,
+   "left": %s,
+   "right": %s
+  }"""
+_GROUP = """  {
+   "int_var": %s,
+   "bits": %s
+  }"""
+_BIT = """    {
+     "var": %s,
+     "value": %d
+    }"""
+_SOURCE = "   %s"
+
+
+def _list(items: list[str], indent: str) -> str:
+    """A JSON array of pre-rendered items; ``indent`` precedes its ']'."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
+def _expr(e: LinExpr) -> str:
+    return _EXPR % (
+        _list([_TERM % (_str(v), c) for v, c in e.sorted_terms()], "   "),
+        e.constant,
+    )
 
 
 def deserialize(text: str) -> QipProblem:

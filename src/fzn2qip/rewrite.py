@@ -34,7 +34,7 @@ from .errors import (
     EmptyDomain,
     UnsupportedExponent,
 )
-from .frontend import Arr, ConstraintItem, FzModel, Lit, Ref, SetVal
+from .frontend import FzModel, Lit, Ref
 from .model import BINARY, Domain, LinExpr, QipProblem, QipVar
 
 

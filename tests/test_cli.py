@@ -151,6 +151,17 @@ def test_missing_file_exit_1(capsys):
     assert capsys.readouterr().err
 
 
+def test_non_utf8_input_is_one_line_exit_1(tmp_path, capsys):
+    path = tmp_path / "bad.fzn"
+    path.write_bytes(b"var 0..1: x\xff;\nsolve satisfy;\n")
+    for command in ("check", "compile", "solve", "stats"):
+        assert run([command, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"{path}: encoding-error: "
+                       "byte 0xff at offset 11 is not valid UTF-8\n")
+
+
 def test_nested_array_is_a_syntax_error(tmp_path, capsys):
     deep = "[" * 3000 + "x" + "]" * 3000
     src = write(tmp_path, "m.fzn",

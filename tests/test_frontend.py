@@ -1,5 +1,7 @@
 """Parser and typechecker tests, including the print/parse round trip."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,14 +15,17 @@ from fzn2qip.errors import (
     UnsupportedItem,
 )
 from fzn2qip.frontend import (
+    SIGNATURES,
     Arr,
     Lit,
     Ref,
     SetVal,
     model_to_fzn,
     parse_model,
+    tokenize,
     typecheck,
 )
+from fzn2qip.fuzz import generate
 from fzn2qip.model import Domain
 
 
@@ -171,3 +176,116 @@ def test_print_parse_round_trip(src):
     assert list(m1.vars) == list(m2.vars)
     assert m1.constraints == m2.constraints
     assert model_to_fzn(m2) == text
+
+
+# ----------------------------------------------------------------------
+# tokenizer identity against the position-by-position reference loop
+
+_REF_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>%[^\n]*)
+  | (?P<float>\d+\.\d+([eE][-+]?\d+)?|\d+[eE][-+]?\d+)
+  | (?P<int>\d+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<string>"[^"\n]*")
+  | (?P<dotdot>\.\.)
+  | (?P<coloncolon>::)
+  | (?P<punct>[()\[\]{},;:=\-+])
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_tokenize(source):
+    """Anchored match at each position; line and column tracked per token."""
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(source):
+        m = _REF_TOKEN_RE.match(source, pos)
+        if m is None:
+            raise FznSyntaxError(f"unexpected character {source[pos]!r}", line, col)
+        text = m.group(0)
+        kind = m.lastgroup or "punct"
+        if kind == "punct":
+            kind = text
+        if kind not in ("ws", "comment"):
+            tokens.append((kind, text, line, col))
+        newlines = text.count("\n")
+        if newlines:
+            line += newlines
+            col = len(text) - text.rfind("\n")
+        else:
+            col += len(text)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def _outcome(tokenizer, source):
+    try:
+        return [tuple(t) for t in tokenizer(source)]
+    except FznSyntaxError as exc:
+        return ("error", exc.message, exc.line, exc.col)
+
+
+def _assert_same_tokens(source):
+    expected = _outcome(_reference_tokenize, source)
+    assert _outcome(tokenize, source) == expected
+    return expected
+
+
+CORPUS_TEXTS = [generate(b, seed) for b in sorted(SIGNATURES) for seed in range(50)]
+
+
+def test_tokenize_matches_reference_on_corpus():
+    for source in CORPUS_TEXTS:
+        assert _assert_same_tokens(source)[-1][0] == "eof"
+
+
+@pytest.mark.parametrize("source", [
+    "",
+    "% only a comment",
+    "var 0..1: x; % trailing comment without newline",
+    "% head\n\n\tvar 1..3: x;\t% tab\n\n\nsolve satisfy;\n",
+    "var 0..1: x;\r\nconstraint int_le(x, 1);\r\nsolve satisfy;\r\n",
+    "var 0..1: x :: output_var;\n\t\t\n  solve   satisfy ;\n\n",
+    'array [1..1] of var int: a :: output_array([1..1]) = [x];\n"s" 1.5e3 2E7\n',
+    "var 0..1: x;\n\n  \tconstraint int_le(x, 1) ? 2;\nsolve satisfy;\n",
+    "var 0..1: x;\r\n% c\r\n\t@",
+    "\x0b\x0c\u2028var\u00a0x \u00e9",
+])
+def test_tokenize_matches_reference_on_crafted_texts(source):
+    _assert_same_tokens(source)
+
+
+def test_tokenize_bad_character_position():
+    src = "var 0..1: x;\n% note\n\t  constraint int_le(x, 1) ? 2;\n"
+    assert _assert_same_tokens(src) == (
+        "error", "unexpected character '?'", 3, 28
+    )
+
+
+_MUTATION_CHARS = "\n\r\t %\".:;,()[]{}-+09eExé?@\x00\u2028"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(CORPUS_TEXTS),
+    st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                       st.sampled_from(["replace", "insert", "delete"]),
+                       st.sampled_from(_MUTATION_CHARS)),
+             min_size=1, max_size=6),
+)
+def test_tokenize_matches_reference_on_mutated_corpus(source, edits):
+    chars = list(source)
+    for where, op, ch in edits:
+        i = int(where * len(chars))
+        if op == "insert":
+            chars.insert(i, ch)
+        elif chars and op == "replace":
+            chars[i] = ch
+        elif chars:
+            del chars[i]
+    _assert_same_tokens("".join(chars))

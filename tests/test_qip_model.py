@@ -1,8 +1,19 @@
 """Problem representation: naming, one-hot registry, validation, serialization."""
 
+import hashlib
+import json
+
 import pytest
 
-from fzn2qip.errors import EmptyDomain, SchemaError, ValueOutOfDomain
+from fzn2qip.errors import (
+    INT_LIMIT,
+    CompileUnsat,
+    EmptyDomain,
+    SchemaError,
+    ValueOutOfDomain,
+)
+from fzn2qip.frontend import SIGNATURES, parse_model, typecheck
+from fzn2qip.fuzz import generate
 from fzn2qip.model import (
     BINARY,
     Domain,
@@ -11,6 +22,7 @@ from fzn2qip.model import (
     QipVar,
     deserialize,
 )
+from fzn2qip.rewrite import RewriteOptions, compile_model
 
 
 def test_domain_basics():
@@ -150,3 +162,105 @@ def test_deserialize_rejects_invalid_problem(build, message):
     with pytest.raises(SchemaError) as exc:
         deserialize(build().serialize())
     assert exc.value.message == f"invalid problem: {message}"
+
+
+# ----------------------------------------------------------------------
+# serialized text: canonical json.dumps(indent=1) output, byte for byte
+
+# SHA-256 of the concatenated serialize() texts of the acceptance corpus
+# (fuzz seeds 0..49 of every builtin, compile-UNSAT instances skipped),
+# as written by json.dumps(indent=1) before the template serializer.
+CORPUS_DIGESTS = {
+    "default": "ea399b56571fa50de997baece2c3c9845bedc5d8e41e10ad96d45caa79873e1d",
+    "prefer_products+verbatim_div":
+        "f22dd4078ef308120e79db4e3bb79b547206f4aac4ad13fda04de4f30f9061fb",
+}
+CORPUS_OPTIONS = {
+    "default": RewriteOptions(),
+    "prefer_products+verbatim_div":
+        RewriteOptions(prefer_products=True, verbatim_div=True),
+}
+
+
+def _assert_canonical(problem: QipProblem) -> str:
+    text = problem.serialize()
+    assert text == json.dumps(json.loads(text), indent=1) + "\n"
+    assert deserialize(text).serialize() == text
+    return text
+
+
+@pytest.fixture(scope="module", params=sorted(CORPUS_OPTIONS))
+def corpus_problems(request):
+    options = CORPUS_OPTIONS[request.param]
+    problems = []
+    for builtin in sorted(SIGNATURES):
+        for seed in range(50):
+            model = typecheck(parse_model(generate(builtin, seed)))
+            try:
+                problems.append(compile_model(model, options))
+            except CompileUnsat:
+                continue
+    return request.param, problems
+
+
+def test_serialize_corpus_digest(corpus_problems):
+    name, problems = corpus_problems
+    joined = "".join(p.serialize() for p in problems)
+    assert hashlib.sha256(joined.encode()).hexdigest() == CORPUS_DIGESTS[name]
+
+
+def test_serialize_corpus_is_canonical_json(corpus_problems):
+    _, problems = corpus_problems
+    for problem in problems:
+        _assert_canonical(problem)
+
+
+def test_serialize_empty_lists():
+    p = QipProblem()
+    text = _assert_canonical(p)
+    assert '"variables": [],' in text and '"product_sources": []' in text
+    p.add_var(QipVar("x", Domain(0, 1)))
+    text = _assert_canonical(p)
+    assert '"equalities": [],' in text and '"terms": [],' in text
+
+
+def test_serialize_negated_min_objective_and_extreme_values():
+    p = QipProblem()
+    p.add_var(QipVar("x", Domain(-INT_LIMIT, INT_LIMIT)))
+    p.add_var(QipVar("y", Domain(-3, 3)))
+    p.restrict_domain("y", Domain(-3, -1))
+    p.objective_sense = "min"
+    p.objective_negated = True
+    p.objective = LinExpr({"x": -1, "y": -INT_LIMIT}, INT_LIMIT)
+    p.add_equality(LinExpr({"x": -2, "y": 1}, -INT_LIMIT), "int_lin_eq#0")
+    p.add_inequality(LinExpr({"y": -1}, INT_LIMIT), "int_le#1")
+    text = _assert_canonical(p)
+    doc = json.loads(text)
+    assert doc["objective"]["negated"] is True
+    assert doc["variables"][0]["lo"] == -INT_LIMIT
+    assert doc["equalities"][0]["terms"][0] == {"var": "x", "coef": -2}
+
+
+def test_serialize_escapes_deserialized_names():
+    p = QipProblem()
+    p.add_var(QipVar("x", Domain(1, 2)))
+    p.onehot_get_or_create("x", {1, 2})
+    aux = p.fresh_var("int_times", "p", Domain(0, 4))
+    p.add_product(aux.name, "x", "x", "int_times#0")
+    doc = json.loads(p.serialize())
+    odd = 'q"\u00e9\\\t\u2603'
+    doc["variables"][0]["name"] = odd
+    doc["onehot_groups"][0]["int_var"] = odd
+    doc["variables"][2]["origin"]["role"] = odd
+    doc["products"][0]["left"] = odd
+    doc["products"][0]["right"] = odd
+    for e in doc["equalities"]:
+        for t in e["terms"]:
+            if t["var"] == "x":
+                t["var"] = odd
+    doc["meta"]["product_sources"] = [odd]
+    text = json.dumps(doc, indent=1) + "\n"
+    q = deserialize(text)
+    assert odd in q.vars
+    assert q.serialize() == text
+    assert _assert_canonical(q) == text
