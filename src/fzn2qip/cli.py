@@ -3,7 +3,9 @@
 Subcommands: ``compile`` (emit the serialized problem), ``check``
 (exhaustive differential comparison against direct semantics), ``solve``
 (optimize or decide satisfiability by enumeration), ``stats`` (size
-summary), ``fuzz`` (print seeded random test models).
+summary), ``fuzz`` (print seeded random test models).  ``check`` and
+``solve`` enumerate the problem read back from its serialized text, so
+they cover the bytes ``compile`` emits.
 
 Exit codes: 0 success / Equal / optimal; 1 input diagnostics (input
 that is not UTF-8 included); 2 counterexample found; 3 enumeration cap
@@ -24,6 +26,7 @@ from .errors import (
     InputEncodingError,
 )
 from .frontend import parse_model, typecheck
+from .model import deserialize
 from .rewrite import RewriteOptions, compile_model
 
 EXIT_OK = 0
@@ -46,8 +49,6 @@ def _arg_parser() -> argparse.ArgumentParser:
             p.add_argument("input", help="FlatZinc input file")
         p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP,
                        help="enumeration state-space cap")
-        p.add_argument("--prefer-products", action="store_true",
-                       help="use product encodings for the simple bool gates")
         p.add_argument("--verbatim-div", action="store_true",
                        help="emit the unextended division system "
                        "(no zero-numerator indicator)")
@@ -77,12 +78,12 @@ def _load(path: str):
         except UnicodeDecodeError as exc:
             # one read() decodes the whole file, so exc.start is a file offset
             raise InputEncodingError(exc.object[exc.start], exc.start) from None
-    return typecheck(parse_model(text))
+    # a byte-order mark is dropped after decoding, so offsets stay file offsets
+    return typecheck(parse_model(text.removeprefix("\ufeff")))
 
 
 def _options(ns) -> RewriteOptions:
     return RewriteOptions(
-        prefer_products=ns.prefer_products,
         verbatim_div=ns.verbatim_div,
         corrupt_div_big_m=ns.corrupt_div_big_m,
         corrupt_bool_and=ns.corrupt_bool_and,
@@ -101,10 +102,15 @@ def _cmd_compile(ns) -> int:
     return EXIT_OK
 
 
+def _shipped(model, ns):
+    """The compiled problem as its serialized text reads back."""
+    return deserialize(compile_model(model, _options(ns)).serialize())
+
+
 def _cmd_check(ns) -> int:
     model = _load(ns.input)
     try:
-        problem = compile_model(model, _options(ns))
+        problem = _shipped(model, ns)
     except CompileUnsat:
         # compile proved infeasibility; compare against direct semantics
         names, sols = oracle.enumerate_fzn(model, ns.cap)
@@ -123,7 +129,7 @@ def _cmd_check(ns) -> int:
 
 def _cmd_solve(ns) -> int:
     model = _load(ns.input)
-    problem = compile_model(model, _options(ns))
+    problem = _shipped(model, ns)
     enum = oracle.enumerate_qip(problem, ns.cap)
     if model.solve.kind == "satisfy":
         print("SAT" if enum.solutions else "UNSAT")

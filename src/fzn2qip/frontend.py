@@ -159,7 +159,8 @@ _TOKEN_RE = re.compile(
   | (?P<punct>[()\[\]{},;:=\-+])
   | (?P<bad>.)
     """,
-    re.VERBOSE | re.DOTALL,
+    # ASCII: \d and \s take no other script's digits or spaces
+    re.VERBOSE | re.DOTALL | re.ASCII,
 )
 
 

@@ -18,10 +18,13 @@ integer-tightened (``s < 0`` becomes ``s + 1 <= 0``).  ``=`` and ``<=``
 are one row each; ``!=`` and the reified forms take the bounds of s as
 big-M constants and add at most one binary auxiliary and no product.
 The extremum builtins are big-M rows with selector binaries and no
-product either (``_rw_extremum``).  The other rewrites still turn a
-literal argument into a singleton ``__const_*`` variable.  Product
-constraints are only ever emitted with a fresh auxiliary result, so
-operand-before-result acyclicity holds by construction.
+product either (``_rw_extremum``).  Every other rewrite takes its
+scalar arguments as linear forms too (``RewriteContext.lin``), so a
+literal stays a constant: a product with a literal factor is linear
+(``RewriteContext.times``), and a literal's one-hot indicators are 0/1
+constants.  Product constraints are only ever emitted with a fresh
+auxiliary result, so operand-before-result acyclicity holds by
+construction.
 """
 
 from __future__ import annotations
@@ -34,13 +37,12 @@ from .errors import (
     EmptyDomain,
     UnsupportedExponent,
 )
-from .frontend import FzModel, Lit, Ref
+from .frontend import FzModel, Lit
 from .model import BINARY, Domain, LinExpr, QipProblem, QipVar
 
 
 @dataclass
 class RewriteOptions:
-    prefer_products: bool = False
     # emit the division system without the zero-numerator indicator
     verbatim_div: bool = False
     # negative-control knobs for the differential-testing suite
@@ -48,66 +50,72 @@ class RewriteOptions:
     corrupt_bool_and: bool = False
 
 
-def _min0max0(d: Domain) -> Domain:
-    """Domain for a product of a binary selector with a variable in d."""
-    return Domain(min(0, d.lo), max(0, d.hi))
-
-
 class RewriteContext:
-    """Mutable state threaded through the per-constraint rewrites."""
+    """Mutable state threaded through the per-constraint rewrites.
+
+    Every scalar argument enters a rewrite as a linear form (``lin``): a
+    variable term, or a literal's constant.  The helpers below keep
+    literals folded, so no rewrite declares a variable for one.
+    """
 
     def __init__(self, problem: QipProblem, options: RewriteOptions):
         self.problem = problem
         self.options = options
         self.source = ""  # provenance of the constraint being rewritten
-        self._const_cache: dict[int, str] = {}
 
     # -- helpers --------------------------------------------------------
 
-    def var(self, arg) -> str:
-        """Variable name for an argument; literals get singleton vars."""
-        if isinstance(arg, Ref):
-            return arg.name
+    @staticmethod
+    def lin(arg) -> LinExpr:
+        """An argument as a form: its variable, or the literal's constant."""
         if isinstance(arg, Lit):
-            v = arg.value
-            cached = self._const_cache.get(v)
-            if cached is None:
-                tag = str(v) if v >= 0 else f"m{-v}"
-                cached = self.problem.fresh_var("const", tag, Domain(v, v)).name
-                self._const_cache[v] = cached
-            return cached
-        raise TypeError(f"not a scalar argument: {arg!r}")
+            return LinExpr(constant=arg.value)
+        return LinExpr({arg.name: 1})
 
-    def dom(self, name: str) -> Domain:
+    def dom(self, x: LinExpr) -> Domain:
+        """Domain of a constant or one variable (a form from ``lin``,
+        ``fresh`` or ``onehot``)."""
+        if not x.terms:
+            return Domain(x.constant, x.constant)
+        (name,) = x.terms
         return self.problem.vars[name].domain
 
-    def arg_dom(self, arg) -> Domain:
-        """Domain of an argument; a literal's holds its value only."""
-        if isinstance(arg, Lit):
-            return Domain(arg.value, arg.value)
-        return self.dom(arg.name)
+    def fresh(self, builtin: str, role: str, domain: Domain) -> LinExpr:
+        return LinExpr({self.problem.fresh_var(builtin, role, domain).name: 1})
 
-    def fresh(self, builtin: str, role: str, domain: Domain) -> str:
-        return self.problem.fresh_var(builtin, role, domain).name
+    def times(self, builtin: str, role: str, a: LinExpr, b: LinExpr) -> LinExpr:
+        """The form of ``a * b``, each a constant or one variable: linear
+        when a factor is constant, else a fresh product variable."""
+        if not a.terms:
+            return _combine((a.constant, b))
+        if not b.terms:
+            return _combine((b.constant, a))
+        y = self.fresh(builtin, role, bounds.product_bounds(self.dom(a), self.dom(b)))
+        (result,), (left,), (right,) = y.terms, a.terms, b.terms
+        self.problem.add_product(result, left, right, self.source)
+        return y
+
+    def onehot(self, x: LinExpr, values: set[int]) -> dict[int, LinExpr]:
+        """Indicator of each value of x: its one-hot bits, or 0/1 constants
+        when x is a literal."""
+        if not x.terms:
+            return {v: LinExpr(constant=int(v == x.constant)) for v in values}
+        group = self.problem.onehot_get_or_create(*x.terms, values)
+        return {v: LinExpr({bit: 1}) for bit, v in group.bits if v in values}
+
+    def restrict(self, x: LinExpr, d: Domain) -> None:
+        """Restrict x to d; raises EmptyDomain when nothing is left, also
+        for a literal outside d."""
+        if x.terms:
+            self.problem.restrict_domain(*x.terms, d)
+        else:
+            Domain(x.constant, x.constant).intersect(d)
 
     def eq0(self, expr: LinExpr) -> None:
         self.problem.add_equality(expr, self.source)
 
     def le0(self, expr: LinExpr) -> None:
         self.problem.add_inequality(expr, self.source)
-
-    def product(self, result: str, left: str, right: str) -> None:
-        self.problem.add_product(result, left, right, self.source)
-
-    def restrict(self, name: str, d: Domain) -> None:
-        self.problem.restrict_domain(name, d)
-
-
-def _linexpr(terms: list[tuple[str, int]], constant: int = 0) -> LinExpr:
-    expr = LinExpr(constant=constant)
-    for var, coef in terms:
-        expr.add_term(var, coef)
-    return expr
 
 
 def _combine(*parts: tuple[int, LinExpr], constant: int = 0) -> LinExpr:
@@ -120,79 +128,70 @@ def _combine(*parts: tuple[int, LinExpr], constant: int = 0) -> LinExpr:
     return out
 
 
-def _linear_sum(ctx: RewriteContext, coeffs: list[int],
-                args) -> tuple[LinExpr, list[Domain]]:
-    """LinExpr of sum(coef*arg) and the per-term domains (literals folded)."""
-    expr = LinExpr()
-    doms = []
-    for coef, arg in zip(coeffs, args):
-        if isinstance(arg, Lit):
-            expr.add_const(coef * arg.value)
-        else:
-            expr.add_term(arg.name, coef)
-        doms.append(ctx.arg_dom(arg))
-    return expr, doms
+def _label(x: LinExpr) -> str:
+    """The variable of a form from ``lin``, or its constant."""
+    return next(iter(x.terms), str(x.constant))
 
 
 # ----------------------------------------------------------------------
 # shared pieces
 
 
-def _emit_div(ctx: RewriteContext, builtin: str, n: str, d: str, q: str) -> str:
-    """Emit the linearized truncating-division system; returns the
-    auxiliary product variable p = d*q."""
+def _emit_div(ctx: RewriteContext, builtin: str, n: LinExpr, d: LinExpr,
+              q: LinExpr) -> LinExpr:
+    """Emit the linearized truncating-division system; returns the form
+    of the product p = d*q."""
     dd = ctx.dom(d)
     if dd.lo == 0 and dd.hi == 0:
-        raise EmptyDomain(f"divisor '{d}' is fixed to zero")
+        raise EmptyDomain(f"divisor '{_label(d)}' is fixed to zero")
     lo = 1 if dd.lo == 0 else dd.lo
     hi = -1 if dd.hi == 0 else dd.hi
     ctx.restrict(d, Domain(lo, hi))
     dd = ctx.dom(d)
     nd = ctx.dom(n)
     qd = ctx.dom(q)
-    p_dom = bounds.product_bounds(dd, qd)
-    m = bounds.compute_big_m(nd, dd, qd, p_dom)
+    m = bounds.compute_big_m(nd, dd, qd, bounds.product_bounds(dd, qd))
     if ctx.options.corrupt_div_big_m:
         m -= 1
 
-    p = ctx.fresh(builtin, "p", p_dom)
+    p = ctx.times(builtin, "p", d, q)
+
     alpha = ctx.fresh(builtin, "a", BINARY)
     beta = ctx.fresh(builtin, "b", BINARY)
-    gamma = ctx.fresh(builtin, "g", BINARY)
-    ctx.product(p, d, q)
-    ctx.product(gamma, alpha, beta)
+    gamma = ctx.times(builtin, "g", alpha, beta)
 
     zeta_active = (0 in nd) and not ctx.options.verbatim_div
     relax = max(m, 1)
     zeta = ctx.fresh(builtin, "z", BINARY) if zeta_active else None
 
-    def ineq(terms: list[tuple[str, int]], constant: int, relaxed: bool) -> None:
+    def ineq(*parts: tuple[int, LinExpr], constant: int, relaxed: bool) -> None:
         if relaxed and zeta is not None:
-            terms = terms + [(zeta, -relax)]
-        ctx.le0(_linexpr(terms, constant))
+            parts += ((-relax, zeta),)
+        ctx.le0(_combine(*parts, constant=constant))
 
     # numerator and divisor sign selectors
-    ineq([(n, -1), (alpha, -(nd.lo - 1))], nd.lo, True)
-    ineq([(n, 1), (alpha, -(nd.hi + 1))], 1, True)
-    ineq([(d, -1), (beta, -(dd.lo - 1))], dd.lo, False)
-    ineq([(d, 1), (beta, -(dd.hi + 1))], 1, False)
+    ineq((-1, n), (-(nd.lo - 1), alpha), constant=nd.lo, relaxed=True)
+    ineq((1, n), (-(nd.hi + 1), alpha), constant=1, relaxed=True)
+    ineq((-1, d), (-(dd.lo - 1), beta), constant=dd.lo, relaxed=False)
+    ineq((1, d), (-(dd.hi + 1), beta), constant=1, relaxed=False)
     # magnitude cap: d*q between n and n depending on the numerator sign
-    ineq([(p, 1), (n, -1), (alpha, m)], -m, False)
-    ineq([(n, 1), (p, -1), (alpha, -m)], 0, False)
+    ineq((1, p), (-1, n), (m, alpha), constant=-m, relaxed=False)
+    ineq((1, n), (-1, p), (-m, alpha), constant=0, relaxed=False)
     # the four quotient cases, switched by the sign selectors
-    ineq([(n, 1), (d, -1), (p, -1), (gamma, m)], -m + 1, True)
-    ineq([(p, 1), (n, -1), (d, 1), (alpha, -m), (beta, -m), (gamma, m)], 1, True)
-    ineq([(n, 1), (d, 1), (p, -1), (alpha, m), (gamma, -m)], -m + 1, True)
-    ineq([(p, 1), (n, -1), (d, -1), (beta, m), (gamma, -m)], -m + 1, True)
+    ineq((1, n), (-1, d), (-1, p), (m, gamma), constant=-m + 1, relaxed=True)
+    ineq((1, p), (-1, n), (1, d), (-m, alpha), (-m, beta), (m, gamma),
+         constant=1, relaxed=True)
+    ineq((1, n), (1, d), (-1, p), (m, alpha), (-m, gamma),
+         constant=-m + 1, relaxed=True)
+    ineq((1, p), (-1, n), (-1, d), (m, beta), (-m, gamma),
+         constant=-m + 1, relaxed=True)
 
     if zeta is not None:
         # zero numerator: force q = 0 and deactivate the sign selectors
         mn = max(abs(nd.lo), abs(nd.hi))
         mq = max(abs(qd.lo), abs(qd.hi))
-        ctx.le0(_linexpr([(n, 1), (zeta, mn)], -mn))
-        ctx.le0(_linexpr([(n, -1), (zeta, mn)], -mn))
-        ctx.le0(_linexpr([(q, 1), (zeta, mq)], -mq))
-        ctx.le0(_linexpr([(q, -1), (zeta, mq)], -mq))
+        for k, x, mx in ((1, n, mn), (-1, n, mn), (1, q, mq), (-1, q, mq)):
+            ctx.le0(_combine((k, x), (mx, zeta), constant=-mx))
     return p
 
 
@@ -201,7 +200,7 @@ def _emit_div(ctx: RewriteContext, builtin: str, n: str, d: str, q: str) -> str:
 
 
 def _rw_element_const(ctx, item):
-    i = ctx.var(item.args[0])
+    i, c = ctx.lin(item.args[0]), ctx.lin(item.args[2])
     values = [lit.value for lit in item.args[1].items]
     if not values:
         raise EmptyDomain("element over an empty array")
@@ -209,66 +208,53 @@ def _rw_element_const(ctx, item):
         ctx.dom(i), [Domain(v, v) for v in values]
     )
     ctx.restrict(i, i_dom)
-    c = ctx.var(item.args[2])
     ctx.restrict(c, c_dom)
     reachable = values[i_dom.lo - 1 : i_dom.hi]
     if item.name == "array_bool_element":
         if all(v == 1 for v in reachable):
-            ctx.eq0(_linexpr([(c, 1)], -1))
+            ctx.eq0(_combine((1, c), constant=-1))
             return
         if all(v == 0 for v in reachable):
-            ctx.eq0(_linexpr([(c, 1)]))
+            ctx.eq0(c)
             return
-    group = ctx.problem.onehot_get_or_create(i, set(i_dom.values()))
-    expr = _linexpr([(c, -1)])
-    for j in i_dom.values():
-        expr.add_term(group.bit_for(j), values[j - 1])
-    ctx.eq0(expr)
+    bits = ctx.onehot(i, set(i_dom.values()))
+    ctx.eq0(_combine((-1, c), *((values[j - 1], bit) for j, bit in bits.items())))
 
 
 def _rw_element_var(ctx, item):
-    i = ctx.var(item.args[0])
-    elems = [ctx.var(a) for a in item.args[1].items]
+    i, c = ctx.lin(item.args[0]), ctx.lin(item.args[2])
+    elems = [ctx.lin(a) for a in item.args[1].items]
     if not elems:
         raise EmptyDomain("element over an empty array")
     i_dom, c_dom = bounds.element_domain_restrict(
         ctx.dom(i), [ctx.dom(e) for e in elems]
     )
     ctx.restrict(i, i_dom)
-    c = ctx.var(item.args[2])
     ctx.restrict(c, c_dom)
-    group = ctx.problem.onehot_get_or_create(i, set(i_dom.values()))
-    expr = _linexpr([(c, -1)])
-    for j in i_dom.values():
-        elem = elems[j - 1]
-        z = ctx.fresh(item.name, f"z{j}", _min0max0(ctx.dom(elem)))
-        ctx.product(z, elem, group.bit_for(j))
-        expr.add_term(z, 1)
-    ctx.eq0(expr)
+    bits = ctx.onehot(i, set(i_dom.values()))
+    zs = [ctx.times(item.name, f"z{j}", elems[j - 1], bits[j]) for j in i_dom.values()]
+    ctx.eq0(_combine((-1, c), *((1, z) for z in zs)))
 
 
 def _rw_abs(ctx, item):
-    x = ctx.var(item.args[0])
-    y = ctx.var(item.args[1])
+    x, y = (ctx.lin(a) for a in item.args)
     ctx.restrict(y, bounds.abs_bounds(ctx.dom(x)))
     b = ctx.fresh("int_abs", "b", BINARY)
-    z = ctx.fresh("int_abs", "z", _min0max0(ctx.dom(x)))
-    ctx.product(z, b, x)
-    ctx.eq0(_linexpr([(y, 1), (x, -1), (z, 2)]))
+    z = ctx.times("int_abs", "z", b, x)
+    ctx.eq0(_combine((1, y), (-1, x), (2, z)))
 
 
 def _rw_div(ctx, item):
-    n, d, q = (ctx.var(a) for a in item.args)
-    _emit_div(ctx, "int_div", n, d, q)
+    _emit_div(ctx, "int_div", *(ctx.lin(a) for a in item.args))
 
 
 def _rw_mod(ctx, item):
-    n, d, r = (ctx.var(a) for a in item.args)
+    n, d, r = (ctx.lin(a) for a in item.args)
     nd = ctx.dom(n)
     u = max(abs(nd.lo), abs(nd.hi))
     q = ctx.fresh("int_mod", "q", Domain(-u, u))
     p = _emit_div(ctx, "int_mod", n, d, q)
-    ctx.eq0(_linexpr([(p, 1), (r, 1), (n, -1)]))
+    ctx.eq0(_combine((1, p), (1, r), (-1, n)))
     dd = ctx.dom(d)  # after endpoint-zero pruning
     ud = max(abs(dd.lo), abs(dd.hi))
     r_lo, r_hi = -(ud - 1), ud - 1
@@ -335,8 +321,8 @@ def _rw_relation(ctx, item):
     r = rest[0] if rest else None
     if rel == "lt":
         rel, c = "le", c - 1
-    s, doms = _linear_sum(ctx, coeffs, xs)
-    s.add_const(-c)
+    xs = [ctx.lin(x) for x in xs]
+    s = _combine(*zip(coeffs, xs)).add_const(-c)
     if isinstance(r, Lit):
         if not r.value:
             if rel == "le":
@@ -348,10 +334,10 @@ def _rw_relation(ctx, item):
         # no bounds: s may be exact while its bounds leave the safe range
         (ctx.eq0 if rel == "eq" else ctx.le0)(s)
         return
-    s_dom = bounds.lin_bounds(coeffs, doms, c)
+    s_dom = bounds.lin_bounds(coeffs, [ctx.dom(x) for x in xs], c)
     lo, hi = s_dom.lo, s_dom.hi
     if r is not None:
-        r = LinExpr({r.name: 1})
+        r = ctx.lin(r)
         if rel == "le":
             # r = 1: s <= 0; r = 0: s >= 1
             ctx.le0(_combine((1, s), (hi, r), constant=-hi))
@@ -366,7 +352,7 @@ def _rw_relation(ctx, item):
             raise EmptyDomain("the compared values are always equal")
         t = LinExpr()
     # s != 0 when t = 0: b = 0 gives s <= -1, b = 1 gives s >= 1
-    b = LinExpr({ctx.fresh(item.name, "b", BINARY): 1})
+    b = ctx.fresh(item.name, "b", BINARY)
     ctx.le0(_combine((1, s), (-(hi + 1), b), (-max(0, hi + 1), t), constant=1))
     ctx.le0(_combine((-1, s), (1 - lo, b), (-max(0, 1 - lo), t), constant=lo))
 
@@ -386,130 +372,85 @@ def _rw_extremum(ctx, item):
         m, xs = item.args[0], item.args[1].items
     if not xs:
         raise EmptyDomain("extremum of an empty array")
+    m, *xs = (ctx.lin(a) for a in (m, *xs))
     m_dom, x_doms = bounds.minmax_domain_restrict(
-        ctx.arg_dom(m), [ctx.arg_dom(x) for x in xs], "max" if sign == 1 else "min"
+        ctx.dom(m), [ctx.dom(x) for x in xs], "max" if sign == 1 else "min"
     )
-    # a literal keeps its value: Domain raised if the restriction emptied it
-    for arg, d in zip((m, *xs), (m_dom, *x_doms)):
-        if isinstance(arg, Ref):
-            ctx.restrict(arg.name, d)
-    bits = [LinExpr({ctx.fresh(item.name, "b", BINARY): 1}) for _ in xs[1:]]
+    for x, d in zip((m, *xs), (m_dom, *x_doms)):
+        ctx.restrict(x, d)
+    bits = [ctx.fresh(item.name, "b", BINARY) for _ in xs[1:]]
     picked = _combine(*((1, bit) for bit in bits))
     if len(bits) > 1:
         ctx.le0(_combine((1, picked), constant=-1))
     for x, sel in zip(xs, [_combine((-1, picked), constant=1), *bits]):
-        s, doms = _linear_sum(ctx, [sign, -sign], [x, m])  # sign * (x - m)
-        big_m = -bounds.lin_bounds([sign, -sign], doms, 0).lo
+        s = _combine((sign, x), (-sign, m))  # sign * (x - m)
+        big_m = -bounds.lin_bounds([sign, -sign], [ctx.dom(x), ctx.dom(m)], 0).lo
         ctx.le0(s)
         ctx.le0(_combine((-1, s), (big_m, sel), constant=-big_m))
 
 
 def _rw_int_times(ctx, item):
-    a, b, c = (ctx.var(x) for x in item.args)
-    y = ctx.fresh("int_times", "p", bounds.product_bounds(ctx.dom(a), ctx.dom(b)))
-    ctx.product(y, a, b)
-    ctx.eq0(_linexpr([(c, 1), (y, -1)]))
+    a, b, c = (ctx.lin(x) for x in item.args)
+    ctx.eq0(_combine((1, c), (-1, ctx.times("int_times", "p", a, b))))
 
 
 def _rw_int_pow(ctx, item):
-    x = ctx.var(item.args[0])
-    y = item.args[1]
-    z = ctx.var(item.args[2])
-    if isinstance(y, Lit):
-        n = y.value
-    else:
-        yd = ctx.dom(y.name)
-        if yd.lo != yd.hi:
-            raise UnsupportedExponent("exponent must be a fixed value")
-        n = yd.lo
+    x, y, z = (ctx.lin(a) for a in item.args)
+    yd = ctx.dom(y)
+    if yd.lo != yd.hi:
+        raise UnsupportedExponent("exponent must be a fixed value")
+    n = yd.lo
     if n < 0:
         raise UnsupportedExponent(f"negative exponent {n}")
     if n == 0:
-        ctx.eq0(_linexpr([(z, 1)], -1))
+        ctx.eq0(_combine((1, z), constant=-1))
         return
 
-    def power(k: int) -> str:
+    def power(k: int) -> LinExpr:
         if k == 1:
             return x
+        u = power(k // 2)
         if k % 2 == 0:
-            u = power(k // 2)
-            du = ctx.dom(u)
-            res = ctx.fresh("int_pow", f"e{k}", bounds.product_bounds(du, du))
-            ctx.product(res, u, u)
-        else:
-            u = power(k // 2)
-            du = ctx.dom(u)
-            v = ctx.fresh("int_pow", f"e{k - 1}", bounds.product_bounds(du, du))
-            ctx.product(v, u, u)
-            res = ctx.fresh(
-                "int_pow", f"e{k}", bounds.product_bounds(ctx.dom(x), ctx.dom(v))
-            )
-            ctx.product(res, x, v)
-        return res
+            return ctx.times("int_pow", f"e{k}", u, u)
+        return ctx.times("int_pow", f"e{k}", x, ctx.times("int_pow", f"e{k - 1}", u, u))
 
-    w = power(n)
-    ctx.eq0(_linexpr([(z, 1), (w, -1)]))
+    ctx.eq0(_combine((1, z), (-1, power(n))))
 
 
 def _rw_array_bool_and(ctx, item):
-    elems = [ctx.var(a) for a in item.args[0].items]
-    r = ctx.var(item.args[1])
+    elems = [ctx.lin(a) for a in item.args[0].items]
+    r = ctx.lin(item.args[1])
     if not elems:
-        ctx.eq0(_linexpr([(r, 1)], -1))  # empty conjunction is true
+        ctx.eq0(_combine((1, r), constant=-1))  # empty conjunction is true
         return
     for e in elems:
-        ctx.le0(_linexpr([(r, 1), (e, -1)]))
+        ctx.le0(_combine((1, r), (-1, e)))
     if not ctx.options.corrupt_bool_and:
-        lower = _linexpr([(r, -1)], 1 - len(elems))
-        for e in elems:
-            lower.add_term(e, 1)
-        ctx.le0(lower)
+        ctx.le0(_combine((-1, r), *((1, e) for e in elems), constant=1 - len(elems)))
 
 
 def _rw_bool_and(ctx, item):
-    a, b, r = (ctx.var(x) for x in item.args)
-    if ctx.options.prefer_products:
-        y = ctx.fresh("bool_and", "p", BINARY)
-        ctx.product(y, a, b)
-        ctx.eq0(_linexpr([(r, 1), (y, -1)]))
-        return
-    ctx.le0(_linexpr([(r, 1), (a, -1)]))
-    ctx.le0(_linexpr([(r, 1), (b, -1)]))
-    ctx.le0(_linexpr([(a, 1), (b, 1), (r, -1)], -1))
-
-
-def _rw_bool_lt_reif(ctx, item):
-    if not ctx.options.prefer_products:
-        _rw_relation(ctx, item)
-        return
-    a, b, r = (ctx.var(x) for x in item.args)
-    t = ctx.fresh("bool_lt_reif", "t", BINARY)
-    ctx.product(t, a, b)
-    ctx.eq0(_linexpr([(r, 1), (b, -1), (t, 1)]))
+    a, b, r = (ctx.lin(x) for x in item.args)
+    ctx.le0(_combine((1, r), (-1, a)))
+    ctx.le0(_combine((1, r), (-1, b)))
+    ctx.le0(_combine((1, a), (1, b), (-1, r), constant=-1))
 
 
 def _rw_set_in(ctx, item):
-    x = ctx.var(item.args[0])
+    x = ctx.lin(item.args[0])
     values = set(item.args[1].values) & set(ctx.dom(x).values())
     if not values:
-        raise EmptyDomain(f"'{x}' cannot take any value of the set")
-    group = ctx.problem.onehot_get_or_create(x, values)
+        raise EmptyDomain(f"'{_label(x)}' cannot take any value of the set")
     # membership equality of our own, robust to later group extension
-    expr = LinExpr(constant=-1)
-    for v in sorted(values):
-        expr.add_term(group.bit_for(v), 1)
-    ctx.eq0(expr)
+    ctx.eq0(_combine(*((1, bit) for bit in ctx.onehot(x, values).values()),
+                     constant=-1))
 
 
 def _rw_set_in_reif(ctx, item):
-    x = ctx.var(item.args[0])
-    r = ctx.var(item.args[2])
-    d = ctx.dom(x)
-    group = ctx.problem.onehot_get_or_create(x, set(d.values()))
-    expr = _linexpr([(r, 1)])
-    for v in sorted(set(item.args[1].values) & set(d.values())):
-        expr.add_term(group.bit_for(v), -1)
-    ctx.eq0(expr)
+    x, r = ctx.lin(item.args[0]), ctx.lin(item.args[2])
+    bits = ctx.onehot(x, set(ctx.dom(x).values()))
+    ctx.eq0(_combine((1, r), *((-1, bits[v]) for v in item.args[1].values
+                               if v in bits)))
 
 
 _DISPATCH = {name: _rw_relation for name in _FORMS} | {
@@ -521,7 +462,6 @@ _DISPATCH = {name: _rw_relation for name in _FORMS} | {
     "array_var_bool_element": _rw_element_var,
     "array_var_int_element": _rw_element_var,
     "bool_and": _rw_bool_and,
-    "bool_lt_reif": _rw_bool_lt_reif,
     "int_abs": _rw_abs,
     "int_div": _rw_div,
     "int_max": _rw_extremum,
@@ -555,11 +495,11 @@ def compile_model(model: FzModel, options: RewriteOptions | None = None) -> QipP
             ) from exc
     if model.solve.kind == "minimize":
         prob.objective_sense = "min"
-        prob.objective = _linexpr([(model.solve.var, 1)])
+        prob.objective = LinExpr({model.solve.var: 1})
     elif model.solve.kind == "maximize":
         prob.objective_sense = "min"
         prob.objective_negated = True
-        prob.objective = _linexpr([(model.solve.var, -1)])
+        prob.objective = LinExpr({model.solve.var: -1})
     violations = prob.validate()
     if violations:
         raise AssertionError(f"internal error, invalid output: {violations}")

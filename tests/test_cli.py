@@ -1,6 +1,11 @@
 """CLI subcommands, exit codes, and output determinism."""
 
+import json
+
+import pytest
+
 from fzn2qip.cli import run
+from fzn2qip.model import QipProblem
 
 GOOD = """\
 var 1..3: x;
@@ -160,6 +165,47 @@ def test_non_utf8_input_is_one_line_exit_1(tmp_path, capsys):
         assert out == ""
         assert err == (f"{path}: encoding-error: "
                        "byte 0xff at offset 11 is not valid UTF-8\n")
+
+
+def test_byte_order_mark_is_skipped(tmp_path, capsys):
+    path = tmp_path / "bom.fzn"
+    path.write_bytes(b"\xef\xbb\xbf" + GOOD.encode())
+    assert run(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "Equal (6 solutions)\n"
+
+
+def test_byte_order_mark_keeps_file_offsets(tmp_path, capsys):
+    path = tmp_path / "bom.fzn"
+    path.write_bytes(b"\xef\xbb\xbfvar \xff")
+    assert run(["check", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"{path}: encoding-error: byte 0xff at offset 7 is not valid UTF-8\n")
+
+
+# U+0663 is ARABIC-INDIC DIGIT THREE, U+00A0 a no-break space
+@pytest.mark.parametrize("char", ["\u0663", "\u00a0"])
+def test_non_ascii_digit_or_space_is_a_syntax_error(tmp_path, capsys, char):
+    src = write(tmp_path, "m.fzn",
+                f"var 0..1: x;\nconstraint int_le(x,{char}1);\nsolve satisfy;\n")
+    assert run(["check", src]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{src}:2:21: syntax-error: unexpected character {char!r}\n"
+
+
+def test_check_proves_the_serialized_text(tmp_path, capsys, monkeypatch):
+    serialize = QipProblem.serialize
+
+    def drop_an_inequality(problem):
+        doc = json.loads(serialize(problem))
+        del doc["inequalities"][0], doc["meta"]["inequality_sources"][0]
+        return json.dumps(doc, indent=1) + "\n"
+
+    monkeypatch.setattr(QipProblem, "serialize", drop_an_inequality)
+    src = write(tmp_path, "m.fzn", GOOD)
+    assert run(["check", src]) == 2
+    assert capsys.readouterr().out.startswith(
+        "Counterexample (compiled problem only)")
 
 
 def test_nested_array_is_a_syntax_error(tmp_path, capsys):

@@ -193,7 +193,7 @@ _REF_TOKEN_RE = re.compile(
   | (?P<coloncolon>::)
   | (?P<punct>[()\[\]{},;:=\-+])
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 

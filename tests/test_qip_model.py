@@ -167,18 +167,17 @@ def test_deserialize_rejects_invalid_problem(build, message):
 # ----------------------------------------------------------------------
 # serialized text: canonical json.dumps(indent=1) output, byte for byte
 
-# SHA-256 of the concatenated serialize() texts of the acceptance corpus
-# (fuzz seeds 0..49 of every builtin, compile-UNSAT instances skipped),
-# as written by json.dumps(indent=1) before the template serializer.
+# SHA-256 of the concatenated texts of the acceptance corpus (fuzz seeds
+# 0..49 of every builtin, compile-UNSAT instances skipped), each written
+# by the reference encoder as json.dumps(json.loads(text), indent=1) + "\n".
 CORPUS_DIGESTS = {
-    "default": "ea399b56571fa50de997baece2c3c9845bedc5d8e41e10ad96d45caa79873e1d",
-    "prefer_products+verbatim_div":
-        "f22dd4078ef308120e79db4e3bb79b547206f4aac4ad13fda04de4f30f9061fb",
+    "default": "5522f6ddc8d4924a3c3b20b81650ef538ccba5c9d6073a5eae091cf5bd00620a",
+    "verbatim_div":
+        "8693c72e604db1c93be55d46b3093895c392a8bb025a8746990351fba5bebbcf",
 }
 CORPUS_OPTIONS = {
     "default": RewriteOptions(),
-    "prefer_products+verbatim_div":
-        RewriteOptions(prefer_products=True, verbatim_div=True),
+    "verbatim_div": RewriteOptions(verbatim_div=True),
 }
 
 

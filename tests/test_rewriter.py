@@ -11,9 +11,10 @@ import itertools
 import pytest
 
 from fzn2qip.errors import CompileUnsat, UnsupportedExponent
-from fzn2qip.frontend import parse_model, typecheck
-from fzn2qip.model import Domain
-from fzn2qip.oracle import enumerate_qip
+from fzn2qip.frontend import SIGNATURES, parse_model, typecheck
+from fzn2qip.fuzz import generate
+from fzn2qip.model import Domain, LinExpr
+from fzn2qip.oracle import check_equivalence, enumerate_qip
 from fzn2qip.rewrite import RewriteOptions, compile_model
 
 
@@ -298,35 +299,31 @@ def test_bool_xor_ternary_truth_table():
     }
 
 
-def test_bool_lt_reif_truth_table_both_encodings():
-    src = """
+def test_bool_lt_reif_truth_table():
+    _, p = compile_src("""
         var bool: a;
         var bool: b;
         var bool: r;
         constraint bool_lt_reif(a, b, r);
         solve satisfy;
-    """
-    want = {(a, b, int(a < b)) for a in (0, 1) for b in (0, 1)}
-    for products in (False, True):
-        _, p = compile_src(src, prefer_products=products)
-        assert solutions(p, "a", "b", "r") == want
+    """)
+    assert solutions(p, "a", "b", "r") == {
+        (a, b, int(a < b)) for a in (0, 1) for b in (0, 1)
+    }
 
 
-def test_prefer_products_bool_and():
-    src = """
+def test_bool_and_three_rows():
+    _, p = compile_src("""
         var bool: a;
         var bool: b;
         var bool: r;
         constraint bool_and(a, b, r);
         solve satisfy;
-    """
-    _, default = compile_src(src)
-    assert len(default.products) == 0 and len(default.inequalities) == 3
-    _, flagged = compile_src(src, prefer_products=True)
-    assert len(flagged.products) == 1
-    want = {(a, b, a & b) for a in (0, 1) for b in (0, 1)}
-    assert solutions(default, "a", "b", "r") == want
-    assert solutions(flagged, "a", "b", "r") == want
+    """)
+    assert len(p.products) == 0 and len(p.inequalities) == 3
+    assert solutions(p, "a", "b", "r") == {
+        (a, b, a & b) for a in (0, 1) for b in (0, 1)
+    }
 
 
 def test_set_in_and_reif():
@@ -387,6 +384,75 @@ def test_compiled_problems_always_validate():
         _, p = compile_src(src)
         assert p.validate() == []
 
+
+
+# Literals fold into every rewrite: a literal argument is a constant of
+# the rows, never a variable, and a product with a literal factor is
+# linear.
+
+
+@pytest.mark.parametrize("builtin", sorted(SIGNATURES))
+def test_literals_fold_in_every_rewrite(builtin):
+    for seed in range(50):
+        try:
+            _, p = compile_src(generate(builtin, seed))
+        except CompileUnsat:
+            continue
+        assert not [v for v in p.vars if v.startswith("__const_")]
+        sources = p.equality_sources + p.inequality_sources + p.product_sources
+        assert f"{builtin}#0" in sources, seed
+
+
+def test_int_times_literal_factor_is_linear():
+    model, p = compile_src("""
+        var -3..3: x;
+        var -9..9: y;
+        constraint int_times(2, x, y);
+        solve satisfy;
+    """)
+    assert not p.products
+    assert check_equivalence(model, p).describe() == "Equal (7 solutions)"
+
+
+def test_int_pow_of_literals_is_one_row():
+    _, p = compile_src("""
+        var 0..9: z;
+        constraint int_pow(2, 3, z);
+        solve satisfy;
+    """)
+    assert list(p.vars) == ["z"] and not p.inequalities and not p.products
+    assert p.equalities == [LinExpr({"z": 1}, -8)]
+    assert p.equality_sources == ["int_pow#0"]
+
+
+def test_set_in_of_a_literal():
+    _, p = compile_src("""
+        var 0..1: x;
+        constraint set_in(3, {1, 3});
+        solve satisfy;
+    """)
+    assert list(p.vars) == ["x"] and not p.onehot_groups
+    assert p.equalities == [LinExpr()] and not p.inequalities
+    assert p.equality_sources == ["set_in#0"]
+    with pytest.raises(CompileUnsat):
+        compile_src("""
+            var 0..1: x;
+            constraint set_in(2, {1, 3});
+            solve satisfy;
+        """)
+
+
+def test_int_div_literal_divisor_has_one_product():
+    _, p = compile_src("""
+        var -5..5: n;
+        var -3..3: q;
+        constraint int_div(n, 2, q);
+        solve satisfy;
+    """)
+    assert [(x.result, x.left, x.right) for x in p.products] == [
+        ("__int_div_1_g", "__int_div_1_a", "__int_div_1_b")
+    ]
+    assert solutions(p, "n", "q") == {(n, int(n / 2)) for n in range(-5, 6)}
 
 
 # Every comparison builtin is one relation on s = a - b (a linear one
