@@ -11,6 +11,7 @@ variables, unknown predicates) is rejected with a named diagnostic.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -22,7 +23,7 @@ from .errors import (
     UndeclaredIdentifier,
     UnsupportedItem,
 )
-from .model import Domain
+from .model import BINARY, Domain
 
 # ----------------------------------------------------------------------
 # argument AST (post-parse; typecheck normalizes further)
@@ -65,8 +66,7 @@ class VarDecl:
 class ConstraintItem:
     name: str
     args: tuple
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+    tok: int = field(default=0, compare=False)  # index of the name token
 
 
 @dataclass
@@ -82,6 +82,7 @@ class FzModel:
     vars: dict = field(default_factory=dict)  # name -> VarDecl, ordered
     constraints: list = field(default_factory=list)
     solve: SolveItem = field(default_factory=lambda: SolveItem("satisfy"))
+    source: str = field(default="", compare=False, repr=False)  # for positions
 
 
 # ----------------------------------------------------------------------
@@ -144,24 +145,29 @@ SIGNATURES: dict[str, list[list[str]]] = {
 
 
 # ----------------------------------------------------------------------
-# tokenizer
+# scanner
+#
+# One group-free pattern, so ``findall`` returns the token strings.  ASCII
+# whitespace matches no alternative and is skipped; the last alternative
+# takes any other character no rule accepts, as a token of length 1.
+# ASCII: \d and \s take no other script's digits or spaces.
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<float>\d+\.\d+([eE][-+]?\d+)?|\d+[eE][-+]?\d+)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<string>"[^"\n]*")
-  | (?P<dotdot>\.\.)
-  | (?P<coloncolon>::)
-  | (?P<punct>[()\[\]{},;:=\-+])
-  | (?P<bad>.)
+    [A-Za-z_]\w*
+  | [()\[\]{},;=\-+]
+  | \d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)?
+  | \.\. | ::?
+  | %[^\n]*
+  | "[^"\n]*"
+  | \S
     """,
-    # ASCII: \d and \s take no other script's digits or spaces
-    re.VERBOSE | re.DOTALL | re.ASCII,
+    re.VERBOSE | re.ASCII,
 )
+
+_DIGITS = frozenset(string.digits)
+# the tokens of length 1 that a rule other than the last accepts
+_ONE_CHAR_TOKENS = frozenset(string.ascii_letters + string.digits + "_()[]{},;:=-+%")
 
 
 class Token(NamedTuple):
@@ -171,429 +177,398 @@ class Token(NamedTuple):
     col: int
 
 
+def _kind(text: str) -> str:
+    if text[0] in _DIGITS:
+        return "int" if text.isdigit() else "float"
+    if text[0] == '"':
+        return "string"
+    if text.isidentifier():
+        return "ident"
+    return {"..": "dotdot", "::": "coloncolon"}.get(text, text)
+
+
 def tokenize(source: str) -> list[Token]:
     """Split ``source`` into tokens, each with its 1-based line and column.
 
-    One ``finditer`` pass covers the whole text: ``bad`` matches any
-    character no other group does.  Only whitespace can hold a newline
-    (comments and strings stop before one), so the line and the offset of
-    its first character change only on whitespace.
+    The scan of ``parse_model``, with positions.  Only the skipped
+    whitespace holds a newline: comments and strings stop before one.
     """
     tokens = []
-    append = tokens.append
-    line, line_start = 1, 0
+    line, line_start, end = 1, 0, 0
     for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        if kind == "ws":
-            text = m.group()
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = m.start() + text.rfind("\n") + 1
-        elif kind == "comment":
-            continue
-        elif kind == "bad":
-            raise FznSyntaxError(f"unexpected character {m.group()!r}",
-                                 line, m.start() - line_start + 1)
-        else:
-            text = m.group()
-            append(Token(text if kind == "punct" else kind, text,
-                         line, m.start() - line_start + 1))
-    append(Token("eof", "", line, len(source) - line_start + 1))
+        start, text = m.start(), m.group()
+        newlines = source.count("\n", end, start)
+        if newlines:
+            line += newlines
+            line_start = source.rfind("\n", end, start) + 1
+        end = m.end()
+        if len(text) == 1 and text not in _ONE_CHAR_TOKENS:
+            raise FznSyntaxError(f"unexpected character {text!r}",
+                                 line, start - line_start + 1)
+        if text[0] != "%":
+            tokens.append(Token(_kind(text), text, line, start - line_start + 1))
+    line += source.count("\n", end)
+    line_start = source.rfind("\n") + 1
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
+
+
+def _position(source: str, k: int) -> tuple[int, int]:
+    """Line and column of token ``k`` of ``source``, for a diagnostic."""
+    tok = tokenize(source)[k]
+    return tok.line, tok.col
 
 
 # ----------------------------------------------------------------------
 # parser
 
+
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+    """Recursive descent over the token strings; ``toks[-1]`` is "" (eof).
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
+    A method takes the index of its first token and returns the index
+    after what it parsed.  An index moves on only over a token checked
+    not to be eof.  Every token but a string is ASCII once the scan is
+    checked, so ``str.isdigit`` and ``str.isidentifier`` classify them.
+    """
 
-    def advance(self) -> Token:
-        tok = self.cur
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def __init__(self, source: str, toks: list[str]):
+        self.source = source
+        self.toks = toks
 
-    def accept(self, kind: str, text: str | None = None) -> Token | None:
-        tok = self.cur
-        if tok.kind == kind and (text is None or tok.text == text):
-            return self.advance()
-        return None
+    def error(self, cls, k: int, *args):
+        return cls(*args, *_position(self.source, k))
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.cur
-        if tok.kind != kind:
-            raise FznSyntaxError(
-                f"expected {what or kind}, found {tok.text!r}", tok.line, tok.col
-            )
-        return self.advance()
+    def expected(self, k: int, what: str):
+        return self.error(FznSyntaxError, k, f"expected {what}, found {self.toks[k]!r}")
 
-    def expect_ident(self, word: str) -> Token:
-        tok = self.cur
-        if tok.kind != "ident" or tok.text != word:
-            raise FznSyntaxError(
-                f"expected '{word}', found {tok.text!r}", tok.line, tok.col
-            )
-        return self.advance()
+    def want(self, i: int, text: str) -> int:
+        """The index after token ``i``, which must be ``text``."""
+        if self.toks[i] != text:
+            raise self.expected(i, f"'{text}'")
+        return i + 1
+
+    def name(self, k: int, what: str) -> str:
+        if not self.toks[k].isidentifier():
+            raise self.expected(k, what)
+        return self.toks[k]
 
     # -- leaves ---------------------------------------------------------
 
-    def parse_int(self) -> int:
-        neg = self.accept("-") is not None
-        tok = self.cur
-        if tok.kind == "float":
-            raise UnsupportedItem("float", tok.line, tok.col)
-        tok = self.expect("int", "integer")
-        return -int(tok.text) if neg else int(tok.text)
+    def integer(self, i: int) -> tuple[int, int]:
+        neg = self.toks[i] == "-"
+        i += neg
+        t = self.toks[i]
+        if not t.isdigit():
+            if t[:1] in _DIGITS:
+                raise self.error(UnsupportedItem, i, "float")
+            raise self.expected(i, "integer")
+        try:
+            value = int(t)
+        except ValueError:  # more digits than int() converts
+            raise self.error(UnsupportedItem, i,
+                             f"integer literal of {len(t)} digits") from None
+        return (-value if neg else value), i + 1
 
-    def parse_annotations(self) -> list[str]:
+    def bounds(self, i: int) -> tuple[int, int, int]:
+        """``lo..hi`` at ``i``: lo, hi and the index after."""
+        lo, i = self.integer(i)
+        hi, i = self.integer(self.want(i, ".."))
+        return lo, hi, i
+
+    def seq(self, i: int, item, close: str) -> tuple[list, int]:
+        """Comma-separated ``item``s from ``i`` up to and past ``close``."""
+        toks = self.toks
+        items = []
+        if toks[i] == close:
+            return items, i + 1
+        while True:
+            value, i = item(i)
+            items.append(value)
+            if toks[i] == close:
+                return items, i + 1
+            if toks[i] != ",":
+                raise self.expected(i, f"',' or '{close}'")
+            i += 1
+
+    def annotations(self, i: int) -> tuple[list[str], int]:
+        toks = self.toks
         names = []
-        while self.accept("coloncolon"):
-            tok = self.expect("ident", "annotation name")
-            names.append(tok.text)
-            if self.accept("(", None):
+        while toks[i] == "::":
+            names.append(self.name(i + 1, "annotation name"))
+            i += 2
+            if toks[i] == "(":
                 depth = 1
                 while depth:
-                    t = self.advance()
-                    if t.kind == "eof":
-                        raise FznSyntaxError(
-                            "unterminated annotation", t.line, t.col
-                        )
-                    if t.kind == "(":
-                        depth += 1
-                    elif t.kind == ")":
-                        depth -= 1
-        return names
+                    i += 1
+                    if not toks[i]:
+                        raise self.error(FznSyntaxError, i, "unterminated annotation")
+                    depth += (toks[i] == "(") - (toks[i] == ")")
+                i += 1
+        return names, i
 
-    def parse_expr(self):
-        tok = self.cur
-        if tok.kind == "float":
-            raise UnsupportedItem("float", tok.line, tok.col)
-        if tok.kind in ("int", "-"):
-            lo = self.parse_int()
-            if self.accept("dotdot"):
-                hi = self.parse_int()
-                return SetVal(frozenset(range(lo, hi + 1)))
-            return Lit(lo)
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "true":
-                return BoolLit(True)
-            if tok.text == "false":
-                return BoolLit(False)
-            return Ref(tok.text)
-        if self.accept("["):
-            items = []
-            if not self.accept("]"):
-                while True:
-                    if self.cur.kind == "[":  # FlatZinc arrays are flat
-                        raise FznSyntaxError("nested array", self.cur.line,
-                                             self.cur.col)
-                    items.append(self.parse_expr())
-                    if self.accept("]"):
-                        break
-                    self.expect(",", "',' or ']'")
-            return Arr(tuple(items))
-        if self.accept("{"):
-            values = []
-            if not self.accept("}"):
-                while True:
-                    values.append(self.parse_int())
-                    if self.accept("}"):
-                        break
-                    self.expect(",", "',' or '}'")
-            return SetVal(frozenset(values))
-        raise FznSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+    def expr(self, i: int):
+        t = self.toks[i]
+        if t.isidentifier():
+            if t == "true" or t == "false":
+                return BoolLit(t == "true"), i + 1
+            return Ref(t), i + 1
+        if t == "-" or t[:1] in _DIGITS:
+            lo, i = self.integer(i)
+            if self.toks[i] != "..":
+                return Lit(lo), i
+            hi, i = self.integer(i + 1)
+            return SetVal(frozenset(range(lo, hi + 1))), i
+        if t == "[":
+            items, i = self.seq(i + 1, self.element, "]")
+            return Arr(tuple(items)), i
+        if t == "{":
+            values, i = self.seq(i + 1, self.integer, "}")
+            return SetVal(frozenset(values)), i
+        raise self.error(FznSyntaxError, i, f"unexpected token {t!r}")
+
+    def element(self, i: int):
+        if self.toks[i] == "[":  # FlatZinc arrays are flat
+            raise self.error(FznSyntaxError, i, "nested array")
+        return self.expr(i)
 
     # -- items ----------------------------------------------------------
 
-    def parse_model(self) -> FzModel:
-        model = FzModel()
+    def model(self) -> FzModel:
+        toks = self.toks
+        model = FzModel(source=self.source)
         have_solve = False
-        while self.cur.kind != "eof":
-            tok = self.cur
-            if tok.kind == "ident" and tok.text == "predicate":
-                raise UnsupportedItem("predicate declaration", tok.line, tok.col)
-            if tok.kind == "ident" and tok.text == "constraint":
-                self.advance()
-                model.constraints.append(self.parse_constraint())
-            elif tok.kind == "ident" and tok.text == "solve":
+        i = 0
+        while toks[i]:
+            t = toks[i]
+            if t == "constraint":
+                i = self.constraint(model, i + 1)
+            elif t == "var":
+                i = self.var_decl(model, i + 1)
+            elif t == "array":
+                i = self.array_decl(model, i + 1)
+            elif t == "int" or t == "bool":
+                i = self.param_decl(model, t, i + 1)
+            elif t == "solve":
                 if have_solve:
-                    raise FznSyntaxError("duplicate solve item", tok.line, tok.col)
-                self.advance()
-                model.solve = self.parse_solve()
+                    raise self.error(FznSyntaxError, i, "duplicate solve item")
+                i = self.solve(model, i + 1)
                 have_solve = True
-            elif tok.kind == "ident" and tok.text == "var":
-                self.advance()
-                self.parse_var_decl(model)
-            elif tok.kind == "ident" and tok.text == "array":
-                self.advance()
-                self.parse_array_decl(model)
-            elif tok.kind == "ident" and tok.text in ("int", "bool"):
-                self.advance()
-                self.parse_param_decl(model, tok.text)
-            elif tok.kind == "ident" and tok.text in ("float", "set"):
-                raise UnsupportedItem(tok.text, tok.line, tok.col)
+            elif t == "predicate":
+                raise self.error(UnsupportedItem, i, "predicate declaration")
+            elif t == "float" or t == "set":
+                raise self.error(UnsupportedItem, i, t)
             else:
-                raise FznSyntaxError(
-                    f"unexpected token {tok.text!r}", tok.line, tok.col
-                )
+                raise self.error(FznSyntaxError, i, f"unexpected token {t!r}")
         if not have_solve:
-            tok = self.cur
-            raise FznSyntaxError("missing solve item", tok.line, tok.col)
+            raise self.error(FznSyntaxError, i, "missing solve item")
         return model
 
-    def _declare(self, model: FzModel, name: str, tok: Token) -> None:
+    def declared(self, model: FzModel, k: int) -> str:
+        """Name token ``k``, which no earlier item declares."""
+        name = self.toks[k]
         if name in model.vars or name in model.params or name in model.arrays:
-            raise FznSyntaxError(f"duplicate declaration of '{name}'", tok.line, tok.col)
+            raise self.error(FznSyntaxError, k, f"duplicate declaration of '{name}'")
+        return name
 
-    def parse_param_decl(self, model: FzModel, kind: str) -> None:
-        self.expect(":", "':'")
-        name_tok = self.expect("ident", "parameter name")
-        self.parse_annotations()
-        self.expect("=", "'='")
-        value = self.parse_expr()
-        self.expect(";", "';'")
-        self._declare(model, name_tok.text, name_tok)
+    def head(self, i: int, what: str) -> tuple[list[str], int]:
+        """``: name :: anns`` of a declaration: its annotations, index after."""
+        self.name(self.want(i, ":"), what)
+        return self.annotations(i + 2)
+
+    def param_decl(self, model: FzModel, kind: str, i: int) -> int:
+        at = i + 1
+        _, i = self.head(i, "parameter name")
+        value, i = self.expr(self.want(i, "="))
+        i = self.want(i, ";")
+        name = self.declared(model, at)
         if kind == "int":
-            if not isinstance(value, Lit):
-                raise FznSyntaxError(
-                    "int parameter needs an integer value", name_tok.line, name_tok.col
-                )
-            model.params[name_tok.text] = value.value
+            if type(value) is not Lit:
+                raise self.error(FznSyntaxError, at, "int parameter needs an integer value")
+            model.params[name] = value.value
         else:
-            if not isinstance(value, BoolLit):
-                raise FznSyntaxError(
-                    "bool parameter needs true/false", name_tok.line, name_tok.col
-                )
-            model.params[name_tok.text] = 1 if value.value else 0
+            if type(value) is not BoolLit:
+                raise self.error(FznSyntaxError, at, "bool parameter needs true/false")
+            model.params[name] = int(value.value)
+        return i
 
-    def parse_var_domain(self) -> tuple[str, int, int]:
-        tok = self.cur
-        if tok.kind == "ident" and tok.text == "bool":
-            self.advance()
-            return "bool", 0, 1
-        if tok.kind == "ident" and tok.text == "int":
-            raise UnsupportedItem("unbounded var int", tok.line, tok.col)
-        if tok.kind == "ident" and tok.text in ("float", "set"):
-            raise UnsupportedItem(tok.text, tok.line, tok.col)
-        if tok.kind == "{":
-            raise UnsupportedItem("set-literal domain", tok.line, tok.col)
-        if tok.kind == "float":
-            raise UnsupportedItem("float", tok.line, tok.col)
-        lo = self.parse_int()
-        self.expect("dotdot", "'..'")
-        hi = self.parse_int()
-        return "int", lo, hi
-
-    def parse_var_decl(self, model: FzModel) -> None:
-        kind, lo, hi = self.parse_var_domain()
-        self.expect(":", "':'")
-        name_tok = self.expect("ident", "variable name")
-        anns = self.parse_annotations()
+    def var_decl(self, model: FzModel, i: int) -> int:
+        t = self.toks[i]
+        if t == "bool":
+            kind, lo, hi, i = "bool", 0, 1, i + 1
+        elif t == "int":
+            raise self.error(UnsupportedItem, i, "unbounded var int")
+        elif t == "float" or t == "set":
+            raise self.error(UnsupportedItem, i, t)
+        elif t == "{":
+            raise self.error(UnsupportedItem, i, "set-literal domain")
+        else:
+            kind = "int"
+            lo, hi, i = self.bounds(i)
+        at = i + 1
+        anns, i = self.head(i, "variable name")
         assigned = None
-        if self.accept("="):
-            assigned = self.parse_expr()
-        self.expect(";", "';'")
-        self._declare(model, name_tok.text, name_tok)
+        if self.toks[i] == "=":
+            assigned, i = self.expr(i + 1)
+        i = self.want(i, ";")
+        name = self.declared(model, at)
         if lo > hi:
-            raise EmptyDomain(name_tok.text)
-        model.vars[name_tok.text] = VarDecl(
-            name_tok.text, kind, Domain(lo, hi), "var_is_introduced" in anns
-        )
+            raise EmptyDomain(name)
+        model.vars[name] = VarDecl(name, kind, Domain(lo, hi), "var_is_introduced" in anns)
         if assigned is not None:
             builtin = "bool_eq" if kind == "bool" else "int_eq"
-            model.constraints.append(
-                ConstraintItem(
-                    builtin,
-                    (Ref(name_tok.text), assigned),
-                    name_tok.line,
-                    name_tok.col,
-                )
-            )
+            model.constraints.append(ConstraintItem(builtin, (Ref(name), assigned), at))
+        return i
 
-    def parse_array_decl(self, model: FzModel) -> None:
-        open_tok = self.expect("[", "'['")
-        lo = self.parse_int()
-        self.expect("dotdot", "'..'")
-        hi = self.parse_int()
-        self.expect("]", "']'")
+    def array_decl(self, model: FzModel, i: int) -> int:
+        toks = self.toks
+        open_at = i
+        lo, length, i = self.bounds(self.want(i, "["))
+        i = self.want(i, "]")
         if lo != 1:
-            raise FznSyntaxError("array index set must start at 1",
-                                 open_tok.line, open_tok.col)
-        length = hi
-        self.expect_ident("of")
-        is_var = self.accept("ident", "var") is not None
-        elem_tok = self.cur
-        if elem_tok.kind == "ident" and elem_tok.text in ("int", "bool"):
-            self.advance()
-        elif elem_tok.kind == "ident" and elem_tok.text in ("float", "set"):
-            raise UnsupportedItem(elem_tok.text, elem_tok.line, elem_tok.col)
-        elif is_var and (elem_tok.kind in ("int", "-")):
-            # array [1..n] of var lo..hi — only supported as pure alias
-            self.parse_int()
-            self.expect("dotdot", "'..'")
-            self.parse_int()
+            raise self.error(FznSyntaxError, open_at, "array index set must start at 1")
+        i = self.want(i, "of")
+        is_var = toks[i] == "var"
+        i += is_var
+        t = toks[i]
+        if t == "int" or t == "bool":
+            i += 1
+        elif t == "float" or t == "set":
+            raise self.error(UnsupportedItem, i, t)
+        elif is_var and (t == "-" or t.isdigit()):
+            _, _, i = self.bounds(i)  # array [1..n] of var lo..hi: an alias only
         else:
-            raise FznSyntaxError(
-                f"unexpected array element type {elem_tok.text!r}",
-                elem_tok.line, elem_tok.col,
-            )
-        self.expect(":", "':'")
-        name_tok = self.expect("ident", "array name")
-        self.parse_annotations()
-        if not self.accept("="):
+            raise self.error(FznSyntaxError, i, f"unexpected array element type {t!r}")
+        at = i + 1
+        _, i = self.head(i, "array name")
+        name = toks[at]
+        if toks[i] != "=":
             if is_var:
-                raise UnsupportedItem(
-                    "var array without defining value", name_tok.line, name_tok.col
-                )
-            raise FznSyntaxError("parameter array needs a value",
-                                 name_tok.line, name_tok.col)
-        value = self.parse_expr()
-        self.expect(";", "';'")
-        if not isinstance(value, Arr):
-            raise FznSyntaxError("array value must be a literal array",
-                                 name_tok.line, name_tok.col)
+                raise self.error(UnsupportedItem, at, "var array without defining value")
+            raise self.error(FznSyntaxError, at, "parameter array needs a value")
+        value, i = self.expr(i + 1)
+        i = self.want(i, ";")
+        if type(value) is not Arr:
+            raise self.error(FznSyntaxError, at, "array value must be a literal array")
         if len(value.items) != length:
-            raise FznSyntaxError(
-                f"array '{name_tok.text}' declares length {length} "
-                f"but has {len(value.items)} elements",
-                name_tok.line, name_tok.col,
-            )
-        self._declare(model, name_tok.text, name_tok)
+            raise self.error(FznSyntaxError, at, f"array '{name}' declares length "
+                             f"{length} but has {len(value.items)} elements")
+        self.declared(model, at)
         if is_var:
-            model.arrays[name_tok.text] = value
-        else:
-            items = []
-            for item in value.items:
-                if isinstance(item, BoolLit):
-                    items.append(Lit(1 if item.value else 0))
-                elif isinstance(item, Lit):
-                    items.append(item)
-                else:
-                    raise FznSyntaxError(
-                        "parameter array elements must be literals",
-                        name_tok.line, name_tok.col,
-                    )
-            model.params[name_tok.text] = Arr(tuple(items))
+            model.arrays[name] = value
+            return i
+        if any(type(x) is not Lit and type(x) is not BoolLit for x in value.items):
+            raise self.error(FznSyntaxError, at, "parameter array elements must be literals")
+        model.params[name] = Arr(tuple(Lit(int(x.value)) for x in value.items))
+        return i
 
-    def parse_constraint(self) -> ConstraintItem:
-        name_tok = self.expect("ident", "predicate name")
-        name = name_tok.text
+    def constraint(self, model: FzModel, i: int) -> int:
+        name = self.name(i, "predicate name")
         if name not in SIGNATURES:
-            raise UnsupportedItem(f"predicate '{name}'", name_tok.line, name_tok.col)
-        self.expect("(", "'('")
-        args = []
-        if not self.accept(")"):
-            while True:
-                args.append(self.parse_expr())
-                if self.accept(")"):
-                    break
-                self.expect(",", "',' or ')'")
-        self.parse_annotations()
-        self.expect(";", "';'")
-        return ConstraintItem(name, tuple(args), name_tok.line, name_tok.col)
+            raise self.error(UnsupportedItem, i, f"predicate '{name}'")
+        args, j = self.seq(self.want(i + 1, "("), self.expr, ")")
+        _, j = self.annotations(j)
+        model.constraints.append(ConstraintItem(name, tuple(args), i))
+        return self.want(j, ";")
 
-    def parse_solve(self) -> SolveItem:
-        self.parse_annotations()
-        tok = self.expect("ident", "'satisfy', 'minimize' or 'maximize'")
-        if tok.text == "satisfy":
-            self.expect(";", "';'")
-            return SolveItem("satisfy")
-        if tok.text in ("minimize", "maximize"):
-            obj = self.expect("ident", "objective variable")
-            self.expect(";", "';'")
-            return SolveItem(tok.text, obj.text)
-        raise FznSyntaxError(
-            f"expected solve kind, found {tok.text!r}", tok.line, tok.col
-        )
+    def solve(self, model: FzModel, i: int) -> int:
+        _, i = self.annotations(i)
+        kind = self.name(i, "'satisfy', 'minimize' or 'maximize'")
+        if kind == "satisfy":
+            model.solve = SolveItem("satisfy")
+            return self.want(i + 1, ";")
+        if kind == "minimize" or kind == "maximize":
+            model.solve = SolveItem(kind, self.name(i + 1, "objective variable"))
+            return self.want(i + 2, ";")
+        raise self.error(FznSyntaxError, i, f"expected solve kind, found {kind!r}")
 
 
 def parse_model(source: str) -> FzModel:
     """Parse FlatZinc source text into an (unchecked) model."""
-    return _Parser(tokenize(source)).parse_model()
+    toks = _TOKEN_RE.findall(source)
+    if "%" in source:
+        toks = [t for t in toks if t[0] != "%"]
+    if 1 in map(len, set(toks) - _ONE_CHAR_TOKENS):
+        tokenize(source)  # raises at the first token no rule accepts
+    toks.append("")
+    return _Parser(source, toks).model()
 
 
 # ----------------------------------------------------------------------
 # type checking
 
 
-def _fold(arg, model: FzModel, line: int, col: int):
+def _located(cls, model: FzModel, item: ConstraintItem, *args):
+    """``cls(*args)`` at the predicate name of ``item``."""
+    return cls(*args, *_position(model.source, item.tok))
+
+
+def _fold(arg, model: FzModel, item: ConstraintItem):
     """Resolve parameter references and bool literals inside an argument."""
-    if isinstance(arg, BoolLit):
-        return Lit(1 if arg.value else 0)
-    if isinstance(arg, Ref):
-        if arg.name in model.params:
-            value = model.params[arg.name]
-            return value if isinstance(value, Arr) else Lit(value)
-        if arg.name in model.arrays:
-            return Arr(
-                tuple(_fold(item, model, line, col)
-                      for item in model.arrays[arg.name].items)
-            )
-        if arg.name in model.vars:
+    kind = type(arg)
+    if kind is Ref:
+        name = arg.name
+        if name in model.vars:
             return arg
-        raise UndeclaredIdentifier(arg.name, line, col)
-    if isinstance(arg, Arr):
-        return Arr(tuple(_fold(item, model, line, col) for item in arg.items))
+        if name in model.params:
+            value = model.params[name]
+            return value if type(value) is Arr else Lit(value)
+        if name in model.arrays:
+            return Arr(tuple(_fold(x, model, item) for x in model.arrays[name].items))
+        raise _located(UndeclaredIdentifier, model, item, name)
+    if kind is BoolLit:
+        return Lit(1 if arg.value else 0)
+    if kind is Arr:
+        return Arr(tuple(_fold(x, model, item) for x in arg.items))
     return arg
 
 
 def _check_arg(arg, kind: str, model: FzModel, item: ConstraintItem):
-    line, col = item.line, item.col
-
-    def bad(msg: str):
-        return KindMismatch(f"{item.name}: {msg}", line, col)
-
+    """``arg`` if it fits the kind code ``kind``; else a KindMismatch."""
+    arg_type = type(arg)
     if kind == "iv":
-        if isinstance(arg, Lit):
+        if arg_type is Ref or arg_type is Lit:  # bool vars double as binary ints
             return arg
-        if isinstance(arg, Ref):
-            return arg  # bool vars double as binary ints
-        raise bad("expected an int variable or literal")
-    if kind == "bv":
-        if isinstance(arg, Lit):
-            if arg.value not in (0, 1):
-                raise bad(f"literal {arg.value} is not a bool")
+        msg = "expected an int variable or literal"
+    elif kind == "bv":
+        if arg_type is Lit:
+            if arg.value in (0, 1):
+                return arg
+            msg = f"literal {arg.value} is not a bool"
+        elif arg_type is Ref:
+            if model.vars[arg.name].kind == "bool":
+                return arg
+            msg = f"'{arg.name}' is not a bool variable"
+        else:
+            msg = "expected a bool variable or literal"
+    elif kind == "ic":
+        if arg_type is Lit:
             return arg
-        if isinstance(arg, Ref):
-            if model.vars[arg.name].kind != "bool":
-                raise bad(f"'{arg.name}' is not a bool variable")
+        msg = "expected an integer constant"
+    elif kind == "ia" or kind == "ba":
+        if arg_type is not Arr:
+            msg = "expected a constant array"
+        else:
+            for x in arg.items:
+                if type(x) is not Lit:
+                    msg = "expected an array of constants"
+                    break
+                if kind == "ba" and x.value not in (0, 1):
+                    msg = f"array value {x.value} is not a bool"
+                    break
+            else:
+                return arg
+    elif kind == "iva" or kind == "bva":
+        if arg_type is Arr:
+            return Arr(tuple([_check_arg(x, kind[:2], model, item) for x in arg.items]))
+        msg = "expected an array of variables"
+    elif kind == "set":
+        if arg_type is SetVal:
             return arg
-        raise bad("expected a bool variable or literal")
-    if kind == "ic":
-        if isinstance(arg, Lit):
-            return arg
-        raise bad("expected an integer constant")
-    if kind in ("ia", "ba"):
-        if not isinstance(arg, Arr):
-            raise bad("expected a constant array")
-        for item_ in arg.items:
-            if not isinstance(item_, Lit):
-                raise bad("expected an array of constants")
-            if kind == "ba" and item_.value not in (0, 1):
-                raise bad(f"array value {item_.value} is not a bool")
-        return arg
-    if kind in ("iva", "bva"):
-        if not isinstance(arg, Arr):
-            raise bad("expected an array of variables")
-        checked = tuple(
-            _check_arg(item_, "bv" if kind == "bva" else "iv", model, item)
-            for item_ in arg.items
-        )
-        return Arr(checked)
-    if kind == "set":
-        if not isinstance(arg, SetVal):
-            raise bad("expected a set of integers")
-        return arg
-    raise AssertionError(f"unknown kind code {kind}")
+        msg = "expected a set of integers"
+    else:
+        raise AssertionError(f"unknown kind code {kind}")
+    raise _located(KindMismatch, model, item, f"{item.name}: {msg}")
 
 
 def typecheck(model: FzModel) -> FzModel:
@@ -602,30 +577,28 @@ def typecheck(model: FzModel) -> FzModel:
     Parameters and alias arrays are folded into the constraints and
     cleared, so the result is self-contained.
     """
-    checked = FzModel(vars=dict(model.vars), solve=model.solve)
+    checked = FzModel(vars=dict(model.vars), solve=model.solve, source=model.source)
     for name, decl in model.vars.items():
-        if decl.kind == "bool" and decl.domain != Domain(0, 1):
+        if decl.kind == "bool" and decl.domain != BINARY:
             raise KindMismatch(f"bool variable '{name}' must have domain [0, 1]")
-        if decl.domain.lo > decl.domain.hi:
-            raise EmptyDomain(name)
     for item in model.constraints:
         sigs = SIGNATURES[item.name]
-        sig = next((s for s in sigs if len(s) == len(item.args)), None)
-        if sig is None:
+        for sig in sigs:
+            if len(sig) == len(item.args):
+                break
+        else:
             arities = " or ".join(str(len(s)) for s in sigs)
-            raise ArityMismatch(
-                f"{item.name} takes {arities} arguments, got {len(item.args)}",
-                item.line, item.col,
-            )
-        folded = tuple(_fold(a, model, item.line, item.col) for a in item.args)
-        args = tuple(_check_arg(a, k, model, item) for a, k in zip(folded, sig))
+            raise _located(ArityMismatch, model, item,
+                           f"{item.name} takes {arities} arguments, got {len(item.args)}")
+        folded = [_fold(a, model, item) for a in item.args]
+        args = tuple([_check_arg(a, k, model, item) for a, k in zip(folded, sig)])
         if item.name.startswith(("int_lin_", "bool_lin_")):
             if len(args[0].items) != len(args[1].items):
-                raise ArityMismatch(
+                raise _located(
+                    ArityMismatch, model, item,
                     f"{item.name}: coefficient and variable arrays differ in length",
-                    item.line, item.col,
                 )
-        checked.constraints.append(ConstraintItem(item.name, args, item.line, item.col))
+        checked.constraints.append(ConstraintItem(item.name, args, item.tok))
     if model.solve.var is not None:
         if model.solve.var not in model.vars:
             raise UndeclaredIdentifier(model.solve.var)

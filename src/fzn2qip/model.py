@@ -92,10 +92,9 @@ class LinExpr:
     __slots__ = ("terms", "constant")
 
     def __init__(self, terms: dict[str, int] | None = None, constant: int = 0):
-        self.terms: dict[str, int] = {}
-        if terms:
-            for var, coef in terms.items():
-                self.add_term(var, coef)
+        self.terms: dict[str, int] = (
+            {var: checked_int(coef) for var, coef in terms.items() if coef}
+            if terms else {})
         self.constant = checked_int(constant)
 
     def add_term(self, var: str, coef: int) -> "LinExpr":

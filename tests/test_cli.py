@@ -1,10 +1,16 @@
 """CLI subcommands, exit codes, and output determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fzn2qip.cli import run
+from fzn2qip.frontend import SIGNATURES
+from fzn2qip.fuzz import generate
 from fzn2qip.model import QipProblem
 
 GOOD = """\
@@ -237,3 +243,69 @@ solve satisfy;
     assert capsys.readouterr().err.startswith("UNSAT: constraint int_lin_ne#0")
     assert run(["check", src]) == 0
     assert capsys.readouterr().out == "Equal (0 solutions)\n"
+
+
+def test_integer_literal_past_the_digit_limit_is_one_line_exit_1(tmp_path, capsys):
+    # int() converts at most 4,300 digits by default
+    src = write(tmp_path, "m.fzn", "var 0..1: x; constraint int_le(x, "
+                + "9" * 5000 + "); solve satisfy;\n")
+    assert run(["check", src]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"{src}:1:35: unsupported-item: "
+                   "unsupported: integer literal of 5000 digits\n")
+
+
+def test_integer_literal_past_int64_is_an_overflow(tmp_path, capsys):
+    big = "9" * 100
+    src = write(tmp_path, "m.fzn",
+                f"var 0..1: x; constraint int_le(x, {big}); solve satisfy;\n")
+    assert run(["check", src]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"overflow: integer {big} exceeds the supported range\n"
+
+
+# No digit is ever added: a set literal lo..hi is materialized, so a
+# generated range must not grow.
+_EDIT_CHARS = "\n\r\t %\".:;,()[]{}-+eExé?@\x00\u2028"
+_DIGIT_BYTES = frozenset(b"0123456789")
+CORPUS_TEXTS = [generate(b, seed) for b in sorted(SIGNATURES) for seed in range(50)]
+
+
+def _edited(source: str, edits) -> bytes:
+    data = bytearray(source.encode())
+    for where, op, ch, bit in edits:
+        i = int(where * len(data))
+        if op == "insert":
+            data[i:i] = ch.encode()
+        elif op == "truncate":
+            del data[i:]
+        elif i < len(data):
+            if op == "replace":
+                data[i:i + 1] = ch.encode()
+            elif op == "delete":
+                del data[i]
+            elif data[i] ^ (1 << bit) not in _DIGIT_BYTES:
+                data[i] ^= 1 << bit
+    return bytes(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(CORPUS_TEXTS),
+    st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                       st.sampled_from(["replace", "insert", "delete", "truncate", "flip"]),
+                       st.sampled_from(_EDIT_CHARS),
+                       st.integers(0, 7)),
+             min_size=1, max_size=6),
+)
+def test_no_input_ends_in_a_traceback(tmp_path_factory, source, edits):
+    path = tmp_path_factory.getbasetemp() / "edited.fzn"
+    path.write_bytes(_edited(source, edits))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["check", str(path), "--cap", "20000"])
+    assert code in range(5)
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

@@ -1,5 +1,7 @@
 """Parser and typechecker tests, including the print/parse round trip."""
 
+import hashlib
+import random
 import re
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from fzn2qip.errors import (
     ArityMismatch,
     EmptyDomain,
+    Fzn2QipError,
     FznSyntaxError,
     KindMismatch,
     UndeclaredIdentifier,
@@ -17,9 +20,11 @@ from fzn2qip.errors import (
 from fzn2qip.frontend import (
     SIGNATURES,
     Arr,
+    FzModel,
     Lit,
     Ref,
     SetVal,
+    VarDecl,
     model_to_fzn,
     parse_model,
     tokenize,
@@ -289,3 +294,213 @@ def test_tokenize_matches_reference_on_mutated_corpus(source, edits):
         elif chars:
             del chars[i]
     _assert_same_tokens("".join(chars))
+
+
+# ----------------------------------------------------------------------
+# diagnostics: class, message, line and column; every raise in the
+# scanner, the parser and typecheck has at least one input here, but the
+# literal longer than int() converts (tests/test_cli.py)
+
+DIAGNOSTICS = [
+    ('var 0..1: x;\nconstraint int_le(x, 1) ? 2;\nsolve satisfy;\n',
+     ('FznSyntaxError', "unexpected character '?'", 2, 25)),
+    ('var 0..1: x;\nconstraint int_le(x, 1) 2;\nsolve satisfy;\n',
+     ('FznSyntaxError', "expected ';', found '2'", 2, 25)),
+    ('var 0..1: x;\nconstraint int_le(x, y);\nsolve satisfy;\n',
+     ('UndeclaredIdentifier', "undeclared identifier 'y'", 2, 12)),
+    ('array [1..2] if int: a = [1, 2];\nsolve satisfy;\n',
+     ('FznSyntaxError', "expected 'of', found 'if'", 1, 14)),
+    ('var 0..1.5: x;\nsolve satisfy;\n',
+     ('UnsupportedItem', 'unsupported: float', 1, 8)),
+    ('var 0..x: y;\nsolve satisfy;\n',
+     ('FznSyntaxError', "expected integer, found 'x'", 1, 8)),
+    ('var 0..1: x :: foo(1, (2);\nsolve satisfy;\n',
+     ('FznSyntaxError', 'unterminated annotation', 3, 1)),
+    ('var 0..1: x;\nconstraint int_le(x, 1.5);\nsolve satisfy;\n',
+     ('UnsupportedItem', 'unsupported: float', 2, 22)),
+    ('var bool: x;\nconstraint bool_clause([[x]], []);\nsolve satisfy;\n',
+     ('FznSyntaxError', 'nested array', 2, 25)),
+    ('var 0..1: x;\nconstraint int_le(x, ;);\nsolve satisfy;\n',
+     ('FznSyntaxError', "unexpected token ';'", 2, 22)),
+    ('predicate p(var int: x);\nsolve satisfy;\n',
+     ('UnsupportedItem', 'unsupported: predicate declaration', 1, 1)),
+    ('var 0..1: x;\nsolve satisfy;\nsolve satisfy;\n',
+     ('FznSyntaxError', 'duplicate solve item', 3, 1)),
+    ('float: f = 1.0;\nsolve satisfy;\n',
+     ('UnsupportedItem', 'unsupported: float', 1, 1)),
+    ('set of int: s = {1};\nsolve satisfy;\n',
+     ('UnsupportedItem', 'unsupported: set', 1, 1)),
+    ('var 0..1: x;\nfoo;\nsolve satisfy;\n',
+     ('FznSyntaxError', "unexpected token 'foo'", 2, 1)),
+    ('var 0..1: x;\n',
+     ('FznSyntaxError', 'missing solve item', 2, 1)),
+    ('var 0..1: x;\n% note\n\tvar 0..2: x;\nsolve satisfy;\n',
+     ('FznSyntaxError', "duplicate declaration of 'x'", 3, 12)),
+    ('int: k = true;\nsolve satisfy;\n',
+     ('FznSyntaxError', 'int parameter needs an integer value', 1, 6)),
+    ('bool: b = 3;\nsolve satisfy;\n',
+     ('FznSyntaxError', 'bool parameter needs true/false', 1, 7)),
+    ('var int: x;\nsolve satisfy;\n',
+     ('UnsupportedItem', 'unsupported: unbounded var int', 1, 5)),
+    ('var float: x;\nsolve satisfy;\n',
+     ('UnsupportedItem', 'unsupported: float', 1, 5)),
+    ('var set of int: s;\nsolve satisfy;\n',
+     ('UnsupportedItem', 'unsupported: set', 1, 5)),
+    ('var {1, 3}: x;\nsolve satisfy;\n',
+     ('UnsupportedItem', 'unsupported: set-literal domain', 1, 5)),
+    ('var 1.5..2: x;\nsolve satisfy;\n',
+     ('UnsupportedItem', 'unsupported: float', 1, 5)),
+    ('var 5..2: x;\nsolve satisfy;\n',
+     ('EmptyDomain', 'x', None, None)),
+    ('array [0..1] of int: a = [1, 2];\nsolve satisfy;\n',
+     ('FznSyntaxError', 'array index set must start at 1', 1, 7)),
+    ('array [1..1] of float: a = [1.0];\nsolve satisfy;\n',
+     ('UnsupportedItem', 'unsupported: float', 1, 17)),
+    ('array [1..1] of foo: a = [1];\nsolve satisfy;\n',
+     ('FznSyntaxError', "unexpected array element type 'foo'", 1, 17)),
+    ('var 0..1: x;\narray [1..1] of var int: a;\nsolve satisfy;\n',
+     ('UnsupportedItem', 'unsupported: var array without defining value', 2, 26)),
+    ('array [1..1] of int: a;\nsolve satisfy;\n',
+     ('FznSyntaxError', 'parameter array needs a value', 1, 22)),
+    ('array [1..1] of int: a = 3;\nsolve satisfy;\n',
+     ('FznSyntaxError', 'array value must be a literal array', 1, 22)),
+    ('array [1..2] of int: a = [1];\nsolve satisfy;\n',
+     ('FznSyntaxError', "array 'a' declares length 2 but has 1 elements", 1, 22)),
+    ('var 0..1: x;\narray [1..1] of int: a = [x];\nsolve satisfy;\n',
+     ('FznSyntaxError', 'parameter array elements must be literals', 2, 22)),
+    ('var 0..1: x;\nconstraint foo(x);\nsolve satisfy;\n',
+     ('UnsupportedItem', "unsupported: predicate 'foo'", 2, 12)),
+    ('var 0..1: x;\nsolve optimize x;\n',
+     ('FznSyntaxError', "expected solve kind, found 'optimize'", 2, 7)),
+    ('var 0..1: x;\nsolve 3;\n',
+     ('FznSyntaxError', "expected 'satisfy', 'minimize' or 'maximize', found '3'", 2, 7)),
+    ('var bool: x;\nconstraint bool_clause([x x], []);\nsolve satisfy;\n',
+     ('FznSyntaxError', "expected ',' or ']', found 'x'", 2, 27)),
+    ('var 0..1: x;\nconstraint set_in(x, {1 2});\nsolve satisfy;\n',
+     ('FznSyntaxError', "expected ',' or '}', found '2'", 2, 25)),
+    ('var 0..1: x;\nconstraint int_le(x 1);\nsolve satisfy;\n',
+     ('FznSyntaxError', "expected ',' or ')', found '1'", 2, 21)),
+    ('var 0..1: x;\nconstraint int_le x;\nsolve satisfy;\n',
+     ('FznSyntaxError', "expected '(', found 'x'", 2, 19)),
+    ('var 0..1: x;\nsolve satisfy',
+     ('FznSyntaxError', "expected ';', found ''", 2, 14)),
+    ('var 0..1 x;\nsolve satisfy;\n',
+     ('FznSyntaxError', "expected ':', found 'x'", 1, 10)),
+    ('array [1..1 of int: a = [1];\nsolve satisfy;\n',
+     ('FznSyntaxError', "expected ']', found 'of'", 1, 13)),
+    ('var 0..1: 3;\nsolve satisfy;\n',
+     ('FznSyntaxError', "expected variable name, found '3'", 1, 11)),
+    ('\r\n  var 0..1: x;\r\n\t% c\r\n\tconstraint\n  int_eq(x);\nsolve satisfy;\n',
+     ('ArityMismatch', 'int_eq takes 2 arguments, got 1', 5, 3)),
+    ('var 0..1: x;\nconstraint bool_xor(x);\nsolve satisfy;\n',
+     ('ArityMismatch', 'bool_xor takes 2 or 3 arguments, got 1', 2, 12)),
+    ('var 0..1: x;\narray [1..1] of var int: a = [y];\nconstraint array_int_maximum(x, a);\nsolve satisfy;\n',
+     ('UndeclaredIdentifier', "undeclared identifier 'y'", 3, 12)),
+    ('var 0..1: x;\nconstraint int_le(x, [1]);\nsolve satisfy;\n',
+     ('KindMismatch', 'int_le: expected an int variable or literal', 2, 12)),
+    ('var bool: b;\nconstraint bool_not(b, 2);\nsolve satisfy;\n',
+     ('KindMismatch', 'bool_not: literal 2 is not a bool', 2, 12)),
+    ('var 0..5: x;\nconstraint bool_not(x, x);\nsolve satisfy;\n',
+     ('KindMismatch', "bool_not: 'x' is not a bool variable", 2, 12)),
+    ('var bool: b;\nconstraint bool_not(b, [b]);\nsolve satisfy;\n',
+     ('KindMismatch', 'bool_not: expected a bool variable or literal', 2, 12)),
+    ('var 0..1: x;\nconstraint int_lin_le([1], [x], x);\nsolve satisfy;\n',
+     ('KindMismatch', 'int_lin_le: expected an integer constant', 2, 12)),
+    ('var 0..1: x;\nconstraint int_lin_le(3, [x], 1);\nsolve satisfy;\n',
+     ('KindMismatch', 'int_lin_le: expected a constant array', 2, 12)),
+    ('var 0..1: x;\nconstraint int_lin_le([x], [x], 1);\nsolve satisfy;\n',
+     ('KindMismatch', 'int_lin_le: expected an array of constants', 2, 12)),
+    ('var 1..1: i;\nvar bool: b;\nconstraint array_bool_element(i, [2], b);\nsolve satisfy;\n',
+     ('KindMismatch', 'array_bool_element: array value 2 is not a bool', 3, 12)),
+    ('var 0..1: x;\nconstraint array_int_maximum(x, x);\nsolve satisfy;\n',
+     ('KindMismatch', 'array_int_maximum: expected an array of variables', 2, 12)),
+    ('var 0..1: x;\nconstraint set_in(x, 3);\nsolve satisfy;\n',
+     ('KindMismatch', 'set_in: expected a set of integers', 2, 12)),
+    ('var 0..1: x;\nconstraint int_lin_eq([1, 2], [x], 0);\nsolve satisfy;\n',
+     ('ArityMismatch', 'int_lin_eq: coefficient and variable arrays differ in length', 2, 12)),
+    ('var 1..3: x;\nsolve minimize zz;\n',
+     ('UndeclaredIdentifier', "undeclared identifier 'zz'", 0, 0)),
+    ('var 0..5: x;\nvar bool: y = x;\nsolve satisfy;\n',
+     ('KindMismatch', "bool_eq: 'x' is not a bool variable", 2, 11)),
+    ('var 0..1: x;\nvar 0..1: y :: ann(\n',
+     ('FznSyntaxError', 'unterminated annotation', 3, 1)),
+    ('var 0..1: x;\nconstraint int_le(x, 1) :: a :: 3;\nsolve satisfy;\n',
+     ('FznSyntaxError', "expected annotation name, found '3'", 2, 33)),
+    ('var -1..-x: y;\nsolve satisfy;\n',
+     ('FznSyntaxError', "expected integer, found 'x'", 1, 10)),
+    ('var 0..1: x :: z = "s";\nsolve satisfy;\n',
+     ('FznSyntaxError', 'unexpected token \'"s"\'', 1, 20)),
+    ('var 0..1: x;\nconstraint int_le(x, "s");\nsolve satisfy;\n',
+     ('FznSyntaxError', 'unexpected token \'"s"\'', 2, 22)),
+    ('var 0..1: x;\nconstraint int_le(x, 1) :: a );\nsolve satisfy;\n',
+     ('FznSyntaxError', "expected ';', found ')'", 2, 30)),
+    ('array [-1..1] of int: a = [1, 2, 3];\nsolve satisfy;\n',
+     ('FznSyntaxError', 'array index set must start at 1', 1, 7)),
+    ('var 0..1: x;\nconstraint int_le(x, 1) :: a(b(c)) :: d;\nsolve satisfy;\n',
+     'var 0..1: x;\nconstraint int_le(x, 1);\nsolve satisfy;\n'),
+]
+
+
+def _diagnosis(source):
+    """The checked model as FlatZinc text, or the error's identity."""
+    try:
+        return model_to_fzn(check(source))
+    except Fzn2QipError as exc:
+        return (type(exc).__name__, exc.message,
+                getattr(exc, "line", None), getattr(exc, "col", None))
+
+
+@pytest.mark.parametrize("source, expected", DIAGNOSTICS)
+def test_diagnostic_class_message_and_position(source, expected):
+    assert _diagnosis(source) == expected
+
+
+def test_typecheck_rejects_a_non_binary_bool():
+    bad_bool = FzModel(vars={"b": VarDecl("b", "bool", Domain(0, 2))})
+    with pytest.raises(KindMismatch) as exc:
+        typecheck(bad_bool)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (
+        "bool variable 'b' must have domain [0, 1]", 0, 0)
+
+
+# Seeded edits of corpus texts: characters, words, truncation and line
+# swaps.  The digest covers each outcome of parse + typecheck, so any
+# change in an accepted model or in a diagnostic's class, message, line
+# or column shows.
+_EDIT_CHARS = "\n\r\t %\".:;,()[]{}-+09eExé?@"
+_EDIT_WORDS = ["var", "bool", "int", "float", "set", "array", "of", "constraint",
+               "solve", "satisfy", "minimize", "maximize", "true", "false",
+               "v1", "v2", "zz", "::", "..", "1.5", "[1]", "{1, 2}", "2..3",
+               "int_le", "bool_not", "predicate", ";", "=", "(", ")"]
+MUTATION_DIGEST = "f88b37bc38bce56596fb4fd11ce084660403c9524c4e5bf31e7f8901994b4827"
+
+
+def _mutated(rng, text):
+    for _ in range(rng.randint(1, 4)):
+        op = rng.randrange(5)
+        i = rng.randrange(len(text) + 1)
+        if op == 0:
+            text = text[:i] + rng.choice(_EDIT_CHARS) + text[i:]
+        elif op == 1:
+            text = text[:i] + text[i + 1:]
+        elif op == 2:
+            words = text.split(" ")
+            words[rng.randrange(len(words))] = rng.choice(_EDIT_WORDS)
+            text = " ".join(words)
+        elif op == 3:
+            text = text[:i]
+        else:
+            lines = text.split("\n")
+            a, b = rng.randrange(len(lines)), rng.randrange(len(lines))
+            lines[a], lines[b] = lines[b], lines[a]
+            text = "\n".join(lines)
+    return text
+
+
+def test_mutated_corpus_outcomes_are_pinned():
+    rng = random.Random(20240)
+    digest = hashlib.sha256()
+    for _ in range(5000):
+        text = _mutated(rng, rng.choice(CORPUS_TEXTS))
+        digest.update(repr(_diagnosis(text)).encode())
+    assert digest.hexdigest() == MUTATION_DIGEST
