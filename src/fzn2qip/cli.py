@@ -158,8 +158,9 @@ def _cmd_stats(ns) -> int:
 def _cmd_fuzz(ns) -> int:
     for i in range(ns.instances):
         seed = ns.seed + i
+        text = fuzz.generate(ns.builtin, seed)
         print(f"% {ns.builtin} seed {seed}")
-        sys.stdout.write(fuzz.generate(ns.builtin, seed))
+        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -106,6 +106,15 @@ class UnsupportedExponent(Fzn2QipError):
     code = "unsupported-exponent"
 
 
+class UnknownBuiltin(Fzn2QipError):
+    """A builtin name outside the supported set, asked for outside a model."""
+
+    code = "unknown-builtin"
+
+    def __init__(self, name: str):
+        super().__init__(f"no supported builtin is named {name!r}")
+
+
 class SchemaError(Fzn2QipError):
     """Malformed serialized problem text."""
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import UnknownBuiltin
 from .frontend import SIGNATURES
 
 LO, HI = -4, 4
@@ -74,7 +75,12 @@ class _Gen:
 
 
 def generate(builtin: str, seed: int) -> str:
-    """Deterministic FlatZinc model with a single ``builtin`` constraint."""
+    """Deterministic FlatZinc model with a single ``builtin`` constraint.
+
+    Raises UnknownBuiltin for a name outside ``SIGNATURES``.
+    """
+    if builtin not in SIGNATURES:
+        raise UnknownBuiltin(builtin)
     rng = random.Random(f"{builtin}:{seed}")
     gen = _Gen(rng)
     sig = rng.choice(SIGNATURES[builtin])

@@ -22,9 +22,11 @@ product either (``_rw_extremum``).  Every other rewrite takes its
 scalar arguments as linear forms too (``RewriteContext.lin``), so a
 literal stays a constant: a product with a literal factor is linear
 (``RewriteContext.times``), and a literal's one-hot indicators are 0/1
-constants.  Product constraints are only ever emitted with a fresh
-auxiliary result, so operand-before-result acyclicity holds by
-construction.
+constants.  A product row's result is a fresh auxiliary, or, for
+``int_times(a, b, c)`` and ``int_pow(x, 2, z)`` over variables, the
+result variable itself when it is declared after its operands
+(``RewriteContext.times_onto``).  Either way operand-before-result
+acyclicity holds by construction.
 """
 
 from __future__ import annotations
@@ -58,9 +60,11 @@ class RewriteContext:
     literals folded, so no rewrite declares a variable for one.
     """
 
-    def __init__(self, problem: QipProblem, options: RewriteOptions):
+    def __init__(self, problem: QipProblem, options: RewriteOptions,
+                 rank: dict[str, int]):
         self.problem = problem
         self.options = options
+        self.rank = rank  # declaration index of each model variable
         self.source = ""  # provenance of the constraint being rewritten
 
     # -- helpers --------------------------------------------------------
@@ -94,6 +98,19 @@ class RewriteContext:
         (result,), (left,), (right,) = y.terms, a.terms, b.terms
         self.problem.add_product(result, left, right, self.source)
         return y
+
+    def times_onto(self, c: LinExpr, builtin: str, role: str, a: LinExpr,
+                   b: LinExpr) -> None:
+        """``c = a * b``, each a constant or one variable: the product row
+        onto c itself when all three are variables and c is declared
+        after a and b, else c equals the form of ``times``."""
+        if a.terms and b.terms and c.terms:
+            (result,), (left,), (right,) = c.terms, a.terms, b.terms
+            if self.rank[result] > max(self.rank[left], self.rank[right]):
+                bounds.product_bounds(self.dom(a), self.dom(b))  # overflow check
+                self.problem.add_product(result, left, right, self.source)
+                return
+        self.eq0(_combine((1, c), (-1, self.times(builtin, role, a, b))))
 
     def onehot(self, x: LinExpr, values: set[int]) -> dict[int, LinExpr]:
         """Indicator of each value of x: its one-hot bits, or 0/1 constants
@@ -391,7 +408,7 @@ def _rw_extremum(ctx, item):
 
 def _rw_int_times(ctx, item):
     a, b, c = (ctx.lin(x) for x in item.args)
-    ctx.eq0(_combine((1, c), (-1, ctx.times("int_times", "p", a, b))))
+    ctx.times_onto(c, "int_times", "p", a, b)
 
 
 def _rw_int_pow(ctx, item):
@@ -404,6 +421,9 @@ def _rw_int_pow(ctx, item):
         raise UnsupportedExponent(f"negative exponent {n}")
     if n == 0:
         ctx.eq0(_combine((1, z), constant=-1))
+        return
+    if n == 2:
+        ctx.times_onto(z, "int_pow", "e2", x, x)
         return
 
     def power(k: int) -> LinExpr:
@@ -483,7 +503,7 @@ def compile_model(model: FzModel, options: RewriteOptions | None = None) -> QipP
     prob = QipProblem()
     for decl in model.vars.values():
         prob.add_var(QipVar(decl.name, decl.domain))
-    ctx = RewriteContext(prob, options)
+    ctx = RewriteContext(prob, options, {name: i for i, name in enumerate(model.vars)})
     for idx, item in enumerate(model.constraints):
         ctx.source = f"{item.name}#{idx}"
         try:

@@ -157,6 +157,13 @@ def test_fuzz_subcommand_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_fuzz_unknown_builtin_is_one_line_exit_1(capsys):
+    assert run(["fuzz", "bogus"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "unknown-builtin: no supported builtin is named 'bogus'\n"
+
+
 def test_missing_file_exit_1(capsys):
     assert run(["compile", "/nonexistent/x.fzn"]) == 1
     assert capsys.readouterr().err

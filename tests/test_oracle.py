@@ -366,7 +366,10 @@ def test_int_times_chain_of_1000_links_solves():
     cons = [f"constraint int_times(x{i}, x{i}, x{i + 1});" for i in range(links)]
     m = check("\n".join(decls + cons + ["solve satisfy;"]) + "\n")
     assert sys.getrecursionlimit() <= 1000
-    enum = enumerate_qip(compile_model(m))
+    p = compile_model(m)
+    assert len(p.products) == links and not p.equalities
+    assert all(v.is_model for v in p.vars.values())
+    enum = enumerate_qip(p)
     assert enum.free_names == ["x0"]
     assert len(enum.solutions) == 2
 
@@ -553,9 +556,11 @@ def test_enumerate_qip_matches_flat_enumeration(chunk, monkeypatch):
 # ----------------------------------------------------------------------
 # constraints that share variables
 
-# generator pools of (builtin, argument kinds): the comparisons, and the
-# other builtins that are one linear relation or an extremum.  bool_xor
-# is reified among the comparisons and has 2 arguments among the others.
+# generator pools of (builtin, argument kinds): the comparisons, the
+# other builtins that are one linear relation or an extremum, and the
+# products among a few linear builtins.  bool_xor is reified among the
+# comparisons and has 2 arguments among the others.  A kind that is a
+# number is that literal (the exponent of int_pow).
 SHARED_POOLS = {
     "comparisons": [(b, SIGNATURES[b][-1]) for b in [
         "bool_eq", "bool_eq_reif", "bool_le", "bool_le_reif", "bool_lin_le",
@@ -569,6 +574,9 @@ SHARED_POOLS = {
         "bool2int", "bool_clause", "bool_lin_eq", "bool_lt", "bool_not",
         "bool_or", "bool_xor", "int_max", "int_min", "int_plus",
     ]],
+    "products": [(b, SIGNATURES[b][0]) for b in [
+        "int_times", "int_times", "int_times", "int_plus", "int_le", "int_lin_eq",
+    ]] + [("int_pow", ["iv", "2", "iv"])],
 }
 
 
@@ -578,8 +586,12 @@ def _shared_model(pool: str, seed: int) -> str:
     ints, bools = ["x1", "x2", "x3"], ["p1", "p2"]
     lines = []
     for x in ints:
-        lo = rng.randint(-4, 4)
-        lines.append(f"var {lo}..{rng.randint(lo, 4)}: {x};")
+        if pool == "products":  # around 0, where most products can land
+            lo, hi = rng.randint(-4, 0), rng.randint(0, 4)
+        else:
+            lo = rng.randint(-4, 4)
+            hi = rng.randint(lo, 4)
+        lines.append(f"var {lo}..{hi}: {x};")
     lines += [f"var bool: {p};" for p in bools]
 
     def scalar(kind):
@@ -601,6 +613,8 @@ def _shared_model(pool: str, seed: int) -> str:
                 args.append(f"[{', '.join(items)}]")
             elif kind == "ic":
                 args.append(str(rng.randint(-8, 8)))
+            elif kind.isdigit():
+                args.append(kind)
             else:
                 args.append(scalar(kind))
         lines.append(f"constraint {b}({', '.join(args)});")
@@ -633,3 +647,18 @@ def test_shared_comparisons_check_equal():
 
 def test_shared_linear_and_extremum_builtins_check_equal():
     _check_shared("linear")
+
+
+def test_shared_products_check_equal():
+    _check_shared("products")
+    # the argument picks repeat and come in any order, so some products
+    # are written onto their result variable and some keep an auxiliary
+    onto_result = onto_aux = 0
+    for seed in range(300):
+        try:
+            p = compile_model(check(_shared_model("products", seed)))
+        except CompileUnsat:
+            continue
+        onto_result += any(p.vars[x.result].is_model for x in p.products)
+        onto_aux += any(not p.vars[x.result].is_model for x in p.products)
+    assert onto_result > 30 and onto_aux > 30

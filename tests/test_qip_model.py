@@ -171,9 +171,9 @@ def test_deserialize_rejects_invalid_problem(build, message):
 # 0..49 of every builtin, compile-UNSAT instances skipped), each written
 # by the reference encoder as json.dumps(json.loads(text), indent=1) + "\n".
 CORPUS_DIGESTS = {
-    "default": "5522f6ddc8d4924a3c3b20b81650ef538ccba5c9d6073a5eae091cf5bd00620a",
+    "default": "c7b40656a5722517f77f10cd36d2cfdc6d563bed83078ffd4b15304aa9aa8bd2",
     "verbatim_div":
-        "8693c72e604db1c93be55d46b3093895c392a8bb025a8746990351fba5bebbcf",
+        "0f1b92e7c1b018147836d3752d2a32cab0b5060ac0af9e63a6a44276e81e027f",
 }
 CORPUS_OPTIONS = {
     "default": RewriteOptions(),

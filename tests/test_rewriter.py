@@ -10,6 +10,7 @@ import itertools
 
 import pytest
 
+from fzn2qip.cli import run
 from fzn2qip.errors import CompileUnsat, UnsupportedExponent
 from fzn2qip.frontend import SIGNATURES, parse_model, typecheck
 from fzn2qip.fuzz import generate
@@ -412,6 +413,116 @@ def test_int_times_literal_factor_is_linear():
     """)
     assert not p.products
     assert check_equivalence(model, p).describe() == "Equal (7 solutions)"
+
+
+# int_times(a, b, c) over variables is the product row c = a*b when c is
+# declared after a and b; otherwise c equals a fresh product auxiliary.
+
+
+def _rows(p):
+    return ([(x.result, x.left, x.right) for x in p.products], p.equalities,
+            p.inequalities)
+
+
+def test_int_times_direct_path_is_one_product_onto_c():
+    model, p = compile_src("""
+        var -2..2: a;
+        var -3..1: b;
+        var -4..4: c;
+        constraint int_times(a, b, c);
+        solve satisfy;
+    """)
+    assert list(p.vars) == ["a", "b", "c"]
+    assert not [v for v in p.vars if v.startswith("__int_times_")]
+    assert _rows(p) == ([("c", "a", "b")], [], [])
+    assert p.product_sources == ["int_times#0"]
+    assert p.vars["c"].domain == Domain(-4, 4)
+    assert solutions(p, "a", "b", "c") == {
+        (a, b, a * b) for a in range(-2, 3) for b in range(-3, 2) if abs(a * b) <= 4}
+    assert check_equivalence(model, p).equal
+
+
+@pytest.mark.parametrize("decls, args, lhs", [
+    ("var -4..4: c; var -2..2: a; var -2..2: b;", "a, b, c", LinExpr({"c": 1})),
+    ("var -2..2: a; var -2..2: b;", "a, b, a", LinExpr({"a": 1})),
+    ("var -2..2: a; var -2..2: b;", "a, b, 2", LinExpr(constant=2)),
+])
+def test_int_times_keeps_the_auxiliary_otherwise(decls, args, lhs):
+    model, p = compile_src(f"{decls}\nconstraint int_times({args});\nsolve satisfy;\n")
+    aux = "__int_times_1_p"
+    assert list(p.vars)[-1] == aux
+    assert p.equalities == [LinExpr({**lhs.terms, aux: -1}, lhs.constant)]
+    assert _rows(p)[0] == [(aux, "a", "b")]
+    assert p.equality_sources == p.product_sources == ["int_times#0"]
+    assert check_equivalence(model, p).equal
+
+
+def test_int_times_square_takes_the_direct_path():
+    model, p = compile_src("""
+        var -3..3: x;
+        var 0..4: y;
+        constraint int_times(x, x, y);
+        solve satisfy;
+    """)
+    assert _rows(p) == ([("y", "x", "x")], [], [])
+    assert solutions(p, "x", "y") == {(x, x * x) for x in range(-2, 3)}
+    assert check_equivalence(model, p).describe() == "Equal (5 solutions)"
+
+
+def test_two_int_times_onto_one_result_check_equal():
+    model, p = compile_src("""
+        var -2..2: a;
+        var -2..2: b;
+        var 0..3: d;
+        var -4..4: c;
+        constraint int_times(a, b, c);
+        constraint int_times(d, a, c);
+        solve satisfy;
+    """)
+    assert _rows(p) == ([("c", "a", "b"), ("c", "d", "a")], [], [])
+    want = {(a, b, d, a * b) for a in range(-2, 3) for b in range(-2, 3)
+            for d in range(4) if a * b == d * a}
+    assert solutions(p, "a", "b", "d", "c") == want
+    assert check_equivalence(model, p).describe() == f"Equal ({len(want)} solutions)"
+
+
+def test_int_pow_square_takes_the_direct_path():
+    model, p = compile_src("""
+        var -2..2: x;
+        var 0..9: z;
+        constraint int_pow(x, 2, z);
+        solve satisfy;
+    """)
+    assert list(p.vars) == ["x", "z"]
+    assert _rows(p) == ([("z", "x", "x")], [], [])
+    assert p.product_sources == ["int_pow#0"]
+    assert check_equivalence(model, p).describe() == "Equal (5 solutions)"
+
+
+def test_int_pow_cube_keeps_its_auxiliaries():
+    model, p = compile_src("""
+        var -2..2: x;
+        var -9..9: z;
+        constraint int_pow(x, 3, z);
+        solve satisfy;
+    """)
+    assert list(p.vars) == ["x", "z", "__int_pow_1_e2", "__int_pow_1_e3"]
+    assert _rows(p) == (
+        [("__int_pow_1_e2", "x", "x"), ("__int_pow_1_e3", "x", "__int_pow_1_e2")],
+        [LinExpr({"z": 1, "__int_pow_1_e3": -1})], [])
+    assert check_equivalence(model, p).describe() == "Equal (5 solutions)"
+
+
+@pytest.mark.parametrize("order", ["a, b, c", "c, a, b"])
+def test_int_times_overflow_is_one_line_in_both_orders(tmp_path, capsys, order):
+    big = 2**62
+    decls = "".join(f"var {-big}..{big}: {x};\n" for x in order.split(", "))
+    path = tmp_path / "m.fzn"
+    path.write_text(decls + "constraint int_times(a, b, c);\nsolve satisfy;\n")
+    assert run(["compile", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"overflow: integer {big * big} exceeds the supported range\n"
 
 
 def test_int_pow_of_literals_is_one_row():
