@@ -1,11 +1,15 @@
 """Feasibility-mask kernel for exhaustive enumeration.
 
-Given a table of candidate assignments (one row per assignment, one
-column per variable), the kernel marks the rows satisfying every linear
-equality (``coef @ x + const == 0``), every linear inequality
-(``coef @ x + const <= 0``), every product constraint
-(``x[res] == x[left] * x[right]``) and, if given, every column bound
-(``lows <= x <= highs``).
+A table of candidate assignments is variable-major: row ``i`` holds the
+values of variable ``i``, one column per assignment.  ``feasible_mask``
+marks the assignments satisfying every column bound (``lo <= x[i] <=
+hi``), every linear equality (``sum(c * x[i]) + constant == 0``), every
+linear inequality (``... <= 0``) and every product (``x[res] == x[left]
+* x[right]``).  ``linear_form`` sums a form over its nonzero terms only,
+one whole contiguous row per term, adding or subtracting the row for a
+coefficient of +-1, so a check costs time in the variables it reads,
+not in the width of the table.  The bounds and the products are each
+checked once over the rows they gather.
 
 Tables are int64, or object arrays of Python ints when the enumerator
 has found that int64 arithmetic could wrap; the same numpy code serves
@@ -17,26 +21,45 @@ from __future__ import annotations
 import numpy as np
 
 
+def linear_form(values: np.ndarray, terms, constant: int):
+    """``sum(c * values[i] for i, c in terms) + constant`` per column; the
+    constant itself if there are no terms."""
+    acc = constant
+    for i, c in terms:
+        if c == 1:
+            acc = acc + values[i]
+        elif c == -1:
+            acc = acc - values[i]
+        else:
+            acc = acc + c * values[i]
+    return acc
+
+
 def feasible_mask(
     values: np.ndarray,
-    eq_coef: np.ndarray,
-    eq_const: np.ndarray,
-    ineq_coef: np.ndarray,
-    ineq_const: np.ndarray,
-    prod_idx: np.ndarray,
-    lows: np.ndarray | None = None,
-    highs: np.ndarray | None = None,
+    eqs: list[tuple[list[tuple[int, int]], int]],
+    ineqs: list[tuple[list[tuple[int, int]], int]],
+    prods: np.ndarray,
+    bounds: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Boolean mask of feasible rows of ``values``."""
-    mask = np.ones(values.shape[0], dtype=bool)
-    if lows is not None:
-        mask &= np.all((values >= lows) & (values <= highs), axis=1)
-    if eq_coef.shape[0]:
-        mask &= np.all(values @ eq_coef.T + eq_const == 0, axis=1)
-    if ineq_coef.shape[0]:
-        mask &= np.all(values @ ineq_coef.T + ineq_const <= 0, axis=1)
-    if prod_idx.shape[0]:
-        res = values[:, prod_idx[:, 0]]
-        prod = values[:, prod_idx[:, 1]] * values[:, prod_idx[:, 2]]
-        mask &= np.all(res == prod, axis=1)
+    """Boolean mask of the feasible columns of ``values``.
+
+    ``eqs`` and ``ineqs`` hold ``(terms, constant)`` forms with ``terms``
+    a list of ``(row, coefficient)``.  ``prods`` is a ``(k, 3)`` index
+    array of ``(res, left, right)`` rows.  ``bounds``, if given, is
+    ``(rows, lows, highs)``: ``k`` row indices and their ``(k, 1)``
+    domain minima and maxima.
+    """
+    mask = np.ones(values.shape[1], dtype=bool)
+    if bounds is not None:
+        rows, lows, highs = bounds
+        x = values[rows]
+        mask &= np.logical_and.reduce((x >= lows) & (x <= highs))
+    for terms, constant in eqs:
+        mask &= linear_form(values, terms, constant) == 0
+    for terms, constant in ineqs:
+        mask &= linear_form(values, terms, constant) <= 0
+    if len(prods):
+        res, left, right = values[prods.T]
+        mask &= np.logical_and.reduce(res == left * right)
     return mask

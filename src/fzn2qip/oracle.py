@@ -10,10 +10,11 @@ Two independent enumerations are compared:
   (``_COLUMNWISE``; ``eval_builtin`` is the scalar reference it is
   tested against), and
 * the compiled problem, enumerated unit by unit (free variables and
-  categorical one-hot groups) with every computable variable
-  substituted, each constraint checked by the numeric kernel as soon as
-  its columns are known, and solutions projected back onto the source
-  variables.
+  categorical one-hot groups) over variable-major tables (one row per
+  variable, one column per partial assignment) with every computable
+  variable substituted, each constraint checked by the numeric kernel,
+  summed over its nonzero terms only, as soon as its variables are
+  known, and solutions projected back onto the source variables.
 
 Both are fully exhaustive, so agreement of the projected solution sets
 is a proof of equivalence over the given domains.
@@ -35,7 +36,6 @@ from .model import Domain, QipProblem
 DEFAULT_CAP = 2_000_000
 _CHUNK = 1 << 16  # rows per enumeration table
 _CELLS = 1 << 20  # values per enumeration table, for wide problems
-_BLOCK = 1 << 11  # coefficients per dense check block
 _INT64_MAX = 2**63 - 1
 
 
@@ -485,7 +485,7 @@ def _build_substitution(problem: QipProblem, known: set[int]) -> list[_Step]:
 
 @dataclass
 class _Unit:
-    """One enumeration column: a free variable, or a categorical one-hot
+    """One enumeration unit: a free variable, or a categorical one-hot
     group whose choice j sets its j-th bit to 1 and the others to 0."""
 
     name: str
@@ -495,10 +495,11 @@ class _Unit:
     onehot: bool = False
 
     def choices(self, idx: np.ndarray) -> np.ndarray:
-        """Values of ``cols`` for the choice numbers ``idx``, one row each."""
+        """Values of the variables ``cols`` for the choice numbers ``idx``:
+        one row per variable, one column per choice."""
         if self.onehot:
-            return (idx[:, None] == np.arange(self.size)).astype(np.int64)
-        return (idx + self.lo)[:, None]
+            return (np.arange(self.size)[:, None] == idx).astype(np.int64)
+        return (idx + self.lo)[None, :]
 
 
 def _categorical_groups(problem: QipProblem, index: dict[str, int]) -> list[_Unit]:
@@ -528,9 +529,10 @@ def _table_dtype(problem: QipProblem, index: dict[str, int], steps: list[_Step])
     """int64, or object (exact Python ints) if some linear form, step or
     product can leave the int64 range over the domains.
 
-    Rows holding a value outside its domain may compute garbage, but the
-    earliest such value (in step order) is exact and fails its own
-    domain check in the same stage, so those rows are dropped anyway.
+    An assignment holding a value outside its domain may compute garbage,
+    but the earliest such value (in step order) is exact and fails its
+    own domain check in the same stage, so the assignment is dropped
+    anyway.
     """
     mag = [max(abs(v.domain.lo), abs(v.domain.hi)) for v in problem.vars.values()]
 
@@ -545,69 +547,21 @@ def _table_dtype(problem: QipProblem, index: dict[str, int], steps: list[_Step])
     return object if max(worst, default=0) > _INT64_MAX else np.int64
 
 
-def _check_blocks(eqs: list, ineqs: list, prods: list, bounded: list[int],
-                  doms: list[Domain], dtype) -> list[tuple]:
-    """One stage's checks as ``(columns, feasible_mask arguments)`` blocks.
-
-    The domains of the ``bounded`` columns come first, in one block.  The
-    dense matrices of the other blocks span only the columns they read
-    and hold at most about ``_BLOCK`` coefficients, which bounds their
-    memory and lets each block see only the rows the earlier ones kept.
-    """
-    blocks = []
-    if bounded:
-        cols, no_rows = _block([], set(bounded), dtype)
-        lows = np.array([doms[c].lo for c in cols], dtype=dtype)
-        highs = np.array([doms[c].hi for c in cols], dtype=dtype)
-        blocks.append((cols, (*no_rows, lows, highs)))
-    items = ([("eq", e) for e in eqs] + [("ineq", e) for e in ineqs]
-             + [("prod", p) for p in prods])
-    part, cols = [], set()
-    for kind, item in items:
-        item_cols = {i for i, _ in item[0]} if kind != "prod" else set(item)
-        if part and (len(part) + 1) * len(cols | item_cols) > _BLOCK:
-            blocks.append(_block(part, cols, dtype))
-            part, cols = [], set()
-        part.append((kind, item))
-        cols |= item_cols
-    if part:
-        blocks.append(_block(part, cols, dtype))
-    return blocks
-
-
-def _block(part: list, cols: set[int], dtype) -> tuple:
-    """Columns and dense ``feasible_mask`` arguments of the checks in ``part``."""
-    order = sorted(cols)
-    local = {c: j for j, c in enumerate(order)}
-
-    def dense(forms):
-        coef = np.zeros((len(forms), len(order)), dtype=dtype)
-        for r, (terms, _) in enumerate(forms):
-            for i, c in terms:
-                coef[r, local[i]] = c
-        return coef, np.array([k for _, k in forms], dtype=dtype)
-
-    prod_idx = np.array([[local[i] for i in p] for kind, p in part if kind == "prod"],
-                        dtype=np.int64).reshape(-1, 3)
-    return order, (*dense([e for kind, e in part if kind == "eq"]),
-                   *dense([e for kind, e in part if kind == "ineq"]), prod_idx)
-
-
-def _advance(rows: np.ndarray, steps: list[_Step], blocks: list[tuple]) -> np.ndarray:
-    """Compute a stage's steps on ``rows`` and keep the rows passing its checks."""
+def _advance(table: np.ndarray, steps: list[_Step], checks: tuple | None) -> np.ndarray:
+    """Compute a stage's steps on ``table``, one row per variable and one
+    column per partial assignment, and keep the columns passing the
+    stage's ``feasible_mask`` arguments ``checks``, if it has any."""
     for s in steps:
         if s.kind == "product":
-            rows[:, s.target] = rows[:, s.inputs[0]] * rows[:, s.inputs[1]]
+            np.multiply(table[s.inputs[0]], table[s.inputs[1]], out=table[s.target])
         else:
-            acc = rows[:, s.inputs] @ np.array(s.coefs, dtype=rows.dtype)
-            rows[:, s.target] = -s.sign * (acc + s.constant)
-    for cols, args in blocks:
-        mask = kernels.feasible_mask(rows[:, cols], *args)
+            acc = kernels.linear_form(table, zip(s.inputs, s.coefs), s.constant)
+            table[s.target] = -s.sign * acc
+    if checks is not None:
+        mask = kernels.feasible_mask(table, *checks)
         if not mask.all():  # a wide table is costly to copy
-            rows = rows[mask]
-            if not len(rows):
-                break
-    return rows
+            table = table[:, mask]
+    return table
 
 
 @dataclass
@@ -628,15 +582,19 @@ def enumerate_qip(
 
     The units are the variables with no substitution rule and the
     categorical one-hot groups; the cap applies to the product of their
-    sizes.  Units of size 1 are preset in the seed row and the others are
-    added smallest first.  After each unit, every step whose inputs are
-    known is computed, and every constraint, product and domain of a
-    non-free column whose variables are all known is checked, so only
-    surviving rows meet the next unit.  Every constraint and every domain
-    is checked on every row.  Tables hold at most ``_CHUNK`` rows (fewer
-    when rows are wide, so a table has at most ``_CELLS`` values) and are
-    expanded depth first, one table per unit of size >= 2 at a time, so
-    at most log2(cap) tables are alive.
+    sizes.  A table is variable-major: row ``i`` holds variable ``i``'s
+    values, one column per partial assignment, so a step or a check
+    reads and writes whole contiguous rows.  Units of size 1 are preset
+    in the seed column and the others are added smallest first, each
+    expanding a table's columns.  After each unit, every step whose
+    inputs are known is computed, and one ``kernels.feasible_mask`` call
+    checks every constraint, product and domain of a non-free variable
+    whose variables are all known, so only surviving assignments meet
+    the next unit.  Every constraint and every domain is checked on
+    every assignment.  Tables hold at most ``_CHUNK`` assignments (fewer
+    when there are many variables, so a table has at most ``_CELLS``
+    values) and are expanded depth first, one table per unit of size >= 2
+    at a time, so at most log2(cap) tables are alive.
     """
     names = list(problem.vars)
     index = {name: i for i, name in enumerate(names)}
@@ -645,7 +603,7 @@ def enumerate_qip(
     grouped = {c for u in units for c in u.cols}
     singletons = {i for i, d in enumerate(doms) if d.lo == d.hi}
     steps = _build_substitution(problem, grouped | singletons)
-    computed = grouped | {s.target for s in steps}  # the non-free columns
+    computed = grouped | {s.target for s in steps}  # the non-free variables
     units += [_Unit(names[i], [i], _size(doms[i]), doms[i].lo)
               for i in range(len(names)) if i not in computed]
     units.sort(key=lambda u: min(u.cols))
@@ -655,7 +613,7 @@ def enumerate_qip(
         largest = sorted(units, key=lambda u: -u.size)[:3]
         raise CapExceeded(size, cap, [(u.name, u.size) for u in largest])
 
-    # stage 0 fills the seed row; stage k adds the k-th enumerated unit
+    # stage 0 fills the seed column; stage k adds the k-th enumerated unit
     order = sorted((u for u in units if u.size > 1), key=lambda u: u.size)
     stage = [0] * len(names)
     for k, u in enumerate(order, start=1):
@@ -669,7 +627,7 @@ def enumerate_qip(
     eqs: list[list] = [[] for _ in range(n_stages)]
     ineqs: list[list] = [[] for _ in range(n_stages)]
     prods: list[list] = [[] for _ in range(n_stages)]
-    bounded: list[list[int]] = [[] for _ in range(n_stages)]  # non-free columns
+    bounded: list[list[int]] = [[] for _ in range(n_stages)]  # non-free variables
     for exprs, out in ((problem.equalities, eqs), (problem.inequalities, ineqs)):
         for e in exprs:
             terms = [(index[n], c) for n, c in e.terms.items()]
@@ -680,14 +638,21 @@ def enumerate_qip(
     for c in sorted(computed):
         bounded[stage[c]].append(c)
     dtype = _table_dtype(problem, index, steps)
-    stages = [(stage_steps[k],
-               _check_blocks(eqs[k], ineqs[k], prods[k], bounded[k], doms, dtype))
-              for k in range(n_stages)]
+
+    def checks(k: int) -> tuple | None:
+        """Stage ``k``'s ``feasible_mask`` arguments; None if it has no check."""
+        if not (eqs[k] or ineqs[k] or prods[k] or bounded[k]):
+            return None
+        bounds = None
+        if bounded[k]:
+            lims = np.array([(doms[c].lo, doms[c].hi) for c in bounded[k]], dtype=dtype)
+            bounds = (np.array(bounded[k]), lims[:, :1], lims[:, 1:])
+        return eqs[k], ineqs[k], np.array(prods[k], dtype=np.int64).reshape(-1, 3), bounds
+
+    stages = [(stage_steps[k], checks(k)) for k in range(n_stages)]
 
     model_cols = [i for i, n in enumerate(names) if problem.vars[n].is_model]
-    obj_vec = np.zeros(len(names), dtype=dtype)
-    for n, c in problem.objective.terms.items():
-        obj_vec[index[n]] = c
+    obj_terms = [(index[n], c) for n, c in problem.objective.terms.items()]
     has_obj = bool(problem.objective.terms) or problem.objective_sense == "min"
     result = QipEnumeration(
         names=names,
@@ -699,38 +664,38 @@ def enumerate_qip(
     )
 
     def collect(feas: np.ndarray) -> None:
-        result.solutions.update(map(tuple, feas[:, model_cols].tolist()))
+        result.solutions.update(map(tuple, feas[model_cols].T.tolist()))
         if keep_full:
-            result.full_solutions.update(map(tuple, feas.tolist()))
+            result.full_solutions.update(map(tuple, feas.T.tolist()))
         if has_obj:
-            objs = feas @ obj_vec + problem.objective.constant
-            best = int(objs.min())
+            objs = kernels.linear_form(feas, obj_terms, problem.objective.constant)
+            best = int(np.min(objs))
             if result.best_value is None or best < result.best_value:
                 result.best_value = best
 
-    seed = np.zeros((1, len(names)), dtype=dtype)
+    seed = np.zeros((len(names), 1), dtype=dtype)
     for u in units:
         if u.size == 1:
-            seed[:, u.cols] = u.choices(np.zeros(1, dtype=np.int64))
+            seed[u.cols] = u.choices(np.zeros(1, dtype=np.int64))
     chunk = max(1, min(_CHUNK, _CELLS // max(1, len(names))))
     # depth-first: (next unit, table, first flat index of table x unit not done)
     stack = [(0, _advance(seed, *stages[0]), 0)]
     while stack:
         k, table, start = stack.pop()
         if k == len(order):
-            if len(table):
+            if table.shape[1]:
                 collect(table)
             continue
         unit = order[k]
-        total = len(table) * unit.size
+        total = table.shape[1] * unit.size
         stop = min(start + chunk, total)
         if stop < total:
             stack.append((k, table, stop))
         idx = np.arange(start, stop, dtype=np.int64)
-        rows = table[idx // unit.size]
-        rows[:, unit.cols] = unit.choices(idx % unit.size)
+        rows = table[:, idx // unit.size]
+        rows[unit.cols] = unit.choices(idx % unit.size)
         rows = _advance(rows, *stages[k + 1])
-        if len(rows):
+        if rows.shape[1]:
             stack.append((k + 1, rows, 0))
     return result
 
@@ -768,7 +733,9 @@ def check_equivalence(
     qe = enumerate_qip(problem, cap)
     # align the projections on the source variable order
     order = [qe.model_names.index(n) for n in fzn_names]
-    qip_sols = {tuple(t[i] for i in order) for t in qe.solutions}
+    qip_sols = qe.solutions
+    if order != list(range(len(qe.model_names))):
+        qip_sols = {tuple(t[i] for i in order) for t in qe.solutions}
     if fzn_sols == qip_sols:
         return EquivalenceResult(True, len(fzn_sols), len(qip_sols))
     only_fzn = fzn_sols - qip_sols

@@ -278,6 +278,28 @@ def test_check_equivalence_equal_and_counterexample():
     assert "Counterexample" in res.describe()
 
 
+def test_check_equivalence_aligns_permuted_model_variables():
+    m = check("""
+        var 0..1: x;
+        var 0..3: y;
+        constraint int_eq(y, 3);
+        solve satisfy;
+    """)
+
+    def permuted(constraint: LinExpr, equality: bool) -> QipProblem:
+        p = QipProblem()  # the model variables in the other order
+        p.add_var(QipVar("y", Domain(0, 3)))
+        p.add_var(QipVar("x", Domain(0, 1)))
+        (p.add_equality if equality else p.add_inequality)(constraint)
+        return p
+
+    res = check_equivalence(m, permuted(LinExpr({"y": 1}, -3), True))
+    assert res.describe() == "Equal (2 solutions)"
+    # y >= 2 admits y = 2, which the source model does not
+    res = check_equivalence(m, permuted(LinExpr({"y": -1}, 2), False))
+    assert (res.direction, res.witness) == ("qip-only", {"x": 0, "y": 2})
+
+
 def test_solve_optimum_reference():
     m = check("""
         var 2..4: x;
@@ -307,10 +329,16 @@ def test_solve_optimum_unsat_agreement():
     assert res.agrees
 
 
+def _sparse(coef, const) -> list:
+    """Dense coefficient rows as ``feasible_mask`` forms."""
+    return [([(i, c) for i, c in enumerate(co) if c], k)
+            for co, k in zip(coef.tolist(), const.tolist())]
+
+
 def test_feasible_mask_matches_row_reference():
     rng = np.random.default_rng(7)
-    values = rng.integers(-2, 3, size=(2000, 6)).astype(np.int64)
-    values[::3, 5] = values[::3, 0] * values[::3, 1]  # some products hold
+    rows = rng.integers(-2, 3, size=(2000, 6)).astype(np.int64)
+    rows[::3, 5] = rows[::3, 0] * rows[::3, 1]  # some products hold
     eq_coef = np.array([[1, -1, 0, 0, 0, 0]], dtype=np.int64)
     eq_const = np.array([1], dtype=np.int64)
     ineq_coef = rng.integers(-3, 4, size=(3, 6)).astype(np.int64)
@@ -318,7 +346,8 @@ def test_feasible_mask_matches_row_reference():
     prod_idx = np.array([[5, 0, 1], [4, 2, 3]], dtype=np.int64)
     lows = np.array([-2, -1, -2, -2, 0, -2], dtype=np.int64)
     highs = np.array([2, 2, 1, 2, 2, 2], dtype=np.int64)
-    rows = values.tolist()
+    table = rows.T  # variable-major: one row per variable
+    rows = rows.tolist()
 
     def lin_ok(row, coef, const, holds):
         return all(holds(sum(int(c) * x for c, x in zip(co, row)) + int(k))
@@ -327,33 +356,53 @@ def test_feasible_mask_matches_row_reference():
     def prod_ok(row, idx):
         return all(row[r] == row[a] * row[b] for r, a, b in idx.tolist())
 
-    none2, none1, none_prod = eq_coef[:0], eq_const[:0], prod_idx[:0]
+    eqs, ineqs = _sparse(eq_coef, eq_const), _sparse(ineq_coef, ineq_const)
+    bounds = (np.arange(6), lows[:, None], highs[:, None])
+    none = prod_idx[:0]
+    true, false = ([], 0), ([], 1)  # forms with a constant only
     blocks = [
-        ((eq_coef, eq_const, none2, none1, none_prod),
+        ((eqs, [], none), lambda r: lin_ok(r, eq_coef, eq_const, lambda v: v == 0)),
+        ((eqs + [true], [([], -1)], none),
          lambda r: lin_ok(r, eq_coef, eq_const, lambda v: v == 0)),
-        ((none2, none1, ineq_coef, ineq_const, none_prod),
+        (([], ineqs, none),
          lambda r: lin_ok(r, ineq_coef, ineq_const, lambda v: v <= 0)),
-        ((none2, none1, none2, none1, prod_idx), lambda r: prod_ok(r, prod_idx)),
-        ((none2, none1, none2, none1, none_prod, lows, highs),
+        (([], [], prod_idx), lambda r: prod_ok(r, prod_idx)),
+        (([], [], none, bounds),
          lambda r: all(lo <= x <= hi for lo, x, hi in zip(lows, r, highs))),
-        ((eq_coef, eq_const, ineq_coef, ineq_const, prod_idx),
+        ((eqs, ineqs, prod_idx),
          lambda r: (lin_ok(r, eq_coef, eq_const, lambda v: v == 0)
                     and lin_ok(r, ineq_coef, ineq_const, lambda v: v <= 0)
                     and prod_ok(r, prod_idx))),
     ]
-    for args, reference in blocks:
-        want = [reference(r) for r in rows]
-        assert feasible_mask(values, *args).tolist() == want
-        assert any(want) and not all(want)
+    for dtype in (np.int64, object):  # object: the exact Python-int tables
+        values = table.astype(dtype)
+        for args, reference in blocks:
+            want = [reference(r) for r in rows]
+            assert feasible_mask(values, *args).tolist() == want
+            assert any(want) and not all(want)
+        for args in (([false], [], none), ([], [([], 1)], none),
+                     (eqs + [false], ineqs, prod_idx)):
+            assert not feasible_mask(values, *args).any()
+
+
+def test_feasible_mask_object_table_is_exact():
+    big = 2**62
+    values = np.array([[big, big - 1], [big, big], [2**32, 2**31], [0, 2**62]],
+                      dtype=object)
+    none = np.zeros((0, 3), dtype=np.int64)
+    # 2*2^62 + 2*2^62 and 2^32 * 2^32 wrap to 0 in int64
+    assert feasible_mask(values, [([(0, 2), (1, 2)], 0)], [], none).tolist() == [
+        False, False]
+    assert feasible_mask(values, [([(0, 2), (1, -2)], 0)], [], none).tolist() == [
+        True, False]
+    assert feasible_mask(values, [], [], np.array([[3, 2, 2]])).tolist() == [
+        False, True]
 
 
 def test_kernel_handles_empty_constraint_blocks():
-    values = np.arange(12, dtype=np.int64).reshape(4, 3)
-    empty2 = np.zeros((0, 3), dtype=np.int64)
-    empty1 = np.zeros(0, dtype=np.int64)
-    empty_prod = np.zeros((0, 3), dtype=np.int64)
-    mask = feasible_mask(values, empty2, empty1, empty2, empty1, empty_prod)
-    assert mask.all()
+    values = np.arange(12, dtype=np.int64).reshape(3, 4)
+    mask = feasible_mask(values, [], [], np.zeros((0, 3), dtype=np.int64))
+    assert mask.tolist() == [True] * 4
 
 
 # ----------------------------------------------------------------------
@@ -534,10 +583,15 @@ def _flat_enumerate(p: QipProblem):
     return solutions, full, best
 
 
-@pytest.mark.parametrize("chunk", [None, 3])
-def test_enumerate_qip_matches_flat_enumeration(chunk, monkeypatch):
+@pytest.mark.parametrize("chunk, exact", [
+    pytest.param(None, False, id="None"), pytest.param(3, False, id="3"),
+    pytest.param(None, True, id="None-exact"), pytest.param(3, True, id="3-exact"),
+])
+def test_enumerate_qip_matches_flat_enumeration(chunk, exact, monkeypatch):
     if chunk is not None:  # split every table into many small ones
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    if exact:  # the Python-int tables that a wrapping bound selects
+        monkeypatch.setattr(oracle, "_table_dtype", lambda *args: object)
     rng = random.Random(2024)
     compared = with_solutions = 0
     while compared < 60:
