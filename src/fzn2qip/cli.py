@@ -112,16 +112,7 @@ def _cmd_check(ns) -> int:
     try:
         problem = _shipped(model, ns)
     except CompileUnsat:
-        # compile proved infeasibility; compare against direct semantics
-        names, sols = oracle.enumerate_fzn(model, ns.cap)
-        if not sols:
-            print("Equal (0 solutions)")
-            return EXIT_OK
-        witness = dict(zip(names, min(sols)))
-        w = " ".join(f"{k}={v}" for k, v in sorted(witness.items()))
-        print(f"Counterexample (source model only): {w} "
-              f"[{len(sols)} vs 0 solutions]")
-        return EXIT_COUNTEREXAMPLE
+        problem = None  # compilation proved the model has no solution
     result = oracle.check_equivalence(model, problem, ns.cap)
     print(result.describe())
     return EXIT_OK if result.equal else EXIT_COUNTEREXAMPLE
@@ -134,11 +125,7 @@ def _cmd_solve(ns) -> int:
     if model.solve.kind == "satisfy":
         print("SAT" if enum.solutions else "UNSAT")
         return EXIT_OK
-    if enum.best_value is None:
-        print("UNSAT")
-        return EXIT_OK
-    value = -enum.best_value if problem.objective_negated else enum.best_value
-    print(value)
+    print("UNSAT" if enum.best_value is None else enum.best_value)
     return EXIT_OK
 
 

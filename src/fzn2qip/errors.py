@@ -78,6 +78,12 @@ class EmptyDomain(Fzn2QipError):
     code = "empty-domain"
 
 
+class EmptyDeclaredDomain(Diagnostic, EmptyDomain):
+    """A variable declared with an empty range ``lo..hi``."""
+
+    code = "empty-domain"
+
+
 class CompileUnsat(Fzn2QipError):
     """Compilation proved the model unsatisfiable (empty restricted domain)."""
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .errors import (
     ArityMismatch,
-    EmptyDomain,
+    EmptyDeclaredDomain,
     FznSyntaxError,
     KindMismatch,
     UndeclaredIdentifier,
@@ -73,6 +73,7 @@ class ConstraintItem:
 class SolveItem:
     kind: str  # "satisfy" | "minimize" | "maximize"
     var: str | None = None
+    tok: int = field(default=0, compare=False)  # index of the objective token
 
 
 @dataclass
@@ -413,7 +414,8 @@ class _Parser:
         i = self.want(i, ";")
         name = self.declared(model, at)
         if lo > hi:
-            raise EmptyDomain(name)
+            raise self.error(EmptyDeclaredDomain, at,
+                             f"variable '{name}' has the empty domain {lo}..{hi}")
         model.vars[name] = VarDecl(name, kind, Domain(lo, hi), "var_is_introduced" in anns)
         if assigned is not None:
             builtin = "bool_eq" if kind == "bool" else "int_eq"
@@ -478,7 +480,7 @@ class _Parser:
             model.solve = SolveItem("satisfy")
             return self.want(i + 1, ";")
         if kind == "minimize" or kind == "maximize":
-            model.solve = SolveItem(kind, self.name(i + 1, "objective variable"))
+            model.solve = SolveItem(kind, self.name(i + 1, "objective variable"), i + 1)
             return self.want(i + 2, ";")
         raise self.error(FznSyntaxError, i, f"expected solve kind, found {kind!r}")
 
@@ -498,8 +500,8 @@ def parse_model(source: str) -> FzModel:
 # type checking
 
 
-def _located(cls, model: FzModel, item: ConstraintItem, *args):
-    """``cls(*args)`` at the predicate name of ``item``."""
+def _located(cls, model: FzModel, item: ConstraintItem | SolveItem, *args):
+    """``cls(*args)`` at token ``item.tok``: a predicate or objective name."""
     return cls(*args, *_position(model.source, item.tok))
 
 
@@ -599,9 +601,12 @@ def typecheck(model: FzModel) -> FzModel:
                     f"{item.name}: coefficient and variable arrays differ in length",
                 )
         checked.constraints.append(ConstraintItem(item.name, args, item.tok))
-    if model.solve.var is not None:
-        if model.solve.var not in model.vars:
-            raise UndeclaredIdentifier(model.solve.var)
+    solve = model.solve
+    if solve.var is not None and solve.var not in model.vars:
+        if solve.var in model.params or solve.var in model.arrays:
+            raise _located(KindMismatch, model, solve,
+                           f"{solve.kind}: '{solve.var}' is not a variable")
+        raise _located(UndeclaredIdentifier, model, solve, solve.var)
     return checked
 
 

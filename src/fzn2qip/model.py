@@ -459,7 +459,9 @@ def deserialize(text: str) -> QipProblem:
         try:
             expr = LinExpr(constant=int(e["constant"]))
             for t in e["terms"]:
-                expr.add_term(str(t["var"]), int(t["coef"]))
+                # summed as written, so that validate sees a zero coefficient
+                var = str(t["var"])
+                expr.terms[var] = checked_int(expr.terms.get(var, 0) + int(t["coef"]))
             return expr
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed {where}: {exc}") from exc

@@ -571,7 +571,7 @@ class QipEnumeration:
     solutions: set  # tuples over model_names
     free_names: list[str]  # enumeration units; a categorical group is "onehot:<int_var>"
     space_size: int
-    best_value: int | None = None  # minimal internal objective value
+    best_value: int | None = None  # optimal objective value, in the source's sense
     full_solutions: set | None = None  # tuples over names, if requested
 
 
@@ -697,6 +697,8 @@ def enumerate_qip(
         rows = _advance(rows, *stages[k + 1])
         if rows.shape[1]:
             stack.append((k + 1, rows, 0))
+    if problem.objective_negated and result.best_value is not None:
+        result.best_value = -result.best_value  # a maximum, minimized negated
     return result
 
 
@@ -726,30 +728,29 @@ class EquivalenceResult:
 
 
 def check_equivalence(
-    model: FzModel, problem: QipProblem, cap: int = DEFAULT_CAP
+    model: FzModel, problem: QipProblem | None, cap: int = DEFAULT_CAP
 ) -> EquivalenceResult:
-    """Compare the full solution sets of a model and its compilation."""
+    """Compare the full solution sets of a model and its compilation.
+
+    ``problem`` None means that compilation proved the model
+    unsatisfiable: the compiled side has no solution.
+    """
     fzn_names, fzn_sols = enumerate_fzn(model, cap)
-    qe = enumerate_qip(problem, cap)
-    # align the projections on the source variable order
-    order = [qe.model_names.index(n) for n in fzn_names]
-    qip_sols = qe.solutions
-    if order != list(range(len(qe.model_names))):
-        qip_sols = {tuple(t[i] for i in order) for t in qe.solutions}
-    if fzn_sols == qip_sols:
-        return EquivalenceResult(True, len(fzn_sols), len(qip_sols))
-    only_fzn = fzn_sols - qip_sols
-    if only_fzn:
-        combo = min(only_fzn)
-        return EquivalenceResult(
-            False, len(fzn_sols), len(qip_sols), "fzn-only",
-            dict(zip(fzn_names, combo)),
-        )
-    combo = min(qip_sols - fzn_sols)
-    return EquivalenceResult(
-        False, len(fzn_sols), len(qip_sols), "qip-only",
-        dict(zip(fzn_names, combo)),
-    )
+    qip_sols = set()
+    if problem is not None:
+        qe = enumerate_qip(problem, cap)
+        # align the projections on the source variable order
+        order = [qe.model_names.index(n) for n in fzn_names]
+        qip_sols = qe.solutions
+        if order != list(range(len(qe.model_names))):
+            qip_sols = {tuple(t[i] for i in order) for t in qe.solutions}
+    counts = len(fzn_sols), len(qip_sols)
+    for direction, only in (("fzn-only", fzn_sols - qip_sols),
+                            ("qip-only", qip_sols - fzn_sols)):
+        if only:
+            witness = dict(zip(fzn_names, min(only)))
+            return EquivalenceResult(False, *counts, direction, witness)
+    return EquivalenceResult(True, *counts)
 
 
 @dataclass
@@ -774,8 +775,6 @@ def solve_optimum(
     fzn_value = pick(t[obj_i] for t in fzn_sols) if fzn_sols else None
     fzn_status = "optimal" if fzn_sols else "unsat"
 
-    qe = enumerate_qip(problem, cap)
-    if qe.best_value is None:
-        return OptimumResult(fzn_status, fzn_value, "unsat", None)
-    value = -qe.best_value if problem.objective_negated else qe.best_value
-    return OptimumResult(fzn_status, fzn_value, "optimal", value)
+    qip_value = enumerate_qip(problem, cap).best_value
+    qip_status = "unsat" if qip_value is None else "optimal"
+    return OptimumResult(fzn_status, fzn_value, qip_status, qip_value)

@@ -18,7 +18,9 @@ integer-tightened (``s < 0`` becomes ``s + 1 <= 0``).  ``=`` and ``<=``
 are one row each; ``!=`` and the reified forms take the bounds of s as
 big-M constants and add at most one binary auxiliary and no product.
 The extremum builtins are big-M rows with selector binaries and no
-product either (``_rw_extremum``).  Every other rewrite takes its
+product either (``_rw_extremum``).  The four element builtins are one
+rewrite (``_rw_element``), and ``bool_and(a, b, r)`` is
+``array_bool_and([a, b], r)``.  Every other rewrite takes its
 scalar arguments as linear forms too (``RewriteContext.lin``), so a
 literal stays a constant: a product with a literal factor is linear
 (``RewriteContext.times``), and a literal's one-hot indicators are 0/1
@@ -216,38 +218,24 @@ def _emit_div(ctx: RewriteContext, builtin: str, n: LinExpr, d: LinExpr,
 # per-builtin rewrites
 
 
-def _rw_element_const(ctx, item):
-    i, c = ctx.lin(item.args[0]), ctx.lin(item.args[2])
-    values = [lit.value for lit in item.args[1].items]
-    if not values:
-        raise EmptyDomain("element over an empty array")
-    i_dom, c_dom = bounds.element_domain_restrict(
-        ctx.dom(i), [Domain(v, v) for v in values]
-    )
-    ctx.restrict(i, i_dom)
-    ctx.restrict(c, c_dom)
-    reachable = values[i_dom.lo - 1 : i_dom.hi]
-    if item.name == "array_bool_element":
-        if all(v == 1 for v in reachable):
-            ctx.eq0(_combine((1, c), constant=-1))
-            return
-        if all(v == 0 for v in reachable):
-            ctx.eq0(c)
-            return
-    bits = ctx.onehot(i, set(i_dom.values()))
-    ctx.eq0(_combine((-1, c), *((values[j - 1], bit) for j, bit in bits.items())))
+def _rw_element(ctx, item):
+    """``c = xs[i]``: ``c = sum(x_j * [i = j])`` over the reachable j.
 
-
-def _rw_element_var(ctx, item):
+    A literal entry folds into the row (``RewriteContext.times``).  When
+    every reachable entry is the same form x, the row is ``c - x = 0``
+    and i needs no one-hot group.
+    """
     i, c = ctx.lin(item.args[0]), ctx.lin(item.args[2])
     elems = [ctx.lin(a) for a in item.args[1].items]
-    if not elems:
-        raise EmptyDomain("element over an empty array")
     i_dom, c_dom = bounds.element_domain_restrict(
         ctx.dom(i), [ctx.dom(e) for e in elems]
     )
     ctx.restrict(i, i_dom)
     ctx.restrict(c, c_dom)
+    reachable = elems[i_dom.lo - 1 : i_dom.hi]
+    if all(e == reachable[0] for e in reachable):
+        ctx.eq0(_combine((1, c), (-1, reachable[0])))
+        return
     bits = ctx.onehot(i, set(i_dom.values()))
     zs = [ctx.times(item.name, f"z{j}", elems[j - 1], bits[j]) for j in i_dom.values()]
     ctx.eq0(_combine((-1, c), *((1, z) for z in zs)))
@@ -438,22 +426,15 @@ def _rw_int_pow(ctx, item):
 
 
 def _rw_array_bool_and(ctx, item):
-    elems = [ctx.lin(a) for a in item.args[0].items]
-    r = ctx.lin(item.args[1])
-    if not elems:
-        ctx.eq0(_combine((1, r), constant=-1))  # empty conjunction is true
-        return
+    """``r = and(xs)``: ``r - x <= 0`` for each x, and
+    ``sum(xs) - r <= n - 1``; for no x, that row alone gives r = 1.
+    ``bool_and(a, b, r)`` is ``array_bool_and([a, b], r)``."""
+    xs = item.args[0].items if item.name == "array_bool_and" else item.args[:2]
+    elems, r = [ctx.lin(a) for a in xs], ctx.lin(item.args[-1])
     for e in elems:
         ctx.le0(_combine((1, r), (-1, e)))
     if not ctx.options.corrupt_bool_and:
         ctx.le0(_combine((-1, r), *((1, e) for e in elems), constant=1 - len(elems)))
-
-
-def _rw_bool_and(ctx, item):
-    a, b, r = (ctx.lin(x) for x in item.args)
-    ctx.le0(_combine((1, r), (-1, a)))
-    ctx.le0(_combine((1, r), (-1, b)))
-    ctx.le0(_combine((1, a), (1, b), (-1, r), constant=-1))
 
 
 def _rw_set_in(ctx, item):
@@ -475,13 +456,13 @@ def _rw_set_in_reif(ctx, item):
 
 _DISPATCH = {name: _rw_relation for name in _FORMS} | {
     "array_bool_and": _rw_array_bool_and,
-    "array_bool_element": _rw_element_const,
-    "array_int_element": _rw_element_const,
+    "array_bool_element": _rw_element,
+    "array_int_element": _rw_element,
     "array_int_maximum": _rw_extremum,
     "array_int_minimum": _rw_extremum,
-    "array_var_bool_element": _rw_element_var,
-    "array_var_int_element": _rw_element_var,
-    "bool_and": _rw_bool_and,
+    "array_var_bool_element": _rw_element,
+    "array_var_int_element": _rw_element,
+    "bool_and": _rw_array_bool_and,
     "int_abs": _rw_abs,
     "int_div": _rw_div,
     "int_max": _rw_extremum,

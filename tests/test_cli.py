@@ -273,6 +273,74 @@ def test_integer_literal_past_int64_is_an_overflow(tmp_path, capsys):
     assert err == f"overflow: integer {big} exceeds the supported range\n"
 
 
+
+def test_int_pow_variable_exponent_is_one_line_exit_1(tmp_path, capsys):
+    src = write(tmp_path, "m.fzn", """\
+var 0..2: x;
+var 1..2: y;
+var 0..4: z;
+constraint int_pow(x, y, z);
+solve satisfy;
+""")
+    assert run(["check", src]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "unsupported-exponent: exponent must be a fixed value\n"
+
+
+def test_check_empty_array_bool_and_is_true(tmp_path, capsys):
+    src = write(tmp_path, "m.fzn", """\
+var bool: r;
+constraint array_bool_and([], r);
+solve satisfy;
+""")
+    assert run(["check", src]) == 0
+    assert capsys.readouterr().out == "Equal (1 solutions)\n"
+    assert run(["check", src, "--corrupt-bool-and"]) == 2
+    assert capsys.readouterr().out == (
+        "Counterexample (compiled problem only): r=0 [1 vs 2 solutions]\n")
+
+
+def test_corrupt_bool_and_also_drops_the_bool_and_row(tmp_path, capsys):
+    src = write(tmp_path, "m.fzn", """\
+var bool: a;
+var bool: b;
+var bool: r;
+constraint bool_and(a, b, r);
+solve satisfy;
+""")
+    assert run(["check", src]) == 0
+    assert capsys.readouterr().out == "Equal (4 solutions)\n"
+    assert run(["check", src, "--corrupt-bool-and"]) == 2
+    assert capsys.readouterr().out == (
+        "Counterexample (compiled problem only): a=1 b=1 r=0 [4 vs 5 solutions]\n")
+
+
+def test_check_empty_element_array_is_equal(tmp_path, capsys):
+    src = write(tmp_path, "m.fzn", """\
+var 1..3: i;
+var 0..3: c;
+constraint array_int_element(i, [], c);
+solve satisfy;
+""")
+    assert run(["check", src]) == 0
+    assert capsys.readouterr().out == "Equal (0 solutions)\n"
+
+
+def test_element_with_one_reachable_value_has_no_onehot_group(tmp_path, capsys):
+    src = write(tmp_path, "m.fzn", """\
+var 1..2: i;
+var 0..5: c;
+constraint array_int_element(i, [3, 3], c);
+solve satisfy;
+""")
+    assert run(["stats", src]) == 0
+    assert capsys.readouterr().out == (
+        "variables: 2 (2 model, 0 auxiliary)\nequalities: 1\ninequalities: 0\n"
+        "products: 0\nonehot-groups: 0\n")
+    assert run(["check", src]) == 0
+    assert capsys.readouterr().out == "Equal (2 solutions)\n"
+
 # No digit is ever added: a set literal lo..hi is materialized, so a
 # generated range must not grow.
 _EDIT_CHARS = "\n\r\t %\".:;,()[]{}-+eExé?@\x00\u2028"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fzn2qip.errors import (
     ArityMismatch,
+    Diagnostic,
     EmptyDomain,
     Fzn2QipError,
     FznSyntaxError,
@@ -351,7 +352,7 @@ DIAGNOSTICS = [
     ('var 1.5..2: x;\nsolve satisfy;\n',
      ('UnsupportedItem', 'unsupported: float', 1, 5)),
     ('var 5..2: x;\nsolve satisfy;\n',
-     ('EmptyDomain', 'x', None, None)),
+     ('EmptyDeclaredDomain', "variable 'x' has the empty domain 5..2", 1, 11)),
     ('array [0..1] of int: a = [1, 2];\nsolve satisfy;\n',
      ('FznSyntaxError', 'array index set must start at 1', 1, 7)),
     ('array [1..1] of float: a = [1.0];\nsolve satisfy;\n',
@@ -419,7 +420,7 @@ DIAGNOSTICS = [
     ('var 0..1: x;\nconstraint int_lin_eq([1, 2], [x], 0);\nsolve satisfy;\n',
      ('ArityMismatch', 'int_lin_eq: coefficient and variable arrays differ in length', 2, 12)),
     ('var 1..3: x;\nsolve minimize zz;\n',
-     ('UndeclaredIdentifier', "undeclared identifier 'zz'", 0, 0)),
+     ('UndeclaredIdentifier', "undeclared identifier 'zz'", 2, 16)),
     ('var 0..5: x;\nvar bool: y = x;\nsolve satisfy;\n',
      ('KindMismatch', "bool_eq: 'x' is not a bool variable", 2, 11)),
     ('var 0..1: x;\nvar 0..1: y :: ann(\n',
@@ -438,6 +439,16 @@ DIAGNOSTICS = [
      ('FznSyntaxError', 'array index set must start at 1', 1, 7)),
     ('var 0..1: x;\nconstraint int_le(x, 1) :: a(b(c)) :: d;\nsolve satisfy;\n',
      'var 0..1: x;\nconstraint int_le(x, 1);\nsolve satisfy;\n'),
+    ('var 1..3: x;\nint: p = 2;\nsolve minimize p;\n',
+     ('KindMismatch', "minimize: 'p' is not a variable", 3, 16)),
+    ('var 1..3: x;\narray [1..1] of var 1..3: a = [x];\nsolve maximize a;\n',
+     ('KindMismatch', "maximize: 'a' is not a variable", 3, 16)),
+    ('var 0..3: x;\nvar 0..3: y;\narray [1..2] of var 0..3: a = [x, y];\n'
+     'constraint array_int_maximum(y, a);\nsolve maximize x;\n',
+     'var 0..3: x;\nvar 0..3: y;\nconstraint array_int_maximum(y, [x, y]);\n'
+     'solve maximize x;\n'),
+    ('bool: t = true;\nvar bool: b;\nconstraint bool_eq(b, t);\nsolve minimize b;\n',
+     'var bool: b;\nconstraint bool_eq(b, 1);\nsolve minimize b;\n'),
 ]
 
 
@@ -453,6 +464,20 @@ def _diagnosis(source):
 @pytest.mark.parametrize("source, expected", DIAGNOSTICS)
 def test_diagnostic_class_message_and_position(source, expected):
     assert _diagnosis(source) == expected
+
+
+@pytest.mark.parametrize("source, line", [
+    ("var 1..3: x;\nsolve minimize y;\n",
+     "m.fzn:2:16: undeclared-identifier: undeclared identifier 'y'"),
+    ("int: p = 2;\nvar 1..3: x;\nsolve minimize p;\n",
+     "m.fzn:3:16: kind-mismatch: minimize: 'p' is not a variable"),
+    ("var 1..0: x;\nsolve satisfy;\n",
+     "m.fzn:1:11: empty-domain: variable 'x' has the empty domain 1..0"),
+])
+def test_objective_and_empty_domain_lines_are_located(source, line):
+    with pytest.raises(Diagnostic) as exc:
+        check(source)
+    assert exc.value.render("m.fzn") == line
 
 
 def test_typecheck_rejects_a_non_binary_bool():
@@ -472,7 +497,7 @@ _EDIT_WORDS = ["var", "bool", "int", "float", "set", "array", "of", "constraint"
                "solve", "satisfy", "minimize", "maximize", "true", "false",
                "v1", "v2", "zz", "::", "..", "1.5", "[1]", "{1, 2}", "2..3",
                "int_le", "bool_not", "predicate", ";", "=", "(", ")"]
-MUTATION_DIGEST = "f88b37bc38bce56596fb4fd11ce084660403c9524c4e5bf31e7f8901994b4827"
+MUTATION_DIGEST = "cada9757544d8746a1ae96a4234efaf309d8a5b720fc90bc4581d60b3f60b4c0"
 
 
 def _mutated(rng, text):

@@ -300,6 +300,34 @@ def test_check_equivalence_aligns_permuted_model_variables():
     assert (res.direction, res.witness) == ("qip-only", {"x": 0, "y": 2})
 
 
+def test_check_equivalence_without_a_problem_is_compile_unsat():
+    # None is a compilation that proved the model unsatisfiable
+    m = check("""
+        var 1..2: x;
+        var 0..1: y;
+        constraint int_lt(y, x);
+        solve satisfy;
+    """)
+    res = check_equivalence(m, None)
+    assert res.describe() == (
+        "Counterexample (source model only): x=1 y=0 [3 vs 0 solutions]")
+    m = check("""
+        var 1..2: x;
+        constraint int_lt(x, 1);
+        solve satisfy;
+    """)
+    assert check_equivalence(m, None).describe() == "Equal (0 solutions)"
+
+
+def test_enumerate_qip_best_value_is_in_the_source_sense():
+    for kind, best in (("minimize", 3), ("maximize", 4)):
+        m = check(f"""
+            var 2..4: x;
+            constraint int_ne(x, 2);
+            solve {kind} x;
+        """)
+        assert enumerate_qip(compile_model(m)).best_value == best
+
 def test_solve_optimum_reference():
     m = check("""
         var 2..4: x;

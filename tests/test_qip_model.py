@@ -164,6 +164,66 @@ def test_deserialize_rejects_invalid_problem(build, message):
     assert exc.value.message == f"invalid problem: {message}"
 
 
+def _valid_document() -> dict:
+    """x in 1..3 with its one-hot group, y in 0..2 and one product x*y."""
+    p = QipProblem()
+    p.add_var(QipVar("x", Domain(1, 3)))
+    p.add_var(QipVar("y", Domain(0, 2)))
+    p.onehot_get_or_create("x", {1, 2, 3})
+    r = p.fresh_var("int_times", "p", Domain(0, 6))
+    p.add_product(r.name, "x", "y")
+    return json.loads(p.serialize())
+
+
+def _edit(path, value):
+    """The document with ``doc[path[0]][path[1]]...`` set to value, or
+    deleted for ``...``."""
+    def apply(doc):
+        *parents, key = path
+        node = doc
+        for k in parents:
+            node = node[k]
+        if value is ...:
+            del node[key]
+        else:
+            node[key] = value
+        return doc
+    return apply
+
+
+def _second_group(doc):
+    doc["onehot_groups"].append(doc["onehot_groups"][0])
+    return doc
+
+
+BITS = ("onehot_groups", 0, "bits")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_edit(("equalities", 0, "terms", 0, "coef"), 0),
+     "invalid problem: equality[0]: non-canonical expr (zero coefficient)"),
+    (_edit(("products", 0, "left"), "ghost"),
+     "invalid problem: product[0]: undeclared variable 'ghost'"),
+    (_second_group, "invalid problem: one-hot: variable 'x' owns two groups"),
+    (_edit((*BITS, 0, "var"), "ghost"),
+     "invalid problem: one-hot(x): undeclared bit 'ghost'"),
+    (_edit((*BITS, 0, "var"), "y"), "invalid problem: one-hot(x): bit 'y' not binary"),
+    (_edit((*BITS, 1, "value"), 1), "invalid problem: one-hot(x): duplicate value 1"),
+    (_edit((*BITS, 0, "value"), 9),
+     "invalid problem: one-hot(x): value 9 outside declared domain"),
+    (lambda doc: [doc], "top level must be an object"),
+    (_edit(("objective", "sense"), "max"), "bad objective sense 'max'"),
+    (_edit(("equalities", 0, "terms", 0, "coef"), ...), "malformed equality: 'coef'"),
+], ids=["zero-coefficient", "undeclared-product-operand", "two-groups",
+        "undeclared-bit", "non-binary-bit", "duplicate-value", "value-outside-domain",
+        "non-object", "objective-sense", "malformed-expression"])
+def test_deserialize_rejects_each_violation(edit, message):
+    doc = _valid_document()
+    deserialize(json.dumps(doc))  # the unedited document is valid
+    with pytest.raises(SchemaError) as exc:
+        deserialize(json.dumps(edit(doc)))
+    assert exc.value.message == message
+
 # ----------------------------------------------------------------------
 # serialized text: canonical json.dumps(indent=1) output, byte for byte
 
@@ -171,9 +231,9 @@ def test_deserialize_rejects_invalid_problem(build, message):
 # 0..49 of every builtin, compile-UNSAT instances skipped), each written
 # by the reference encoder as json.dumps(json.loads(text), indent=1) + "\n".
 CORPUS_DIGESTS = {
-    "default": "c7b40656a5722517f77f10cd36d2cfdc6d563bed83078ffd4b15304aa9aa8bd2",
+    "default": "cb555ae71fc68497fe712ee6a12ba969a3ea1eed883c7432a8e44a8ad21b1052",
     "verbatim_div":
-        "0f1b92e7c1b018147836d3752d2a32cab0b5060ac0af9e63a6a44276e81e027f",
+        "db092f33c506c1cfe78cbeee3332e0d2688310b0aa15dde75bc2d1af7a9f694f",
 }
 CORPUS_OPTIONS = {
     "default": RewriteOptions(),

@@ -247,6 +247,28 @@ def test_array_var_int_element():
     assert got == want
 
 
+
+@pytest.mark.parametrize("builtin, entries, result", [
+    ("array_int_element", "[5, 5, 3]", "c"),
+    ("array_var_int_element", "[a, a, 3]", "c"),
+    ("array_bool_element", "[true, true, false]", "r"),
+    ("array_var_bool_element", "[b, b, false]", "r"),
+])
+def test_element_with_one_reachable_form_is_one_row(builtin, entries, result):
+    # i reaches entries 1 and 2 only, and both are the same form
+    m, p = compile_src(f"""
+        var 1..2: i;
+        var 0..5: a;
+        var bool: b;
+        var 0..5: c;
+        var bool: r;
+        constraint {builtin}(i, {entries}, {result});
+        solve satisfy;
+    """)
+    assert not p.onehot_groups and not p.products and not p.inequalities
+    assert len(p.equalities) == 1 and len(p.equalities[0].terms) in (1, 2)
+    assert check_equivalence(m, p).equal
+
 def test_array_int_maximum():
     _, p = compile_src("""
         var -10..10: m;
