@@ -6,9 +6,11 @@ marks the assignments satisfying every column bound (``lo <= x[i] <=
 hi``), every linear equality (``sum(c * x[i]) + constant == 0``), every
 linear inequality (``... <= 0``) and every product (``x[res] == x[left]
 * x[right]``).  ``linear_form`` sums a form over its nonzero terms only,
-one whole contiguous row per term, adding or subtracting the row for a
+one whole row per term, adding or subtracting the row for a
 coefficient of +-1, so a check costs time in the variables it reads,
-not in the width of the table.  The bounds and the products are each
+not in the width of the table.  The enumerator passes C-ordered tables
+(grown with ``np.repeat``, shrunk with ``compress``), so each row it
+reads is contiguous.  The bounds and the products are each
 checked once over the rows they gather.
 
 Tables are int64, or object arrays of Python ints when the enumerator

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     EmptyDomain,
+    OverflowLimit,
     SchemaError,
     ValueOutOfDomain,
     checked_int,
@@ -455,15 +456,17 @@ def deserialize(text: str) -> QipProblem:
 
     prob = QipProblem()
 
-    def read_expr(e, where: str) -> LinExpr:
+    def read_expr(e, where: str, name: str) -> LinExpr:
         try:
             expr = LinExpr(constant=int(e["constant"]))
             for t in e["terms"]:
-                # summed as written, so that validate sees a zero coefficient
                 var = str(t["var"])
-                expr.terms[var] = checked_int(expr.terms.get(var, 0) + int(t["coef"]))
+                if var in expr.terms:
+                    raise SchemaError(f"{name}: variable '{var}' listed twice")
+                # kept as written, so that validate sees a zero coefficient
+                expr.terms[var] = checked_int(int(t["coef"]))
             return expr
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowLimit) as exc:
             raise SchemaError(f"malformed {where}: {exc}") from exc
 
     try:
@@ -483,11 +486,11 @@ def deserialize(text: str) -> QipProblem:
         if prob.objective_sense not in ("satisfy", "min"):
             raise SchemaError(f"bad objective sense '{prob.objective_sense}'")
         prob.objective_negated = bool(objective["negated"])
-        prob.objective = read_expr(objective, "objective")
-        for e in obj["equalities"]:
-            prob.equalities.append(read_expr(e, "equality"))
-        for e in obj["inequalities"]:
-            prob.inequalities.append(read_expr(e, "inequality"))
+        prob.objective = read_expr(objective, "objective", "objective")
+        for i, e in enumerate(obj["equalities"]):
+            prob.equalities.append(read_expr(e, "equality", f"equality[{i}]"))
+        for i, e in enumerate(obj["inequalities"]):
+            prob.inequalities.append(read_expr(e, "inequality", f"inequality[{i}]"))
         for p in obj["products"]:
             prob.products.append(
                 ProductConstraint(str(p["result"]), str(p["left"]), str(p["right"]))
@@ -503,7 +506,7 @@ def deserialize(text: str) -> QipProblem:
         prob.product_sources = [str(s) for s in meta.get("product_sources", [])]
     except SchemaError:
         raise
-    except (KeyError, TypeError, ValueError, EmptyDomain) as exc:
+    except (KeyError, TypeError, ValueError, EmptyDomain, OverflowLimit) as exc:
         raise SchemaError(f"malformed document: {exc}") from exc
     prob.equality_sources += [""] * (len(prob.equalities) - len(prob.equality_sources))
     prob.inequality_sources += [""] * (

@@ -10,11 +10,14 @@ Two independent enumerations are compared:
   (``_COLUMNWISE``; ``eval_builtin`` is the scalar reference it is
   tested against), and
 * the compiled problem, enumerated unit by unit (free variables and
-  categorical one-hot groups) over variable-major tables (one row per
-  variable, one column per partial assignment) with every computable
-  variable substituted, each constraint checked by the numeric kernel,
-  summed over its nonzero terms only, as soon as its variables are
-  known, and solutions projected back onto the source variables.
+  categorical one-hot groups) over variable-major, C-ordered tables
+  (one contiguous row per variable, one column per partial assignment;
+  grown with ``np.repeat`` and shrunk with ``compress``, never by a
+  fancy-index gather, which would return them column-major) with every
+  computable variable substituted, each constraint checked by the
+  numeric kernel, summed over its nonzero terms only, as soon as its
+  variables are known, and solutions projected back onto the source
+  variables.
 
 Both are fully exhaustive, so agreement of the projected solution sets
 is a proof of equivalence over the given domains.
@@ -560,7 +563,7 @@ def _advance(table: np.ndarray, steps: list[_Step], checks: tuple | None) -> np.
     if checks is not None:
         mask = kernels.feasible_mask(table, *checks)
         if not mask.all():  # a wide table is costly to copy
-            table = table[:, mask]
+            table = table.compress(mask, axis=1)  # C-ordered, as table[:, mask] is not
     return table
 
 
@@ -585,8 +588,12 @@ def enumerate_qip(
     sizes.  A table is variable-major: row ``i`` holds variable ``i``'s
     values, one column per partial assignment, so a step or a check
     reads and writes whole contiguous rows.  Units of size 1 are preset
-    in the seed column and the others are added smallest first, each
-    expanding a table's columns.  After each unit, every step whose
+    in the seed column and the others are added smallest first.  A unit
+    expands a table with ``np.repeat`` over whole parent columns, all
+    their choices at once, or, if it has more choices than a table
+    holds, over one parent column and a table-sized slice of its
+    choices; a check keeps the surviving columns with ``compress``.  So
+    every table stays C-ordered.  After each unit, every step whose
     inputs are known is computed, and one ``kernels.feasible_mask`` call
     checks every constraint, product and domain of a non-free variable
     whose variables are all known, so only surviving assignments meet
@@ -678,22 +685,26 @@ def enumerate_qip(
         if u.size == 1:
             seed[u.cols] = u.choices(np.zeros(1, dtype=np.int64))
     chunk = max(1, min(_CHUNK, _CELLS // max(1, len(names))))
-    # depth-first: (next unit, table, first flat index of table x unit not done)
-    stack = [(0, _advance(seed, *stages[0]), 0)]
+    # depth-first: (next unit, table, first flat index of table x unit not
+    # done); only tables with columns are pushed
+    seed = _advance(seed, *stages[0])
+    stack = [(0, seed, 0)] if seed.shape[1] else []
     while stack:
         k, table, start = stack.pop()
         if k == len(order):
-            if table.shape[1]:
-                collect(table)
+            collect(table)
             continue
         unit = order[k]
         total = table.shape[1] * unit.size
-        stop = min(start + chunk, total)
+        if unit.size <= chunk:  # whole parent columns, all their choices
+            stop = min(start + chunk // unit.size * unit.size, total)
+        else:  # one parent column, a slice of its choices
+            stop = min(start + chunk, start // unit.size * unit.size + unit.size)
         if stop < total:
             stack.append((k, table, stop))
-        idx = np.arange(start, stop, dtype=np.int64)
-        rows = table[:, idx // unit.size]
-        rows[unit.cols] = unit.choices(idx % unit.size)
+        j0, j1 = start // unit.size, -(-stop // unit.size)
+        rows = np.repeat(table[:, j0:j1], (stop - start) // (j1 - j0), axis=1)
+        rows[unit.cols] = unit.choices(np.arange(start, stop, dtype=np.int64) % unit.size)
         rows = _advance(rows, *stages[k + 1])
         if rows.shape[1]:
             stack.append((k + 1, rows, 0))

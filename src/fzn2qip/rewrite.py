@@ -439,7 +439,8 @@ def _rw_array_bool_and(ctx, item):
 
 def _rw_set_in(ctx, item):
     x = ctx.lin(item.args[0])
-    values = set(item.args[1].values) & set(ctx.dom(x).values())
+    dom = ctx.dom(x)
+    values = {v for v in item.args[1].values if v in dom}  # not the whole domain
     if not values:
         raise EmptyDomain(f"'{_label(x)}' cannot take any value of the set")
     # membership equality of our own, robust to later group extension

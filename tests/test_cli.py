@@ -3,11 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fzn2qip
 from fzn2qip.cli import run
 from fzn2qip.frontend import SIGNATURES
 from fzn2qip.fuzz import generate
@@ -384,3 +390,27 @@ def test_no_input_ends_in_a_traceback(tmp_path_factory, source, edits):
     assert code in range(5)
     if code:
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+def _address_space_2gb():
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard))
+
+
+def test_set_in_reads_the_set_not_the_domain(tmp_path):
+    """set_in over a 2^31-value domain compiles by reading the set only, so
+    under a 2 GB address-space limit check stops at the cap (exit 3) with
+    one line, where building the domain ran out of memory."""
+    src = write(tmp_path, "wide.fzn",
+                "var 3..2147483648: v1;\nconstraint set_in(v1, {3});\nsolve satisfy;\n")
+    # one BLAS thread: a many-core host's per-thread buffers would not fit
+    env = {**os.environ, "PYTHONPATH": str(Path(fzn2qip.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run(
+        [sys.executable, "-c", "from fzn2qip.cli import main; main()", "check", src],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_address_space_2gb)
+    assert out.returncode == 3, out.stderr
+    assert out.stdout == ""
+    (line,) = out.stderr.splitlines()
+    assert line.startswith("cap exceeded:")

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fzn2qip import fuzz, oracle
+from fzn2qip import fuzz, kernels, oracle
 from fzn2qip.errors import CapExceeded, CompileUnsat
 from fzn2qip.frontend import (
     SIGNATURES,
@@ -633,6 +633,40 @@ def test_enumerate_qip_matches_flat_enumeration(chunk, exact, monkeypatch):
         compared += 1
         with_solutions += bool(solutions)
     assert with_solutions > 30
+
+
+# its last stage expands 25,308 columns over many parent columns
+DIV_SRC = """
+var -13..23: n; var -16..2: d; var -7..29: q;
+constraint int_div(n, d, q);
+solve satisfy;
+"""
+
+
+@pytest.mark.parametrize("chunk, exact", [
+    pytest.param(None, False, id="None"), pytest.param(3, False, id="3"),
+    pytest.param(None, True, id="None-exact"), pytest.param(3, True, id="3-exact"),
+])
+def test_enumerate_qip_tables_are_row_contiguous(chunk, exact, monkeypatch):
+    """Every table the kernel reads is C-ordered, so each of its rows is
+    contiguous: tables grow by np.repeat and shrink by compress."""
+    real = kernels.feasible_mask
+
+    def contiguous_only(values, *args):
+        assert values.flags.c_contiguous, (values.shape, values.strides)
+        return real(values, *args)
+
+    monkeypatch.setattr(kernels, "feasible_mask", contiguous_only)
+    if chunk is not None:
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    if exact:
+        monkeypatch.setattr(oracle, "_table_dtype", lambda *args: object)
+    rng = random.Random(2024)
+    for _ in range(60):
+        p = _random_problem(rng)
+        if math.prod(len(v.domain) for v in p.vars.values()) <= 5000:
+            enumerate_qip(p)
+    assert len(enumerate_qip(compile_model(check(DIV_SRC))).solutions) == 636
 
 
 # ----------------------------------------------------------------------

@@ -196,6 +196,11 @@ def _second_group(doc):
     return doc
 
 
+def _repeated_term(doc):
+    doc["equalities"][1]["terms"].append({"var": "x", "coef": 2})  # x is listed at -1
+    return doc
+
+
 BITS = ("onehot_groups", 0, "bits")
 
 
@@ -214,9 +219,17 @@ BITS = ("onehot_groups", 0, "bits")
     (lambda doc: [doc], "top level must be an object"),
     (_edit(("objective", "sense"), "max"), "bad objective sense 'max'"),
     (_edit(("equalities", 0, "terms", 0, "coef"), ...), "malformed equality: 'coef'"),
+    (_edit(("equalities", 0, "terms", 0, "coef"), 2**63),
+     f"malformed equality: integer {2**63} exceeds the supported range"),
+    (_edit(("equalities", 0, "constant"), -2**63),
+     f"malformed equality: integer {-2**63} exceeds the supported range"),
+    (_edit(("variables", 1, "hi"), 2**63),
+     f"malformed document: integer {2**63} exceeds the supported range"),
+    (_repeated_term, "equality[1]: variable 'x' listed twice"),
 ], ids=["zero-coefficient", "undeclared-product-operand", "two-groups",
         "undeclared-bit", "non-binary-bit", "duplicate-value", "value-outside-domain",
-        "non-object", "objective-sense", "malformed-expression"])
+        "non-object", "objective-sense", "malformed-expression", "coefficient-range",
+        "constant-range", "bound-range", "repeated-term"])
 def test_deserialize_rejects_each_violation(edit, message):
     doc = _valid_document()
     deserialize(json.dumps(doc))  # the unedited document is valid
