@@ -14,10 +14,10 @@ Two independent enumerations are compared:
   (one contiguous row per variable, one column per partial assignment;
   grown with ``np.repeat`` and shrunk with ``compress``, never by a
   fancy-index gather, which would return them column-major) with every
-  computable variable substituted, each constraint checked by the
-  numeric kernel, summed over its nonzero terms only, as soon as its
-  variables are known, and solutions projected back onto the source
-  variables.
+  computable variable substituted, each constraint that no substitution
+  or one-hot choice makes hold checked by the numeric kernel, summed
+  over its nonzero terms only, as soon as its variables are known, and
+  solutions projected back onto the source variables.
 
 Both are fully exhaustive, so agreement of the projected solution sets
 is a proof of equivalence over the given domains.
@@ -405,6 +405,7 @@ class _Step:
     """One substitution computing a variable from earlier columns."""
 
     kind: str  # "product" | "equality"
+    row: int  # index of the product or equality it solves, which then holds
     target: int
     inputs: list[int]
     coefs: list[int] = field(default_factory=list)  # equality only
@@ -412,24 +413,22 @@ class _Step:
     sign: int = 1  # coefficient of the target in the equality (+-1)
 
 
-def _build_substitution(problem: QipProblem, known: set[int]) -> list[_Step]:
+def _build_substitution(eqs: list, prods: list, aux: set[int],
+                        known: set[int]) -> list[_Step]:
     """Greedy plan of variables computable from the enumerated ones.
 
-    Columns in ``known`` are fixed without a step.  Each sweep plans the
-    products first: a product determines its result.  An equality then
-    determines its single undetermined term; when it has several, it
-    determines its single undetermined auxiliary, counting model
+    ``eqs`` holds the equalities as ``(terms, constant)`` with ``terms``
+    a list of ``(column, coefficient)``, and ``prods`` the products as
+    ``(result, left, right)`` columns.  Columns in ``known`` are fixed
+    without a step.  Each sweep plans the products first: a product
+    determines its result.  An equality then determines its single
+    undetermined term; when it has several, it determines its single
+    undetermined column in ``aux`` (the auxiliaries), counting model
     variables as known (they are enumerated instead).  Only a term with
     coefficient +-1 is determined, and a rule is skipped if using it
     would make the computation cyclic.  Returns the steps with inputs
     before targets.
     """
-    index = {name: i for i, name in enumerate(problem.vars)}
-    aux = {index[n] for n, v in problem.vars.items() if not v.is_model}
-    equalities = [([(index[n], c) for n, c in e.terms.items()], e.constant)
-                  for e in problem.equalities]
-    products = [(index[p.result], index[p.left], index[p.right])
-                for p in problem.products]
     defs: dict[int, _Step] = {}
     readers: dict[int, list[int]] = {}  # column -> targets of steps reading it
 
@@ -456,10 +455,10 @@ def _build_substitution(problem: QipProblem, known: set[int]) -> list[_Step]:
     changed = True
     while changed:
         changed = False
-        for t, left, right in products:
+        for j, (t, left, right) in enumerate(prods):
             if undetermined(t):
-                changed |= plan(_Step("product", t, [left, right]))
-        for terms, constant in equalities:
+                changed |= plan(_Step("product", j, t, [left, right]))
+        for j, (terms, constant) in enumerate(eqs):
             undet = [(i, c) for i, c in terms if undetermined(i)]
             if len(undet) > 1:
                 undet = [(i, c) for i, c in undet if i in aux]
@@ -467,7 +466,7 @@ def _build_substitution(problem: QipProblem, known: set[int]) -> list[_Step]:
                 continue
             t, sign = undet[0]
             rest = [(i, c) for i, c in terms if i != t]
-            changed |= plan(_Step("equality", t, [i for i, _ in rest],
+            changed |= plan(_Step("equality", j, t, [i for i, _ in rest],
                                   [c for _, c in rest], constant, sign))
 
     # topological order (iterative post-order): inputs before targets
@@ -489,62 +488,112 @@ def _build_substitution(problem: QipProblem, known: set[int]) -> list[_Step]:
 @dataclass
 class _Unit:
     """One enumeration unit: a free variable, or a categorical one-hot
-    group whose choice j sets its j-th bit to 1 and the others to 0."""
+    group whose choice j sets its j-th bit to 1 and the others to 0.  A
+    group also sets each of ``targets``, the variables that steps compute
+    from its bits alone, to its value for choice j: column j of
+    ``lookup``."""
 
     name: str
     cols: list[int]
     size: int
     lo: int = 0  # value of choice 0 of a variable
     onehot: bool = False
+    sums: list[int] = field(default_factory=list)  # its sum(bits) = 1 equalities
+    targets: list[int] = field(default_factory=list)
+    lookup: np.ndarray | None = None  # (len(targets), size)
 
-    def choices(self, idx: np.ndarray) -> np.ndarray:
-        """Values of the variables ``cols`` for the choice numbers ``idx``:
-        one row per variable, one column per choice."""
-        if self.onehot:
-            return (np.arange(self.size)[:, None] == idx).astype(np.int64)
-        return (idx + self.lo)[None, :]
+    def __post_init__(self):
+        self.at = np.array(self.cols) if self.onehot else None  # each choice's bit
+
+    def write(self, table: np.ndarray, idx: np.ndarray) -> None:
+        """Write the choice numbers ``idx``, one per column of ``table``,
+        whose rows ``cols`` hold 0 (no earlier stage writes them)."""
+        if not self.onehot:
+            table[self.cols[0]] = idx + self.lo
+            return
+        table[self.at[idx], np.arange(len(idx))] = 1
+        if self.targets:
+            table[self.targets] = self.lookup[:, idx]
 
 
-def _categorical_groups(problem: QipProblem, index: dict[str, int]) -> list[_Unit]:
+def _categorical_groups(problem: QipProblem, index: dict[str, int],
+                        eqs: list) -> list[_Unit]:
     """One-hot groups that can be enumerated as one column of k choices.
 
-    A group qualifies only when the problem contains its exact
-    ``sum(bits) - 1 = 0`` equality and every bit domain lies in 0..1:
-    then exactly one bit is 1 on every solution.
+    A group qualifies only when ``eqs`` (the equalities as ``(terms,
+    constant)`` over columns) contains its exact ``sum(bits) - 1 = 0``
+    equality and every bit domain lies in 0..1: then exactly one bit is
+    1 on every solution.
     """
-    sums = {frozenset(e.terms) for e in problem.equalities
-            if e.constant == -1 and all(c == 1 for c in e.terms.values())}
+    sums: dict[frozenset, list[int]] = {}
+    for j, (terms, constant) in enumerate(eqs):
+        if constant == -1 and all(c == 1 for _, c in terms):
+            sums.setdefault(frozenset(i for i, _ in terms), []).append(j)
     units: list[_Unit] = []
     taken: set[int] = set()
     for g in problem.onehot_groups:
-        bits = [b for b, _ in g.bits]
-        if not bits or frozenset(bits) not in sums or len(set(bits)) != len(bits):
+        cols = [index[b] for b, _ in g.bits]
+        rows = sums.get(frozenset(cols))
+        if not cols or rows is None or len(set(cols)) != len(cols):
             continue
-        cols = [index[b] for b in bits]
-        doms = [problem.vars[b].domain for b in bits]
+        doms = [problem.vars[b].domain for b, _ in g.bits]
         if taken.isdisjoint(cols) and all(d.lo >= 0 and d.hi <= 1 for d in doms):
             taken.update(cols)
-            units.append(_Unit(f"onehot:{g.int_var}", cols, len(cols), onehot=True))
+            units.append(_Unit(f"onehot:{g.int_var}", cols, len(cols), onehot=True,
+                               sums=rows))
     return units
 
 
-def _table_dtype(problem: QipProblem, index: dict[str, int], steps: list[_Step]):
-    """int64, or object (exact Python ints) if some linear form, step or
-    product can leave the int64 range over the domains.
+def _lookup(unit: _Unit, steps: list[_Step], dtype) -> np.ndarray:
+    """The values of the ``steps``' targets for each choice of the one-hot
+    ``unit``, one row per step and one column per choice.  The steps read
+    only the unit's bits and earlier targets.  Each step's arithmetic runs
+    on all k choices at once: bit p is 1 for choice p alone, so a term
+    ``c * bit_p`` adds ``c`` to choice p."""
+    pos = {c: p for p, c in enumerate(unit.cols)}
+    row = {s.target: r for r, s in enumerate(steps)}  # its row of the result
+    out = np.empty((len(steps), unit.size), dtype=dtype)
+
+    def values(i: int) -> np.ndarray:
+        if i in row:
+            return out[row[i]]
+        bit = np.zeros(unit.size, dtype=dtype)
+        bit[pos[i]] = 1
+        return bit
+
+    for r, s in enumerate(steps):
+        if s.kind == "product":
+            np.multiply(values(s.inputs[0]), values(s.inputs[1]), out=out[r])
+        else:
+            terms = list(zip(s.inputs, s.coefs))
+            acc = np.full(unit.size, s.constant, dtype=dtype)
+            bits = [(pos[i], c) for i, c in terms if i in pos]
+            if bits:
+                at, coefs = zip(*bits)
+                acc[list(at)] += np.array(coefs, dtype=dtype)
+            acc = kernels.linear_form(out, [(row[i], c) for i, c in terms if i in row], acc)
+            out[r] = -s.sign * acc
+    return out
+
+
+def _table_dtype(doms: list[Domain], forms: list, prods: list, steps: list[_Step]):
+    """int64, or object (exact Python ints) if some linear form, product
+    or step can leave the int64 range over the domains ``doms``.
+    ``forms`` holds ``(terms, constant)`` over columns and ``prods``
+    ``(result, left, right)`` columns.
 
     An assignment holding a value outside its domain may compute garbage,
     but the earliest such value (in step order) is exact and fails its
     own domain check in the same stage, so the assignment is dropped
     anyway.
     """
-    mag = [max(abs(v.domain.lo), abs(v.domain.hi)) for v in problem.vars.values()]
+    mag = [max(abs(d.lo), abs(d.hi)) for d in doms]
 
     def lin(terms, constant: int) -> int:
         return sum(abs(c) * mag[i] for i, c in terms) + abs(constant)
 
-    worst = [lin(((index[n], c) for n, c in e.terms.items()), e.constant)
-             for e in (*problem.equalities, *problem.inequalities, problem.objective)]
-    worst += [mag[index[p.left]] * mag[index[p.right]] for p in problem.products]
+    worst = [lin(terms, constant) for terms, constant in forms]
+    worst += [mag[left] * mag[right] for _, left, right in prods]
     worst += [lin(zip(s.inputs, s.coefs), s.constant) for s in steps
               if s.kind == "equality"]
     return object if max(worst, default=0) > _INT64_MAX else np.int64
@@ -593,23 +642,45 @@ def enumerate_qip(
     their choices at once, or, if it has more choices than a table
     holds, over one parent column and a table-sized slice of its
     choices; a check keeps the surviving columns with ``compress``.  So
-    every table stays C-ordered.  After each unit, every step whose
-    inputs are known is computed, and one ``kernels.feasible_mask`` call
-    checks every constraint, product and domain of a non-free variable
-    whose variables are all known, so only surviving assignments meet
-    the next unit.  Every constraint and every domain is checked on
-    every assignment.  Tables hold at most ``_CHUNK`` assignments (fewer
-    when there are many variables, so a table has at most ``_CELLS``
-    values) and are expanded depth first, one table per unit of size >= 2
-    at a time, so at most log2(cap) tables are alive.
+    every table stays C-ordered.  A one-hot group's choice also writes
+    the variables that steps compute from its bits alone, from a lookup
+    of their values per choice made once per call.  After each unit,
+    every other step whose inputs are known is computed, and one
+    ``kernels.feasible_mask`` call checks every constraint, product and
+    domain of a non-free variable whose variables are all known, so only
+    surviving assignments meet the next unit.
+
+    Every domain is checked on every assignment, and so is every row
+    except those that hold by construction: the equality or product a
+    step solves, and a one-hot unit's ``sum(bits) - 1 = 0``.  int64
+    arithmetic is exact modulo 2^64 and ``sign**2 = 1``, so a step's
+    equality ``sign * (-sign * S) + S`` is 0 even when a value wraps; a
+    product check would recompute the step's own product; a choice sets
+    exactly one bit of its unit to 1; and a lookup value is the step's
+    own result.  A dropped check would pass on every column.
+
+    Tables hold at most ``_CHUNK`` assignments (fewer when there are
+    many variables, so a table has at most ``_CELLS`` values) and are
+    expanded depth first, one table per unit of size >= 2 at a time, so
+    at most log2(cap) tables are alive.
     """
     names = list(problem.vars)
     index = {name: i for i, name in enumerate(names)}
     doms = [v.domain for v in problem.vars.values()]
-    units = _categorical_groups(problem, index)
+
+    def terms(e) -> list[tuple[int, int]]:
+        return [(index[n], c) for n, c in e.terms.items()]
+
+    eqs = [(terms(e), e.constant) for e in problem.equalities]
+    ineqs = [(terms(e), e.constant) for e in problem.inequalities]
+    prods = [(index[p.result], index[p.left], index[p.right]) for p in problem.products]
+    obj = (terms(problem.objective), problem.objective.constant)
+
+    units = _categorical_groups(problem, index, eqs)
     grouped = {c for u in units for c in u.cols}
     singletons = {i for i, d in enumerate(doms) if d.lo == d.hi}
-    steps = _build_substitution(problem, grouped | singletons)
+    aux = {i for i, v in enumerate(problem.vars.values()) if not v.is_model}
+    steps = _build_substitution(eqs, prods, aux, grouped | singletons)
     computed = grouped | {s.target for s in steps}  # the non-free variables
     units += [_Unit(names[i], [i], _size(doms[i]), doms[i].lo)
               for i in range(len(names)) if i not in computed]
@@ -619,6 +690,7 @@ def enumerate_qip(
     if size > cap:
         largest = sorted(units, key=lambda u: -u.size)[:3]
         raise CapExceeded(size, cap, [(u.name, u.size) for u in largest])
+    dtype = _table_dtype(doms, [*eqs, *ineqs, obj], prods, steps)
 
     # stage 0 fills the seed column; stage k adds the k-th enumerated unit
     order = sorted((u for u in units if u.size > 1), key=lambda u: u.size)
@@ -626,40 +698,59 @@ def enumerate_qip(
     for k, u in enumerate(order, start=1):
         for c in u.cols:
             stage[c] = k
+
+    def last(cols) -> int:
+        """The first stage that knows every column of ``cols``."""
+        return max((stage[i] for i in cols), default=0)
+
     n_stages = len(order) + 1
     stage_steps: list[list[_Step]] = [[] for _ in range(n_stages)]
     for s in steps:
-        stage[s.target] = max((stage[i] for i in s.inputs), default=0)
+        stage[s.target] = last(s.inputs)
         stage_steps[stage[s.target]].append(s)
-    eqs: list[list] = [[] for _ in range(n_stages)]
-    ineqs: list[list] = [[] for _ in range(n_stages)]
-    prods: list[list] = [[] for _ in range(n_stages)]
+    for k, u in enumerate(order, start=1):
+        if u.onehot:  # the steps computing from the unit's bits alone
+            own, mine = set(u.cols), []
+            for s in stage_steps[k]:
+                if own.issuperset(s.inputs):
+                    own.add(s.target)
+                    mine.append(s)
+            if mine:
+                u.targets = [s.target for s in mine]
+                u.lookup = _lookup(u, mine, dtype)
+                stage_steps[k] = [s for s in stage_steps[k] if s.target not in own]
+    # a step makes its own row hold, and a one-hot choice its sum row
+    solved = {(s.kind, s.row) for s in steps}
+    solved |= {("equality", j) for u in units for j in u.sums}
+    stage_eqs: list[list] = [[] for _ in range(n_stages)]
+    stage_ineqs: list[list] = [[] for _ in range(n_stages)]
+    stage_prods: list[list] = [[] for _ in range(n_stages)]
     bounded: list[list[int]] = [[] for _ in range(n_stages)]  # non-free variables
-    for exprs, out in ((problem.equalities, eqs), (problem.inequalities, ineqs)):
-        for e in exprs:
-            terms = [(index[n], c) for n, c in e.terms.items()]
-            out[max((stage[i] for i, _ in terms), default=0)].append((terms, e.constant))
-    for p in problem.products:
-        cols = (index[p.result], index[p.left], index[p.right])
-        prods[max(stage[i] for i in cols)].append(cols)
+    for j, (t, constant) in enumerate(eqs):
+        if ("equality", j) not in solved:
+            stage_eqs[last(i for i, _ in t)].append((t, constant))
+    for t, constant in ineqs:
+        stage_ineqs[last(i for i, _ in t)].append((t, constant))
+    for j, cols in enumerate(prods):
+        if ("product", j) not in solved:
+            stage_prods[last(cols)].append(cols)
     for c in sorted(computed):
         bounded[stage[c]].append(c)
-    dtype = _table_dtype(problem, index, steps)
 
     def checks(k: int) -> tuple | None:
         """Stage ``k``'s ``feasible_mask`` arguments; None if it has no check."""
-        if not (eqs[k] or ineqs[k] or prods[k] or bounded[k]):
+        if not (stage_eqs[k] or stage_ineqs[k] or stage_prods[k] or bounded[k]):
             return None
         bounds = None
         if bounded[k]:
             lims = np.array([(doms[c].lo, doms[c].hi) for c in bounded[k]], dtype=dtype)
             bounds = (np.array(bounded[k]), lims[:, :1], lims[:, 1:])
-        return eqs[k], ineqs[k], np.array(prods[k], dtype=np.int64).reshape(-1, 3), bounds
+        return (stage_eqs[k], stage_ineqs[k],
+                np.array(stage_prods[k], dtype=np.int64).reshape(-1, 3), bounds)
 
     stages = [(stage_steps[k], checks(k)) for k in range(n_stages)]
 
     model_cols = [i for i, n in enumerate(names) if problem.vars[n].is_model]
-    obj_terms = [(index[n], c) for n, c in problem.objective.terms.items()]
     has_obj = bool(problem.objective.terms) or problem.objective_sense == "min"
     result = QipEnumeration(
         names=names,
@@ -675,7 +766,7 @@ def enumerate_qip(
         if keep_full:
             result.full_solutions.update(map(tuple, feas.T.tolist()))
         if has_obj:
-            objs = kernels.linear_form(feas, obj_terms, problem.objective.constant)
+            objs = kernels.linear_form(feas, *obj)
             best = int(np.min(objs))
             if result.best_value is None or best < result.best_value:
                 result.best_value = best
@@ -683,7 +774,7 @@ def enumerate_qip(
     seed = np.zeros((len(names), 1), dtype=dtype)
     for u in units:
         if u.size == 1:
-            seed[u.cols] = u.choices(np.zeros(1, dtype=np.int64))
+            u.write(seed, np.zeros(1, dtype=np.int64))
     chunk = max(1, min(_CHUNK, _CELLS // max(1, len(names))))
     # depth-first: (next unit, table, first flat index of table x unit not
     # done); only tables with columns are pushed
@@ -704,7 +795,7 @@ def enumerate_qip(
             stack.append((k, table, stop))
         j0, j1 = start // unit.size, -(-stop // unit.size)
         rows = np.repeat(table[:, j0:j1], (stop - start) // (j1 - j0), axis=1)
-        rows[unit.cols] = unit.choices(np.arange(start, stop, dtype=np.int64) % unit.size)
+        unit.write(rows, np.arange(start, stop, dtype=np.int64) % unit.size)
         rows = _advance(rows, *stages[k + 1])
         if rows.shape[1]:
             stack.append((k + 1, rows, 0))

@@ -221,24 +221,30 @@ def _emit_div(ctx: RewriteContext, builtin: str, n: LinExpr, d: LinExpr,
 def _rw_element(ctx, item):
     """``c = xs[i]``: ``c = sum(x_j * [i = j])`` over the reachable j.
 
-    A literal entry folds into the row (``RewriteContext.times``).  When
-    every reachable entry is the same form x, the row is ``c - x = 0``
-    and i needs no one-hot group.
+    A literal entry v goes into the row as the term ``v * [i = j]``.
+    When every reachable entry is the same literal or variable x, the
+    row is ``c - x = 0`` and i needs no one-hot group.
     """
     i, c = ctx.lin(item.args[0]), ctx.lin(item.args[2])
-    elems = [ctx.lin(a) for a in item.args[1].items]
-    i_dom, c_dom = bounds.element_domain_restrict(
-        ctx.dom(i), [ctx.dom(e) for e in elems]
-    )
+    elems = item.args[1].items
+    doms = [Domain(e.value, e.value) if isinstance(e, Lit)
+            else ctx.problem.vars[e.name].domain for e in elems]
+    i_dom, c_dom = bounds.element_domain_restrict(ctx.dom(i), doms)
     ctx.restrict(i, i_dom)
     ctx.restrict(c, c_dom)
     reachable = elems[i_dom.lo - 1 : i_dom.hi]
     if all(e == reachable[0] for e in reachable):
-        ctx.eq0(_combine((1, c), (-1, reachable[0])))
+        ctx.eq0(_combine((1, c), (-1, ctx.lin(reachable[0]))))
         return
     bits = ctx.onehot(i, set(i_dom.values()))
-    zs = [ctx.times(item.name, f"z{j}", elems[j - 1], bits[j]) for j in i_dom.values()]
-    ctx.eq0(_combine((-1, c), *((1, z) for z in zs)))
+    parts = [(-1, c)]
+    for j in i_dom.values():
+        e = elems[j - 1]
+        if isinstance(e, Lit):
+            parts.append((e.value, bits[j]))
+        else:
+            parts.append((1, ctx.times(item.name, f"z{j}", ctx.lin(e), bits[j])))
+    ctx.eq0(_combine(*parts))
 
 
 def _rw_abs(ctx, item):

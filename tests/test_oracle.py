@@ -669,6 +669,113 @@ def test_enumerate_qip_tables_are_row_contiguous(chunk, exact, monkeypatch):
     assert len(enumerate_qip(compile_model(check(DIV_SRC))).solutions) == 636
 
 
+def _small_random_problems(n: int = 60) -> list[QipProblem]:
+    """The seeded problems of the flat-enumeration comparison."""
+    rng = random.Random(2024)
+    problems = []
+    while len(problems) < n:
+        p = _random_problem(rng)
+        if math.prod(len(v.domain) for v in p.vars.values()) <= 5000:
+            problems.append(p)
+    return problems
+
+
+def _flip_sign(steps):
+    for s in steps:
+        s.sign = -s.sign
+
+
+def _constant_off_by_one(steps):
+    for s in steps:
+        s.constant += 1
+
+
+def _drop_an_input(steps):
+    for s in steps:
+        if s.kind == "equality" and s.inputs:
+            del s.inputs[-1], s.coefs[-1]
+
+
+@pytest.mark.parametrize("mutate", [_flip_sign, _constant_off_by_one, _drop_an_input])
+def test_flat_enumeration_catches_a_wrong_step(mutate, monkeypatch):
+    """The rows a step solves are no longer checked, so a planner bug
+    would go unnoticed by the stage checks: the comparison with the flat
+    enumeration must see it."""
+    real = oracle._build_substitution
+
+    def mutant(*args):
+        steps = real(*args)
+        mutate(steps)
+        return steps
+
+    monkeypatch.setattr(oracle, "_build_substitution", mutant)
+    assert any(enumerate_qip(p, keep_full=True).full_solutions != _flat_enumerate(p)[1]
+               for p in _small_random_problems())
+
+
+def test_flat_enumeration_catches_a_shifted_lookup(monkeypatch):
+    real = oracle._lookup
+    monkeypatch.setattr(oracle, "_lookup", lambda *args: np.roll(real(*args), 1, axis=1))
+    assert any(enumerate_qip(p, keep_full=True).full_solutions != _flat_enumerate(p)[1]
+               for p in _small_random_problems())
+
+
+def _element_src(n: int) -> str:
+    values = [0, n + 1, *range(2, n)]
+    return (f"var 1..{n}: i; var 0..{n + 1}: c;\n"
+            f"constraint array_int_element(i, {values}, c);\nsolve satisfy;\n")
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["int64", "exact"])
+def test_dropped_checks_would_have_passed(exact, monkeypatch):
+    """Each row that no stage checks (the equality or product a step
+    solves, a one-hot unit's sum row) is 0 on every column of the table
+    of the stage that would have checked it: the stage that bounds the
+    step's target or the unit's bits."""
+    plan, evaluated = {}, []
+
+    def steps(*args):
+        plan["steps"] = real_steps(*args)
+        return plan["steps"]
+
+    def groups(*args):
+        plan["units"] = real_groups(*args)
+        return plan["units"]
+
+    def mask(values, eqs, ineqs, prods, bounds=None):
+        p = plan["problem"]
+        index = {name: i for i, name in enumerate(p.vars)}
+        known = set() if bounds is None else set(bounds[0].tolist())
+        dropped = [(s.target, p.equalities[s.row] if s.kind == "equality" else
+                    p.products[s.row]) for s in plan["steps"]]
+        dropped += [(u.cols[0], p.equalities[j]) for u in plan["units"] for j in u.sums]
+        for anchor, row in dropped:
+            if anchor not in known:
+                continue
+            if isinstance(row, LinExpr):
+                value = sum(c * values[index[n]] for n, c in row.terms.items()) + row.constant
+            else:
+                value = (values[index[row.result]]
+                         - values[index[row.left]] * values[index[row.right]])
+            assert (np.asarray(value) == 0).all(), row
+            evaluated.append(row)
+        return real_mask(values, eqs, ineqs, prods, bounds)
+
+    real_steps, real_groups, real_mask = (
+        oracle._build_substitution, oracle._categorical_groups, kernels.feasible_mask)
+    monkeypatch.setattr(oracle, "_build_substitution", steps)
+    monkeypatch.setattr(oracle, "_categorical_groups", groups)
+    monkeypatch.setattr(kernels, "feasible_mask", mask)
+    if exact:
+        monkeypatch.setattr(oracle, "_table_dtype", lambda *args: object)
+    problems = _small_random_problems()
+    problems += [compile_model(check(src)) for src in (DIV_SRC, _element_src(12))]
+    for p in problems:
+        plan["problem"] = p
+        enumerate_qip(p)
+    assert len(evaluated) > 100
+
+
 # ----------------------------------------------------------------------
 # constraints that share variables
 
