@@ -20,15 +20,17 @@ big-M constants and add at most one binary auxiliary and no product.
 The extremum builtins are big-M rows with selector binaries and no
 product either (``_rw_extremum``).  The four element builtins are one
 rewrite (``_rw_element``), and ``bool_and(a, b, r)`` is
-``array_bool_and([a, b], r)``.  Every other rewrite takes its
-scalar arguments as linear forms too (``RewriteContext.lin``), so a
+``array_bool_and([a, b], r)``.  Every rewrite takes its scalar
+arguments as the checked model gives them, a variable (``Ref``) or a
+literal (``Lit``), and builds each emitted row once, from coefficient
+and variable, literal or linear-form parts (``_combine``).  So a
 literal stays a constant: a product with a literal factor is linear
-(``RewriteContext.times``), and a literal's one-hot indicators are 0/1
-constants.  A product row's result is a fresh auxiliary, or, for
-``int_times(a, b, c)`` and ``int_pow(x, 2, z)`` over variables, the
-result variable itself when it is declared after its operands
-(``RewriteContext.times_onto``).  Either way operand-before-result
-acyclicity holds by construction.
+and a product of two literals is a literal (``RewriteContext.times``),
+and a literal's one-hot indicators are 0/1 literals.  A product row's
+result is a fresh auxiliary, or, for ``int_times(a, b, c)`` and
+``int_pow(x, 2, z)`` over variables, the result variable itself when
+it is declared after its operands (``RewriteContext.times_onto``).
+Either way operand-before-result acyclicity holds by construction.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from .errors import (
     CompileUnsat,
     EmptyDomain,
     UnsupportedExponent,
+    checked_int,
 )
-from .frontend import FzModel, Lit
+from .frontend import FzModel, Lit, Ref
 from .model import BINARY, Domain, LinExpr, QipProblem, QipVar
 
 
@@ -57,9 +60,11 @@ class RewriteOptions:
 class RewriteContext:
     """Mutable state threaded through the per-constraint rewrites.
 
-    Every scalar argument enters a rewrite as a linear form (``lin``): a
-    variable term, or a literal's constant.  The helpers below keep
-    literals folded, so no rewrite declares a variable for one.
+    A scalar argument enters a rewrite as the checked model gives it: a
+    variable (``Ref``) or a literal (``Lit``).  The helpers below take
+    and give the same, so literals stay folded and no rewrite declares
+    a variable for one.  A literal is range-checked before any
+    arithmetic on it (``dom``, ``times``, ``_combine``).
     """
 
     def __init__(self, problem: QipProblem, options: RewriteOptions,
@@ -71,64 +76,56 @@ class RewriteContext:
 
     # -- helpers --------------------------------------------------------
 
-    @staticmethod
-    def lin(arg) -> LinExpr:
-        """An argument as a form: its variable, or the literal's constant."""
-        if isinstance(arg, Lit):
-            return LinExpr(constant=arg.value)
-        return LinExpr({arg.name: 1})
+    def dom(self, x: Ref | Lit) -> Domain:
+        """Domain of a variable, or the one value of a literal."""
+        if type(x) is Lit:
+            return Domain(x.value, x.value)
+        return self.problem.vars[x.name].domain
 
-    def dom(self, x: LinExpr) -> Domain:
-        """Domain of a constant or one variable (a form from ``lin``,
-        ``fresh`` or ``onehot``)."""
-        if not x.terms:
-            return Domain(x.constant, x.constant)
-        (name,) = x.terms
-        return self.problem.vars[name].domain
+    def fresh(self, builtin: str, role: str, domain: Domain) -> Ref:
+        return Ref(self.problem.fresh_var(builtin, role, domain).name)
 
-    def fresh(self, builtin: str, role: str, domain: Domain) -> LinExpr:
-        return LinExpr({self.problem.fresh_var(builtin, role, domain).name: 1})
-
-    def times(self, builtin: str, role: str, a: LinExpr, b: LinExpr) -> LinExpr:
-        """The form of ``a * b``, each a constant or one variable: linear
-        when a factor is constant, else a fresh product variable."""
-        if not a.terms:
-            return _combine((a.constant, b))
-        if not b.terms:
-            return _combine((b.constant, a))
+    def times(self, builtin: str, role: str, a: Ref | Lit,
+              b: Ref | Lit) -> Ref | Lit | LinExpr:
+        """``a * b``: a literal for two literals, a linear form for one,
+        else a fresh product variable."""
+        if type(a) is Lit:
+            if type(b) is Lit:
+                return Lit(checked_int(checked_int(a.value) * checked_int(b.value)))
+            return LinExpr({b.name: a.value})
+        if type(b) is Lit:
+            return LinExpr({a.name: b.value})
         y = self.fresh(builtin, role, bounds.product_bounds(self.dom(a), self.dom(b)))
-        (result,), (left,), (right,) = y.terms, a.terms, b.terms
-        self.problem.add_product(result, left, right, self.source)
+        self.problem.add_product(y.name, a.name, b.name, self.source)
         return y
 
-    def times_onto(self, c: LinExpr, builtin: str, role: str, a: LinExpr,
-                   b: LinExpr) -> None:
-        """``c = a * b``, each a constant or one variable: the product row
-        onto c itself when all three are variables and c is declared
-        after a and b, else c equals the form of ``times``."""
-        if a.terms and b.terms and c.terms:
-            (result,), (left,), (right,) = c.terms, a.terms, b.terms
-            if self.rank[result] > max(self.rank[left], self.rank[right]):
+    def times_onto(self, c: Ref | Lit, builtin: str, role: str, a: Ref | Lit,
+                   b: Ref | Lit) -> None:
+        """``c = a * b``: the product row onto c itself when all three are
+        variables and c is declared after a and b, else c equals
+        ``times``."""
+        if type(a) is Ref and type(b) is Ref and type(c) is Ref:
+            if self.rank[c.name] > max(self.rank[a.name], self.rank[b.name]):
                 bounds.product_bounds(self.dom(a), self.dom(b))  # overflow check
-                self.problem.add_product(result, left, right, self.source)
+                self.problem.add_product(c.name, a.name, b.name, self.source)
                 return
         self.eq0(_combine((1, c), (-1, self.times(builtin, role, a, b))))
 
-    def onehot(self, x: LinExpr, values: set[int]) -> dict[int, LinExpr]:
-        """Indicator of each value of x: its one-hot bits, or 0/1 constants
+    def onehot(self, x: Ref | Lit, values: set[int]) -> dict[int, Ref | Lit]:
+        """Indicator of each value of x: its one-hot bits, or 0/1 literals
         when x is a literal."""
-        if not x.terms:
-            return {v: LinExpr(constant=int(v == x.constant)) for v in values}
-        group = self.problem.onehot_get_or_create(*x.terms, values)
-        return {v: LinExpr({bit: 1}) for bit, v in group.bits if v in values}
+        if type(x) is Lit:
+            return {v: Lit(int(v == x.value)) for v in values}
+        group = self.problem.onehot_get_or_create(x.name, values)
+        return {v: Ref(bit) for bit, v in group.bits if v in values}
 
-    def restrict(self, x: LinExpr, d: Domain) -> None:
+    def restrict(self, x: Ref | Lit, d: Domain) -> None:
         """Restrict x to d; raises EmptyDomain when nothing is left, also
         for a literal outside d."""
-        if x.terms:
-            self.problem.restrict_domain(*x.terms, d)
+        if type(x) is Lit:
+            Domain(x.value, x.value).intersect(d)
         else:
-            Domain(x.constant, x.constant).intersect(d)
+            self.problem.restrict_domain(x.name, d)
 
     def eq0(self, expr: LinExpr) -> None:
         self.problem.add_equality(expr, self.source)
@@ -137,29 +134,35 @@ class RewriteContext:
         self.problem.add_inequality(expr, self.source)
 
 
-def _combine(*parts: tuple[int, LinExpr], constant: int = 0) -> LinExpr:
-    """The linear form ``sum(k * expr for k, expr in parts) + constant``."""
+def _combine(*parts: tuple[int, Ref | Lit | LinExpr], constant: int = 0) -> LinExpr:
+    """The row ``sum(k * x for k, x in parts) + constant``."""
     out = LinExpr(constant=constant)
-    for k, expr in parts:
-        out.add_const(k * expr.constant)
-        for var, coef in expr.terms.items():
-            out.add_term(var, k * coef)
+    for k, x in parts:
+        kind = type(x)
+        if kind is Ref:
+            out.add_term(x.name, k)
+        elif kind is Lit:
+            out.add_const(k * checked_int(x.value))
+        else:
+            out.add_const(k * x.constant)
+            for var, coef in x.terms.items():
+                out.add_term(var, k * coef)
     return out
 
 
-def _label(x: LinExpr) -> str:
-    """The variable of a form from ``lin``, or its constant."""
-    return next(iter(x.terms), str(x.constant))
+def _label(x: Ref | Lit) -> str:
+    """The name of a variable, or the value of a literal."""
+    return x.name if type(x) is Ref else str(x.value)
 
 
 # ----------------------------------------------------------------------
 # shared pieces
 
 
-def _emit_div(ctx: RewriteContext, builtin: str, n: LinExpr, d: LinExpr,
-              q: LinExpr) -> LinExpr:
-    """Emit the linearized truncating-division system; returns the form
-    of the product p = d*q."""
+def _emit_div(ctx: RewriteContext, builtin: str, n: Ref | Lit, d: Ref | Lit,
+              q: Ref | Lit) -> Ref | Lit | LinExpr:
+    """Emit the linearized truncating-division system; returns the
+    product p = d*q."""
     dd = ctx.dom(d)
     if dd.lo == 0 and dd.hi == 0:
         raise EmptyDomain(f"divisor '{_label(d)}' is fixed to zero")
@@ -183,7 +186,8 @@ def _emit_div(ctx: RewriteContext, builtin: str, n: LinExpr, d: LinExpr,
     relax = max(m, 1)
     zeta = ctx.fresh(builtin, "z", BINARY) if zeta_active else None
 
-    def ineq(*parts: tuple[int, LinExpr], constant: int, relaxed: bool) -> None:
+    def ineq(*parts: tuple[int, Ref | Lit | LinExpr], constant: int,
+             relaxed: bool) -> None:
         if relaxed and zeta is not None:
             parts += ((-relax, zeta),)
         ctx.le0(_combine(*parts, constant=constant))
@@ -225,30 +229,29 @@ def _rw_element(ctx, item):
     When every reachable entry is the same literal or variable x, the
     row is ``c - x = 0`` and i needs no one-hot group.
     """
-    i, c = ctx.lin(item.args[0]), ctx.lin(item.args[2])
-    elems = item.args[1].items
-    doms = [Domain(e.value, e.value) if isinstance(e, Lit)
-            else ctx.problem.vars[e.name].domain for e in elems]
-    i_dom, c_dom = bounds.element_domain_restrict(ctx.dom(i), doms)
+    i, xs, c = item.args
+    elems = xs.items
+    i_dom, c_dom = bounds.element_domain_restrict(ctx.dom(i),
+                                                  [ctx.dom(e) for e in elems])
     ctx.restrict(i, i_dom)
     ctx.restrict(c, c_dom)
     reachable = elems[i_dom.lo - 1 : i_dom.hi]
     if all(e == reachable[0] for e in reachable):
-        ctx.eq0(_combine((1, c), (-1, ctx.lin(reachable[0]))))
+        ctx.eq0(_combine((1, c), (-1, reachable[0])))
         return
     bits = ctx.onehot(i, set(i_dom.values()))
     parts = [(-1, c)]
     for j in i_dom.values():
         e = elems[j - 1]
-        if isinstance(e, Lit):
+        if type(e) is Lit:
             parts.append((e.value, bits[j]))
         else:
-            parts.append((1, ctx.times(item.name, f"z{j}", ctx.lin(e), bits[j])))
+            parts.append((1, ctx.times(item.name, f"z{j}", e, bits[j])))
     ctx.eq0(_combine(*parts))
 
 
 def _rw_abs(ctx, item):
-    x, y = (ctx.lin(a) for a in item.args)
+    x, y = item.args
     ctx.restrict(y, bounds.abs_bounds(ctx.dom(x)))
     b = ctx.fresh("int_abs", "b", BINARY)
     z = ctx.times("int_abs", "z", b, x)
@@ -256,11 +259,11 @@ def _rw_abs(ctx, item):
 
 
 def _rw_div(ctx, item):
-    _emit_div(ctx, "int_div", *(ctx.lin(a) for a in item.args))
+    _emit_div(ctx, "int_div", *item.args)
 
 
 def _rw_mod(ctx, item):
-    n, d, r = (ctx.lin(a) for a in item.args)
+    n, d, r = item.args
     nd = ctx.dom(n)
     u = max(abs(nd.lo), abs(nd.hi))
     q = ctx.fresh("int_mod", "q", Domain(-u, u))
@@ -332,9 +335,8 @@ def _rw_relation(ctx, item):
     r = rest[0] if rest else None
     if rel == "lt":
         rel, c = "le", c - 1
-    xs = [ctx.lin(x) for x in xs]
     s = _combine(*zip(coeffs, xs)).add_const(-c)
-    if isinstance(r, Lit):
+    if type(r) is Lit:
         if not r.value:
             if rel == "le":
                 s = _combine((-1, s), constant=1)  # s >= 1
@@ -348,7 +350,6 @@ def _rw_relation(ctx, item):
     s_dom = bounds.lin_bounds(coeffs, [ctx.dom(x) for x in xs], c)
     lo, hi = s_dom.lo, s_dom.hi
     if r is not None:
-        r = ctx.lin(r)
         if rel == "le":
             # r = 1: s <= 0; r = 0: s >= 1
             ctx.le0(_combine((1, s), (hi, r), constant=-hi))
@@ -361,7 +362,7 @@ def _rw_relation(ctx, item):
     else:
         if lo == hi == 0:
             raise EmptyDomain("the compared values are always equal")
-        t = LinExpr()
+        t = Lit(0)
     # s != 0 when t = 0: b = 0 gives s <= -1, b = 1 gives s >= 1
     b = ctx.fresh(item.name, "b", BINARY)
     ctx.le0(_combine((1, s), (-(hi + 1), b), (-max(0, hi + 1), t), constant=1))
@@ -383,30 +384,32 @@ def _rw_extremum(ctx, item):
         m, xs = item.args[0], item.args[1].items
     if not xs:
         raise EmptyDomain("extremum of an empty array")
-    m, *xs = (ctx.lin(a) for a in (m, *xs))
     m_dom, x_doms = bounds.minmax_domain_restrict(
         ctx.dom(m), [ctx.dom(x) for x in xs], "max" if sign == 1 else "min"
     )
     for x, d in zip((m, *xs), (m_dom, *x_doms)):
         ctx.restrict(x, d)
     bits = [ctx.fresh(item.name, "b", BINARY) for _ in xs[1:]]
-    picked = _combine(*((1, bit) for bit in bits))
     if len(bits) > 1:
-        ctx.le0(_combine((1, picked), constant=-1))
-    for x, sel in zip(xs, [_combine((-1, picked), constant=1), *bits]):
+        ctx.le0(_combine(*((1, bit) for bit in bits), constant=-1))
+    for j, x in enumerate(xs):
         s = _combine((sign, x), (-sign, m))  # sign * (x - m)
         big_m = -bounds.lin_bounds([sign, -sign], [ctx.dom(x), ctx.dom(m)], 0).lo
         ctx.le0(s)
-        ctx.le0(_combine((-1, s), (big_m, sel), constant=-big_m))
+        if j:  # -s <= big_m * (1 - b_j)
+            ctx.le0(_combine((-1, s), (big_m, bits[j - 1]), constant=-big_m))
+        else:  # -s <= big_m * sum(b)
+            ctx.le0(_combine((-1, s), *((-big_m, bit) for bit in bits)))
 
 
 def _rw_int_times(ctx, item):
-    a, b, c = (ctx.lin(x) for x in item.args)
+    a, b, c = item.args
     ctx.times_onto(c, "int_times", "p", a, b)
 
 
 def _rw_int_pow(ctx, item):
-    x, y, z = (ctx.lin(a) for a in item.args)
+    x, y, z = item.args
+    ctx.dom(x)  # a literal base is range-checked whatever the exponent
     yd = ctx.dom(y)
     if yd.lo != yd.hi:
         raise UnsupportedExponent("exponent must be a fixed value")
@@ -420,7 +423,7 @@ def _rw_int_pow(ctx, item):
         ctx.times_onto(z, "int_pow", "e2", x, x)
         return
 
-    def power(k: int) -> LinExpr:
+    def power(k: int) -> Ref | Lit:
         if k == 1:
             return x
         u = power(k // 2)
@@ -436,15 +439,15 @@ def _rw_array_bool_and(ctx, item):
     ``sum(xs) - r <= n - 1``; for no x, that row alone gives r = 1.
     ``bool_and(a, b, r)`` is ``array_bool_and([a, b], r)``."""
     xs = item.args[0].items if item.name == "array_bool_and" else item.args[:2]
-    elems, r = [ctx.lin(a) for a in xs], ctx.lin(item.args[-1])
-    for e in elems:
-        ctx.le0(_combine((1, r), (-1, e)))
+    r = item.args[-1]
+    for x in xs:
+        ctx.le0(_combine((1, r), (-1, x)))
     if not ctx.options.corrupt_bool_and:
-        ctx.le0(_combine((-1, r), *((1, e) for e in elems), constant=1 - len(elems)))
+        ctx.le0(_combine((-1, r), *((1, x) for x in xs), constant=1 - len(xs)))
 
 
 def _rw_set_in(ctx, item):
-    x = ctx.lin(item.args[0])
+    x = item.args[0]
     dom = ctx.dom(x)
     values = {v for v in item.args[1].values if v in dom}  # not the whole domain
     if not values:
@@ -455,7 +458,7 @@ def _rw_set_in(ctx, item):
 
 
 def _rw_set_in_reif(ctx, item):
-    x, r = ctx.lin(item.args[0]), ctx.lin(item.args[2])
+    x, _, r = item.args
     bits = ctx.onehot(x, set(ctx.dom(x).values()))
     ctx.eq0(_combine((1, r), *((-1, bits[v]) for v in item.args[1].values
                                if v in bits)))

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and output determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -277,6 +278,57 @@ def test_integer_literal_past_int64_is_an_overflow(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"overflow: integer {big} exceeds the supported range\n"
+
+
+# One literal at the edge of or past the supported range (2**62), at each
+# int position of each builtin, every other argument valid; the digest
+# covers each model's exit code, stderr line and output.
+RANGE_LITERALS = (2**62, 2**62 + 1, -(2**62 + 1), 10**30 - 1)
+RANGE_DIGEST = "0875cf0f5f462e37efc036ec53d6ec26920c36445fc47aa9c5c47a8b9ec139aa"
+
+
+def _range_literal_model(builtin, sig, pos, value):
+    decls = []
+
+    def var(kind):
+        decls.append(f"var {'bool' if kind == 'bv' else '-1..2'}: v{len(decls)};")
+        return f"v{len(decls) - 1}"
+
+    args = []
+    for i, kind in enumerate(sig):
+        if i == pos:
+            args.append(str(value) if kind in ("iv", "ic")
+                        else f"[{value}, {'2' if kind == 'ia' else var('iv')}]")
+        elif builtin == "int_pow" and i == 1:
+            args.append("2")
+        elif kind in ("iv", "bv"):
+            args.append(var(kind))
+        elif kind in ("iva", "bva"):
+            args.append(f"[{var(kind[:2])}, {var(kind[:2])}]")
+        else:
+            args.append({"ic": "1", "ia": "[1, 2]", "ba": "[1, 0]", "set": "{1, 2}"}[kind])
+    return "\n".join(decls + [f"constraint {builtin}({', '.join(args)});",
+                              "solve satisfy;"]) + "\n"
+
+
+def test_literals_past_the_supported_range_are_pinned(tmp_path, capsys):
+    src = str(tmp_path / "m.fzn")
+    digest, count = hashlib.sha256(), 0
+    for builtin, sigs in sorted(SIGNATURES.items()):
+        for sig in sigs:
+            for pos, kind in enumerate(sig):
+                if kind not in ("iv", "ic", "ia", "iva"):
+                    continue
+                for value in RANGE_LITERALS:
+                    write(tmp_path, "m.fzn", _range_literal_model(builtin, sig, pos, value))
+                    code = run(["compile", src])
+                    out, err = capsys.readouterr()
+                    digest.update(repr((builtin, len(sig), pos, value, code,
+                                        err.replace(src, "m.fzn"),
+                                        hashlib.sha256(out.encode()).hexdigest())).encode())
+                    count += 1
+    assert count == 304
+    assert digest.hexdigest() == RANGE_DIGEST
 
 
 

@@ -491,6 +491,28 @@ def test_int_times_square_takes_the_direct_path():
     assert check_equivalence(model, p).describe() == "Equal (5 solutions)"
 
 
+def test_int_times_links_build_no_linear_form(monkeypatch):
+    # a direct-path link is one product row: no form per argument or row
+    built = []
+    init = LinExpr.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinExpr, "__init__", counting)
+    counts = []
+    for n in (10, 300):
+        decls = "".join(f"var 0..1: x{i};\n" for i in range(n + 1))
+        links = "".join(f"constraint int_times(x{i}, x{i}, x{i + 1});\n" for i in range(n))
+        model = typecheck(parse_model(decls + links + "solve satisfy;\n"))
+        built.clear()
+        p = compile_model(model)
+        assert len(p.products) == n and not p.equalities
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+
+
 def test_two_int_times_onto_one_result_check_equal():
     model, p = compile_src("""
         var -2..2: a;
