@@ -434,21 +434,16 @@ def _build_substitution(eqs: list, prods: list, aux: set[int],
 
     def plan(step: _Step) -> bool:
         # cyclic iff an input depends on the target: search the target's
-        # dependents, which are few when steps are planned in order, and
-        # none while no step reads the target
+        # dependents, which are few when steps are planned in order
         inputs = set(step.inputs)
-        if step.target not in readers:
-            if step.target in inputs:
+        stack, seen = [step.target], set()
+        while stack:
+            v = stack.pop()
+            if v in inputs:
                 return False
-        else:
-            stack, seen = [step.target], set()
-            while stack:
-                v = stack.pop()
-                if v in inputs:
-                    return False
-                if v not in seen:
-                    seen.add(v)
-                    stack.extend(readers.get(v, ()))
+            if v not in seen:
+                seen.add(v)
+                stack.extend(readers.get(v, ()))
         defs[step.target] = step
         for i in inputs:
             readers.setdefault(i, []).append(step.target)
@@ -457,31 +452,22 @@ def _build_substitution(eqs: list, prods: list, aux: set[int],
     def undetermined(i: int) -> bool:
         return i not in defs and i not in known
 
-    # each sweep reads only the rows still open: a product leaves once
-    # its result is determined, an equality once it planned a step (any
-    # other step from it would be cyclic) or has no undetermined column
-    open_prods, open_eqs = list(enumerate(prods)), list(enumerate(eqs))
-    planned = -1
-    while planned < len(defs):
-        planned = len(defs)
-        open_prods = [(j, (t, left, right)) for j, (t, left, right) in open_prods
-                      if undetermined(t)
-                      and not plan(_Step("product", j, t, [left, right]))]
-        still = []
-        for j, (terms, constant) in open_eqs:
+    changed = True
+    while changed:
+        changed = False
+        for j, (t, left, right) in enumerate(prods):
+            if undetermined(t):
+                changed |= plan(_Step("product", j, t, [left, right]))
+        for j, (terms, constant) in enumerate(eqs):
             undet = [(i, c) for i, c in terms if undetermined(i)]
-            if not undet:
-                continue
             if len(undet) > 1:
                 undet = [(i, c) for i, c in undet if i in aux]
-            if len(undet) == 1 and abs(undet[0][1]) == 1:
-                t, sign = undet[0]
-                rest = [(i, c) for i, c in terms if i != t]
-                if plan(_Step("equality", j, t, [i for i, _ in rest],
-                              [c for _, c in rest], constant, sign)):
-                    continue
-            still.append((j, (terms, constant)))
-        open_eqs = still
+            if len(undet) != 1 or abs(undet[0][1]) != 1:
+                continue
+            t, sign = undet[0]
+            rest = [(i, c) for i, c in terms if i != t]
+            changed |= plan(_Step("equality", j, t, [i for i, _ in rest],
+                                  [c for _, c in rest], constant, sign))
 
     # topological order (iterative post-order): inputs before targets
     ordered: list[_Step] = []

@@ -142,7 +142,7 @@ def _combine(*parts: tuple[int, Ref | Lit | LinExpr], constant: int = 0) -> LinE
         if kind is Ref:
             out.add_term(x.name, k)
         elif kind is Lit:
-            out.add_const(k * checked_int(x.value))
+            out.add_const(checked_int(k) * checked_int(x.value))
         else:
             out.add_const(k * x.constant)
             for var, coef in x.terms.items():
@@ -390,16 +390,14 @@ def _rw_extremum(ctx, item):
     for x, d in zip((m, *xs), (m_dom, *x_doms)):
         ctx.restrict(x, d)
     bits = [ctx.fresh(item.name, "b", BINARY) for _ in xs[1:]]
+    picked = _combine(*((1, bit) for bit in bits))
     if len(bits) > 1:
-        ctx.le0(_combine(*((1, bit) for bit in bits), constant=-1))
-    for j, x in enumerate(xs):
+        ctx.le0(_combine((1, picked), constant=-1))
+    for x, sel in zip(xs, [_combine((-1, picked), constant=1), *bits]):
         s = _combine((sign, x), (-sign, m))  # sign * (x - m)
         big_m = -bounds.lin_bounds([sign, -sign], [ctx.dom(x), ctx.dom(m)], 0).lo
         ctx.le0(s)
-        if j:  # -s <= big_m * (1 - b_j)
-            ctx.le0(_combine((-1, s), (big_m, bits[j - 1]), constant=-big_m))
-        else:  # -s <= big_m * sum(b)
-            ctx.le0(_combine((-1, s), *((-big_m, bit) for bit in bits)))
+        ctx.le0(_combine((-1, s), (big_m, sel), constant=-big_m))
 
 
 def _rw_int_times(ctx, item):

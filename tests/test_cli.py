@@ -280,6 +280,18 @@ def test_integer_literal_past_int64_is_an_overflow(tmp_path, capsys):
     assert err == f"overflow: integer {big} exceeds the supported range\n"
 
 
+@pytest.mark.parametrize("terms", ["[0, x]", "[x, x]"])
+def test_coefficient_past_int64_is_an_overflow(tmp_path, capsys, terms):
+    # also when its term is the literal 0, where the product is 0
+    big = 10**30
+    src = write(tmp_path, "m.fzn", f"var 0..1: x; constraint int_lin_eq([{big}, 1], "
+                f"{terms}, 1); solve satisfy;\n")
+    assert run(["check", src]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"overflow: integer {big} exceeds the supported range\n"
+
+
 # One literal at the edge of or past the supported range (2**62), at each
 # int position of each builtin, every other argument valid; the digest
 # covers each model's exit code, stderr line and output.
@@ -329,7 +341,6 @@ def test_literals_past_the_supported_range_are_pinned(tmp_path, capsys):
                     count += 1
     assert count == 304
     assert digest.hexdigest() == RANGE_DIGEST
-
 
 
 def test_int_pow_variable_exponent_is_one_line_exit_1(tmp_path, capsys):
