@@ -8,8 +8,8 @@ summary), ``fuzz`` (print seeded random test models).  ``check`` and
 they cover the bytes ``compile`` emits.
 
 Exit codes: 0 success / Equal / optimal; 1 input diagnostics (input
-that is not UTF-8 included); 2 counterexample found; 3 enumeration cap
-exceeded; 4 unsatisfiability proven at compile time.
+that is not UTF-8 included) and usage errors; 2 counterexample found; 3
+enumeration cap exceeded; 4 unsatisfiability proven at compile time.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import (
     Diagnostic,
     Fzn2QipError,
     InputEncodingError,
+    UsageError,
 )
 from .frontend import parse_model, typecheck
 from .model import deserialize
@@ -36,8 +37,16 @@ EXIT_CAP = 3
 EXIT_UNSAT = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error instead of exiting with argparse's status 2,
+    which is the counterexample code."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="fzn2qip",
         description="Compile finite-domain FlatZinc into quadratic "
         "integer-programming normal form.",
@@ -152,7 +161,6 @@ def _cmd_fuzz(ns) -> int:
 
 
 def run(argv: list[str] | None = None) -> int:
-    ns = _arg_parser().parse_args(argv)
     handlers = {
         "compile": _cmd_compile,
         "check": _cmd_check,
@@ -161,6 +169,7 @@ def run(argv: list[str] | None = None) -> int:
         "fuzz": _cmd_fuzz,
     }
     try:
+        ns = _arg_parser().parse_args(argv)  # a UsageError is the last case below
         return handlers[ns.command](ns)
     except Diagnostic as exc:
         print(exc.render(getattr(ns, "input", "<input>")), file=sys.stderr)

@@ -121,6 +121,12 @@ class UnknownBuiltin(Fzn2QipError):
         super().__init__(f"no supported builtin is named {name!r}")
 
 
+class UsageError(Fzn2QipError):
+    """A command line that names no valid subcommand, option or input."""
+
+    code = "usage-error"
+
+
 class SchemaError(Fzn2QipError):
     """Malformed serialized problem text."""
 

@@ -41,16 +41,16 @@ def feasible_mask(
     values: np.ndarray,
     eqs: list[tuple[list[tuple[int, int]], int]],
     ineqs: list[tuple[list[tuple[int, int]], int]],
-    prods: np.ndarray,
+    prods: list[tuple[int, int, int]],
     bounds: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Boolean mask of the feasible columns of ``values``.
 
     ``eqs`` and ``ineqs`` hold ``(terms, constant)`` forms with ``terms``
-    a list of ``(row, coefficient)``.  ``prods`` is a ``(k, 3)`` index
-    array of ``(res, left, right)`` rows.  ``bounds``, if given, is
-    ``(rows, lows, highs)``: ``k`` row indices and their ``(k, 1)``
-    domain minima and maxima.
+    a list of ``(row, coefficient)``.  ``prods`` holds ``(res, left,
+    right)`` row triples (a ``(k, 3)`` index array serves too).
+    ``bounds``, if given, is ``(rows, lows, highs)``: ``k`` row indices
+    and their ``(k, 1)`` domain minima and maxima.
     """
     mask = np.ones(values.shape[1], dtype=bool)
     if bounds is not None:
@@ -62,6 +62,6 @@ def feasible_mask(
     for terms, constant in ineqs:
         mask &= linear_form(values, terms, constant) <= 0
     if len(prods):
-        res, left, right = values[prods.T]
+        res, left, right = values[np.array(prods).T]
         mask &= np.logical_and.reduce(res == left * right)
     return mask

@@ -431,6 +431,7 @@ def _build_substitution(eqs: list, prods: list, aux: set[int],
     """
     defs: dict[int, _Step] = {}
     readers: dict[int, list[int]] = {}  # column -> targets of steps reading it
+    done = set(known)  # the columns fixed or computed so far
 
     def plan(step: _Step) -> bool:
         # cyclic iff an input depends on the target: search the target's
@@ -445,29 +446,26 @@ def _build_substitution(eqs: list, prods: list, aux: set[int],
                 seen.add(v)
                 stack.extend(readers.get(v, ()))
         defs[step.target] = step
+        done.add(step.target)
         for i in inputs:
             readers.setdefault(i, []).append(step.target)
         return True
-
-    def undetermined(i: int) -> bool:
-        return i not in defs and i not in known
 
     changed = True
     while changed:
         changed = False
         for j, (t, left, right) in enumerate(prods):
-            if undetermined(t):
+            if t not in done:
                 changed |= plan(_Step("product", j, t, [left, right]))
         for j, (terms, constant) in enumerate(eqs):
-            undet = [(i, c) for i, c in terms if undetermined(i)]
+            undet = [(i, c) for i, c in terms if i not in done]
             if len(undet) > 1:
                 undet = [(i, c) for i, c in undet if i in aux]
             if len(undet) != 1 or abs(undet[0][1]) != 1:
                 continue
             t, sign = undet[0]
-            rest = [(i, c) for i, c in terms if i != t]
-            changed |= plan(_Step("equality", j, t, [i for i, _ in rest],
-                                  [c for _, c in rest], constant, sign))
+            changed |= plan(_Step("equality", j, t, [i for i, _ in terms if i != t],
+                                  [c for i, c in terms if i != t], constant, sign))
 
     # topological order (iterative post-order): inputs before targets
     ordered: list[_Step] = []
@@ -485,40 +483,38 @@ def _build_substitution(eqs: list, prods: list, aux: set[int],
     return ordered
 
 
-@dataclass
+@dataclass(slots=True)
 class _Unit:
-    """One enumeration unit: a free variable, or a categorical one-hot
-    group whose choice j sets its j-th bit to 1 and the others to 0.  A
-    group also sets each of ``targets``, the variables that steps compute
-    from its bits alone, to its value for choice j: column j of
-    ``lookup``."""
+    """One enumeration unit: a free variable, whose choice p sets it to
+    ``lo + p``, or a categorical one-hot group, whose choice p sets its
+    p-th bit to 1 and leaves the others 0.  A group also sets each of
+    ``targets``, the variables that steps compute from its bits alone, to
+    its value for choice p: column p of ``lookup``."""
 
     name: str
     cols: list[int]
     size: int
     lo: int = 0  # value of choice 0 of a variable
     onehot: bool = False
-    sums: list[int] = field(default_factory=list)  # its sum(bits) = 1 equalities
-    targets: list[int] = field(default_factory=list)
+    sums: list[int] | tuple = ()  # its sum(bits) = 1 equalities
+    targets: list[int] | tuple = ()
     lookup: np.ndarray | None = None  # (len(targets), size)
 
-    def __post_init__(self):
-        self.at = np.array(self.cols) if self.onehot else None  # each choice's bit
-
-    def write(self, table: np.ndarray, idx: np.ndarray) -> None:
-        """Write the choice numbers ``idx``, one per column of ``table``,
-        whose rows ``cols`` hold 0 (no earlier stage writes them)."""
+    def write(self, view: np.ndarray, r0: int) -> None:
+        """Write choice ``r0 + p`` into each ``view[:, j, p]``, whose rows
+        ``cols`` hold 0 (no earlier stage writes them)."""
+        m = view.shape[2]
         if not self.onehot:
-            table[self.cols[0]] = idx + self.lo
+            view[self.cols[0]] = np.arange(self.lo + r0, self.lo + r0 + m)
             return
-        table[self.at[idx], np.arange(len(idx))] = 1
+        view[self.cols[r0:r0 + m], :, np.arange(m)] = 1
         if self.targets:
-            table[self.targets] = self.lookup[:, idx]
+            view[self.targets] = self.lookup[:, None, r0:r0 + m]
 
 
-def _categorical_groups(problem: QipProblem, index: dict[str, int],
+def _categorical_groups(groups: list, index: dict[str, int], doms: list[Domain],
                         eqs: list) -> list[_Unit]:
-    """One-hot groups that can be enumerated as one column of k choices.
+    """The one-hot ``groups`` that can be enumerated as one unit of k choices.
 
     A group qualifies only when ``eqs`` (the equalities as ``(terms,
     constant)`` over columns) contains its exact ``sum(bits) - 1 = 0``
@@ -531,13 +527,12 @@ def _categorical_groups(problem: QipProblem, index: dict[str, int],
             sums.setdefault(frozenset(i for i, _ in terms), []).append(j)
     units: list[_Unit] = []
     taken: set[int] = set()
-    for g in problem.onehot_groups:
+    for g in groups:
         cols = [index[b] for b, _ in g.bits]
         rows = sums.get(frozenset(cols))
-        if not cols or rows is None or len(set(cols)) != len(cols):
-            continue
-        doms = [problem.vars[b].domain for b, _ in g.bits]
-        if taken.isdisjoint(cols) and all(d.lo >= 0 and d.hi <= 1 for d in doms):
+        if (cols and rows is not None and len(set(cols)) == len(cols)
+                and taken.isdisjoint(cols)
+                and all(doms[c].lo >= 0 and doms[c].hi <= 1 for c in cols)):
             taken.update(cols)
             units.append(_Unit(f"onehot:{g.int_var}", cols, len(cols), onehot=True,
                                sums=rows))
@@ -576,27 +571,19 @@ def _lookup(unit: _Unit, steps: list[_Step], dtype) -> np.ndarray:
     return out
 
 
-def _table_dtype(doms: list[Domain], forms: list, prods: list, steps: list[_Step]):
-    """int64, or object (exact Python ints) if some linear form, product
-    or step can leave the int64 range over the domains ``doms``.
-    ``forms`` holds ``(terms, constant)`` over columns and ``prods``
-    ``(result, left, right)`` columns.
+def _table_dtype(worst: int):
+    """int64, or object (exact Python ints) if ``worst``, the largest
+    magnitude bound over the domains of a row (a linear form's ``sum(|c|
+    * |x|) + |constant|``, a product's ``|left| * |right|``), leaves the
+    int64 range.  A step computes its equality without the +-1 target
+    term, so no step needs a bound of its own.
 
     An assignment holding a value outside its domain may compute garbage,
     but the earliest such value (in step order) is exact and fails its
     own domain check in the same stage, so the assignment is dropped
     anyway.
     """
-    mag = [max(abs(d.lo), abs(d.hi)) for d in doms]
-
-    def lin(terms, constant: int) -> int:
-        return sum(abs(c) * mag[i] for i, c in terms) + abs(constant)
-
-    worst = [lin(terms, constant) for terms, constant in forms]
-    worst += [mag[left] * mag[right] for _, left, right in prods]
-    worst += [lin(zip(s.inputs, s.coefs), s.constant) for s in steps
-              if s.kind == "equality"]
-    return object if max(worst, default=0) > _INT64_MAX else np.int64
+    return object if worst > _INT64_MAX else np.int64
 
 
 def _advance(table: np.ndarray, steps: list[_Step], checks: tuple | None) -> np.ndarray:
@@ -608,7 +595,7 @@ def _advance(table: np.ndarray, steps: list[_Step], checks: tuple | None) -> np.
             np.multiply(table[s.inputs[0]], table[s.inputs[1]], out=table[s.target])
         else:
             acc = kernels.linear_form(table, zip(s.inputs, s.coefs), s.constant)
-            table[s.target] = -s.sign * acc
+            np.multiply(acc, -s.sign, out=table[s.target])
     if checks is not None:
         mask = kernels.feasible_mask(table, *checks)
         if not mask.all():  # a wide table is costly to copy
@@ -659,127 +646,136 @@ def enumerate_qip(
     exactly one bit of its unit to 1; and a lookup value is the step's
     own result.  A dropped check would pass on every column.
 
+    Planning costs in proportion to the problem: one pass over the
+    variables and one over the rows.
+
     Tables hold at most ``_CHUNK`` assignments (fewer when there are
     many variables, so a table has at most ``_CELLS`` values) and are
     expanded depth first, one table per unit of size >= 2 at a time, so
     at most log2(cap) tables are alive.
     """
     names = list(problem.vars)
-    index = {name: i for i, name in enumerate(names)}
-    doms = [v.domain for v in problem.vars.values()]
+    n = len(names)
+    index, doms, mag, aux, fixed = {}, [], [], set(), set()
+    for i, (name, v) in enumerate(problem.vars.items()):
+        index[name] = i
+        d = v.domain
+        doms.append(d)
+        mag.append(max(-d.lo, d.hi))  # max(|lo|, |hi|), as lo <= hi
+        if v.origin is not None:
+            aux.add(i)
+        if d.lo == d.hi:
+            fixed.add(i)
 
-    def terms(e) -> list[tuple[int, int]]:
-        return [(index[n], c) for n, c in e.terms.items()]
-
-    eqs = [(terms(e), e.constant) for e in problem.equalities]
-    ineqs = [(terms(e), e.constant) for e in problem.inequalities]
+    # the rows as (terms over columns, constant); the largest magnitude bound
+    forms, worst = [], 0
+    for exprs in (problem.equalities, problem.inequalities, (problem.objective,)):
+        rows = []
+        for e in exprs:
+            terms = [(index[v], c) for v, c in e.terms.items()]
+            rows.append((terms, e.constant))
+            bound = abs(e.constant)
+            for i, c in terms:
+                bound += abs(c) * mag[i]
+            worst = max(worst, bound)
+        forms.append(rows)
+    eqs, ineqs, (obj,) = forms
     prods = [(index[p.result], index[p.left], index[p.right]) for p in problem.products]
-    obj = (terms(problem.objective), problem.objective.constant)
+    worst = max([worst, *(mag[left] * mag[right] for _, left, right in prods)])
 
-    units = _categorical_groups(problem, index, eqs)
-    grouped = {c for u in units for c in u.cols}
-    singletons = {i for i, d in enumerate(doms) if d.lo == d.hi}
-    aux = {i for i, v in enumerate(problem.vars.values()) if not v.is_model}
-    steps = _build_substitution(eqs, prods, aux, grouped | singletons)
-    computed = grouped | {s.target for s in steps}  # the non-free variables
-    units += [_Unit(names[i], [i], _size(doms[i]), doms[i].lo)
-              for i in range(len(names)) if i not in computed]
+    groups = _categorical_groups(problem.onehot_groups, index, doms, eqs)
+    grouped = {c for u in groups for c in u.cols}
+    steps = _build_substitution(eqs, prods, aux, grouped | fixed)
+    computed = grouped.union(s.target for s in steps)  # the non-free variables
+    units = groups + [_Unit(names[i], [i], _size(doms[i]), doms[i].lo)
+                      for i in range(n) if i not in computed]
     units.sort(key=lambda u: min(u.cols))
 
     size = math.prod(u.size for u in units)
     if size > cap:
         largest = sorted(units, key=lambda u: -u.size)[:3]
         raise CapExceeded(size, cap, [(u.name, u.size) for u in largest])
-    dtype = _table_dtype(doms, [*eqs, *ineqs, obj], prods, steps)
+    dtype = _table_dtype(worst)
 
     # stage 0 fills the seed column; stage k adds the k-th enumerated unit
     order = sorted((u for u in units if u.size > 1), key=lambda u: u.size)
-    stage = [0] * len(names)
+    n_stages = len(order) + 1
+    stage = [0] * n
     for k, u in enumerate(order, start=1):
         for c in u.cols:
             stage[c] = k
-
-    def last(cols) -> int:
-        """The first stage that knows every column of ``cols``."""
-        return max((stage[i] for i in cols), default=0)
-
-    n_stages = len(order) + 1
     stage_steps: list[list[_Step]] = [[] for _ in range(n_stages)]
     for s in steps:
-        stage[s.target] = last(s.inputs)
-        stage_steps[stage[s.target]].append(s)
-    for k, u in enumerate(order, start=1):
-        if u.onehot:  # the steps computing from the unit's bits alone
-            own, mine = set(u.cols), []
-            for s in stage_steps[k]:
-                if own.issuperset(s.inputs):
-                    own.add(s.target)
-                    mine.append(s)
-            if mine:
-                u.targets = [s.target for s in mine]
-                u.lookup = _lookup(u, mine, dtype)
-                stage_steps[k] = [s for s in stage_steps[k] if s.target not in own]
-    # a step makes its own row hold, and a one-hot choice its sum row
+        k = stage[s.target] = max([stage[i] for i in s.inputs], default=0)
+        stage_steps[k].append(s)
+    for u in groups:  # the steps computing from a group's bits alone
+        k, own, mine = stage[u.cols[0]], set(u.cols), []
+        if k == 0:
+            continue  # a group of one bit, preset in the seed column
+        for s in stage_steps[k]:
+            if own.issuperset(s.inputs):
+                own.add(s.target)
+                mine.append(s)
+        if mine:
+            u.targets = [s.target for s in mine]
+            u.lookup = _lookup(u, mine, dtype)
+            stage_steps[k] = [s for s in stage_steps[k] if s.target not in own]
+
+    # each row no step or one-hot choice makes hold goes to the first stage
+    # that knows its variables, with the domains of the non-free variables
     solved = {(s.kind, s.row) for s in steps}
-    solved |= {("equality", j) for u in units for j in u.sums}
-    stage_eqs: list[list] = [[] for _ in range(n_stages)]
-    stage_ineqs: list[list] = [[] for _ in range(n_stages)]
-    stage_prods: list[list] = [[] for _ in range(n_stages)]
-    bounded: list[list[int]] = [[] for _ in range(n_stages)]  # non-free variables
-    for j, (t, constant) in enumerate(eqs):
+    solved.update(("equality", j) for u in groups for j in u.sums)
+    todo = [([], [], [], []) for _ in range(n_stages)]  # eqs, ineqs, prods, bounded
+    for j, row in enumerate(eqs):
         if ("equality", j) not in solved:
-            stage_eqs[last(i for i, _ in t)].append((t, constant))
-    for t, constant in ineqs:
-        stage_ineqs[last(i for i, _ in t)].append((t, constant))
+            todo[max([stage[i] for i, _ in row[0]], default=0)][0].append(row)
+    for row in ineqs:
+        todo[max([stage[i] for i, _ in row[0]], default=0)][1].append(row)
     for j, cols in enumerate(prods):
         if ("product", j) not in solved:
-            stage_prods[last(cols)].append(cols)
+            todo[max(stage[cols[0]], stage[cols[1]], stage[cols[2]])][2].append(cols)
     for c in sorted(computed):
-        bounded[stage[c]].append(c)
+        todo[stage[c]][3].append(c)
 
-    def checks(k: int) -> tuple | None:
-        """Stage ``k``'s ``feasible_mask`` arguments; None if it has no check."""
-        if not (stage_eqs[k] or stage_ineqs[k] or stage_prods[k] or bounded[k]):
-            return None
+    def work(k: int) -> tuple | None:
+        """Stage ``k``'s steps and ``feasible_mask`` arguments (None if it
+        checks nothing); None if it neither computes nor checks."""
+        stage_eqs, stage_ineqs, stage_prods, bounded = todo[k]
+        if not (stage_eqs or stage_ineqs or stage_prods or bounded):
+            return (stage_steps[k], None) if stage_steps[k] else None
         bounds = None
-        if bounded[k]:
-            lims = np.array([(doms[c].lo, doms[c].hi) for c in bounded[k]], dtype=dtype)
-            bounds = (np.array(bounded[k]), lims[:, :1], lims[:, 1:])
-        return (stage_eqs[k], stage_ineqs[k],
-                np.array(stage_prods[k], dtype=np.int64).reshape(-1, 3), bounds)
+        if bounded:
+            lims = np.array([(doms[c].lo, doms[c].hi) for c in bounded], dtype=dtype)
+            bounds = (np.array(bounded), lims[:, :1], lims[:, 1:])
+        return stage_steps[k], (stage_eqs, stage_ineqs, stage_prods, bounds)
 
-    stages = [(stage_steps[k], checks(k)) for k in range(n_stages)]
+    stages = [work(k) for k in range(n_stages)]
 
-    model_cols = [i for i, n in enumerate(names) if problem.vars[n].is_model]
-    has_obj = bool(problem.objective.terms) or problem.objective_sense == "min"
-    result = QipEnumeration(
-        names=names,
-        model_names=[names[i] for i in model_cols],
-        solutions=set(),
-        free_names=[u.name for u in units],
-        space_size=size,
-        full_solutions=set() if keep_full else None,
-    )
+    model_cols = [i for i in range(n) if i not in aux]
+    has_obj = bool(obj[0]) or problem.objective_sense == "min"
+    result = QipEnumeration(names, [names[i] for i in model_cols], set(),
+                            [u.name for u in units], size,
+                            full_solutions=set() if keep_full else None)
 
     def collect(feas: np.ndarray) -> None:
         result.solutions.update(map(tuple, feas[model_cols].T.tolist()))
         if keep_full:
             result.full_solutions.update(map(tuple, feas.T.tolist()))
         if has_obj:
-            objs = kernels.linear_form(feas, *obj)
-            best = int(np.min(objs))
+            best = int(np.min(kernels.linear_form(feas, *obj)))
             if result.best_value is None or best < result.best_value:
                 result.best_value = best
 
-    seed = np.zeros((len(names), 1), dtype=dtype)
+    table = np.zeros((n, 1), dtype=dtype)
     for u in units:
         if u.size == 1:
-            u.write(seed, np.zeros(1, dtype=np.int64))
-    chunk = max(1, min(_CHUNK, _CELLS // max(1, len(names))))
+            u.write(table.reshape(n, 1, 1), 0)
+    if stages[0]:
+        table = _advance(table, *stages[0])
+    chunk = max(1, min(_CHUNK, _CELLS // max(1, n)))
     # depth-first: (next unit, table, first flat index of table x unit not
     # done); only tables with columns are pushed
-    seed = _advance(seed, *stages[0])
-    stack = [(0, seed, 0)] if seed.shape[1] else []
+    stack = [(0, table, 0)] if table.shape[1] else []
     while stack:
         k, table, start = stack.pop()
         if k == len(order):
@@ -794,9 +790,11 @@ def enumerate_qip(
         if stop < total:
             stack.append((k, table, stop))
         j0, j1 = start // unit.size, -(-stop // unit.size)
-        rows = np.repeat(table[:, j0:j1], (stop - start) // (j1 - j0), axis=1)
-        unit.write(rows, np.arange(start, stop, dtype=np.int64) % unit.size)
-        rows = _advance(rows, *stages[k + 1])
+        m, r0 = (stop - start) // (j1 - j0), start % unit.size  # choices r0..r0+m-1
+        rows = table[:, j0:j1].repeat(m, axis=1)
+        unit.write(rows.reshape(n, j1 - j0, m), r0)  # column j*m + p: choice r0 + p
+        if stages[k + 1]:
+            rows = _advance(rows, *stages[k + 1])
         if rows.shape[1]:
             stack.append((k + 1, rows, 0))
     if problem.objective_negated and result.best_value is not None:

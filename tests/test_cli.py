@@ -176,6 +176,26 @@ def test_missing_file_exit_1(capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, start", [
+    (["check", "m.fzn", "--cap", "abc"], "argument --cap: invalid int value: 'abc'"),
+    (["check"], "the following arguments are required: input"),
+    (["frob", "m.fzn"], "argument command: invalid choice: 'frob'"),
+], ids=["bad-int", "missing-input", "unknown-subcommand"])
+def test_usage_error_is_one_line_exit_1(capsys, argv, start):
+    """Not argparse's exit 2, which is the counterexample code."""
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage-error: {start}") and err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["check", "--help"])
+    assert exc.value.code == 0
+    assert "--cap" in capsys.readouterr().out
+
+
 def test_non_utf8_input_is_one_line_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.fzn"
     path.write_bytes(b"var 0..1: x\xff;\nsolve satisfy;\n")

@@ -1,9 +1,11 @@
 """Direct-semantics evaluator, enumeration, and differential checking."""
 
+import hashlib
 import itertools
 import math
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -774,6 +776,111 @@ def test_dropped_checks_would_have_passed(exact, monkeypatch):
         plan["problem"] = p
         enumerate_qip(p)
     assert len(evaluated) > 100
+
+
+@pytest.fixture(scope="module")
+def compiled_corpus() -> list[QipProblem]:
+    """The compiled acceptance corpus: fuzz seeds 0..49 of every builtin,
+    less the instances that compilation proves UNSAT."""
+    problems = []
+    for builtin in sorted(SIGNATURES):
+        for seed in range(50):
+            try:
+                problems.append(compile_model(check(fuzz.generate(builtin, seed))))
+            except CompileUnsat:
+                pass
+    return problems
+
+
+# what enumerate_qip decides on the compiled corpus, DIV_SRC and
+# _element_src(12), computed before its planning was reworked
+PLAN_DIGEST = "d14c1bc68a0506dc0068648e8dce5ba9149ea83877074a81890e64f64c723af8"
+
+
+def test_plan_is_pinned(compiled_corpus, monkeypatch):
+    """Per call: the units, the space size, the solution count, the steps
+    as (kind, row, target, sign), and for each feasible_mask call the
+    table width and the rows and domains it checks."""
+    seen = []
+
+    def steps(*args):
+        planned = real_steps(*args)
+        seen.append(sorted((s.kind, s.row, s.target, s.sign) for s in planned))
+        return planned
+
+    def mask(values, eqs, ineqs, prods, bounds=None):
+        seen.append((values.shape[1],
+                     sorted((tuple(sorted(t)), c) for t, c in eqs),
+                     sorted((tuple(sorted(t)), c) for t, c in ineqs),
+                     sorted(map(tuple, np.asarray(prods, dtype=np.int64).reshape(-1, 3)
+                                    .tolist())),
+                     None if bounds is None else [x.tolist() for x in bounds]))
+        return real_mask(values, eqs, ineqs, prods, bounds)
+
+    real_steps, real_mask = oracle._build_substitution, kernels.feasible_mask
+    monkeypatch.setattr(oracle, "_build_substitution", steps)
+    monkeypatch.setattr(kernels, "feasible_mask", mask)
+    digest = hashlib.sha256()
+    for p in [*compiled_corpus, *(compile_model(check(src))
+                                  for src in (DIV_SRC, _element_src(12)))]:
+        seen.clear()
+        enum = enumerate_qip(p)
+        digest.update(repr((enum.free_names, enum.space_size, len(enum.solutions),
+                            seen)).encode())
+    assert digest.hexdigest() == PLAN_DIGEST
+
+
+def test_a_step_bound_is_its_row_bound_less_its_target(compiled_corpus, monkeypatch):
+    """A step computes its equality without the +-1 target term, so the
+    row bounds that ``_table_dtype`` reads cover every step."""
+    planned = []
+
+    def steps(eqs, *args):
+        planned.append((eqs, real(eqs, *args)))
+        return planned[-1][1]
+
+    real = oracle._build_substitution
+    monkeypatch.setattr(oracle, "_build_substitution", steps)
+    checked = 0
+    for p in [*_small_random_problems(), *compiled_corpus]:
+        mag = [max(abs(v.domain.lo), abs(v.domain.hi)) for v in p.vars.values()]
+        planned.clear()
+        enumerate_qip(p)
+        [(eqs, plan)] = planned
+        for s in plan:
+            if s.kind == "equality":
+                terms, constant = eqs[s.row]
+                row = sum(abs(c) * mag[i] for i, c in terms) + abs(constant)
+                step = (sum(abs(c) * mag[i] for i, c in zip(s.inputs, s.coefs))
+                        + abs(s.constant))
+                assert step <= row and step + mag[s.target] == row, (s, eqs[s.row])
+                checked += 1
+    assert checked > 300
+
+
+@pytest.mark.parametrize("k, exact", [
+    pytest.param(20_001, False, id="int64-20001"),
+    pytest.param(5_001, True, id="exact-5001"),
+])
+def test_a_wide_group_costs_linear_memory(k, exact, monkeypatch):
+    """The lookup of a k-bit one-hot group holds O(k) values, and a
+    table at most ``_CELLS``: the value step ``x = sum v*bit_v`` reads
+    every bit, so one length-k vector per bit would hold 8*k**2 bytes
+    (3.2 GB at 20,001 bits, 200 MB at 5,001).  Exact tables would write
+    all of it, so they are checked at 5,001 bits."""
+    p = compile_model(check(
+        f"var 0..{k - 1}: x; var bool: r; constraint set_in_reif(x, {{1, 2}}, r);\n"
+        "solve satisfy;\n"))
+    if exact:
+        monkeypatch.setattr(oracle, "_table_dtype", lambda *args: object)
+    tracemalloc.start()
+    try:
+        enum = enumerate_qip(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(enum.solutions) == k
+    assert peak < 100e6, peak
 
 
 # ----------------------------------------------------------------------
