@@ -9,7 +9,8 @@ they cover the bytes ``compile`` emits.
 
 Exit codes: 0 success / Equal / optimal; 1 input diagnostics (input
 that is not UTF-8 included) and usage errors; 2 counterexample found; 3
-enumeration cap exceeded; 4 unsatisfiability proven at compile time.
+enumeration cap exceeded or memory exhausted; 4 unsatisfiability proven
+at compile time.
 """
 
 from __future__ import annotations
@@ -53,11 +54,8 @@ def _arg_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="FlatZinc input file")
-        p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP,
-                       help="enumeration state-space cap")
+    def add_common(p):
+        p.add_argument("input", help="FlatZinc input file")
         p.add_argument("--verbatim-div", action="store_true",
                        help="emit the unextended division system "
                        "(no zero-numerator indicator)")
@@ -65,12 +63,15 @@ def _arg_parser() -> argparse.ArgumentParser:
                        help=argparse.SUPPRESS)
         p.add_argument("--corrupt-bool-and", action="store_true",
                        help=argparse.SUPPRESS)
+        return p
 
-    p = sub.add_parser("compile", help="compile and emit the problem")
-    add_common(p)
+    p = add_common(sub.add_parser("compile", help="compile and emit the problem"))
     p.add_argument("-o", "--output", help="output file (default: stdout)")
-    add_common(sub.add_parser("check", help="verify equivalence exhaustively"))
-    add_common(sub.add_parser("solve", help="solve by exhaustive enumeration"))
+    for name, what in (("check", "verify equivalence exhaustively"),
+                       ("solve", "solve by exhaustive enumeration")):
+        p = add_common(sub.add_parser(name, help=what))
+        p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP,
+                       help="enumeration state-space cap")
     add_common(sub.add_parser("stats", help="print problem size counts"))
 
     p = sub.add_parser("fuzz", help="print seeded random test models")
@@ -179,6 +180,9 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_UNSAT
     except CapExceeded as exc:
         print(f"cap exceeded: {exc.message}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print("cap exceeded: out of memory", file=sys.stderr)
         return EXIT_CAP
     except OSError as exc:
         print(str(exc), file=sys.stderr)

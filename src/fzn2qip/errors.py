@@ -53,7 +53,6 @@ class UnsupportedItem(Diagnostic):
 
     def __init__(self, what: str, line: int = 0, col: int = 0):
         super().__init__(f"unsupported: {what}", line, col)
-        self.what = what
 
 
 class UndeclaredIdentifier(Diagnostic):
@@ -61,7 +60,6 @@ class UndeclaredIdentifier(Diagnostic):
 
     def __init__(self, name: str, line: int = 0, col: int = 0):
         super().__init__(f"undeclared identifier '{name}'", line, col)
-        self.name = name
 
 
 class ArityMismatch(Diagnostic):
@@ -88,10 +86,6 @@ class CompileUnsat(Fzn2QipError):
     """Compilation proved the model unsatisfiable (empty restricted domain)."""
 
     code = "unsat"
-
-    def __init__(self, message: str, source: str = ""):
-        super().__init__(message)
-        self.source = source
 
 
 class OverflowLimit(Fzn2QipError):
@@ -138,18 +132,18 @@ class CapExceeded(Fzn2QipError):
 
     code = "cap-exceeded"
 
-    def __init__(self, size: int, cap: int, largest: list[tuple[str, int]]):
-        """``largest``: the biggest enumeration units as (name, size)."""
+    def __init__(self, size: int, cap: int, units: list[tuple[str, int]]):
+        """``units``: the enumeration units as (name, size); the message
+        names the three largest."""
         from decimal import Decimal  # formats any size; imported only here
 
         magnitude = f"{Decimal(size):.1e}".replace("+", "")
-        units = ", ".join(f"{name} ({n})" for name, n in largest)
+        largest = ", ".join(f"{name} ({n})" for name, n
+                            in sorted(units, key=lambda nv: -nv[1])[:3])
         super().__init__(
             f"state space of ~{magnitude} assignments exceeds cap {cap}"
-            + (f"; largest free units: {units}" if units else "")
+            + (f"; largest free units: {largest}" if largest else "")
         )
-        self.size = size
-        self.cap = cap
 
 
 # Bound arithmetic stays well inside int64; the enumerator checks its own

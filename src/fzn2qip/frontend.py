@@ -172,20 +172,9 @@ _ONE_CHAR_TOKENS = frozenset(string.ascii_letters + string.digits + "_()[]{},;:=
 
 
 class Token(NamedTuple):
-    kind: str
     text: str
     line: int
     col: int
-
-
-def _kind(text: str) -> str:
-    if text[0] in _DIGITS:
-        return "int" if text.isdigit() else "float"
-    if text[0] == '"':
-        return "string"
-    if text.isidentifier():
-        return "ident"
-    return {"..": "dotdot", "::": "coloncolon"}.get(text, text)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -207,10 +196,10 @@ def tokenize(source: str) -> list[Token]:
             raise FznSyntaxError(f"unexpected character {text!r}",
                                  line, start - line_start + 1)
         if text[0] != "%":
-            tokens.append(Token(_kind(text), text, line, start - line_start + 1))
+            tokens.append(Token(text, line, start - line_start + 1))
     line += source.count("\n", end)
     line_start = source.rfind("\n") + 1
-    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
+    tokens.append(Token("", line, len(source) - line_start + 1))
     return tokens
 
 

@@ -173,8 +173,9 @@ class QipProblem:
         self.inequality_sources: list[str] = []
         self.product_sources: list[str] = []
         self._fresh_counters: dict[tuple[str, str], int] = {}
-        # one-hot registry: int var -> (group, index of the two pair equalities)
-        self._onehot_index: dict[str, tuple[OneHotGroup, int, int]] = {}
+        # one-hot registry: int var -> (group, index of its sum equality);
+        # its value equality is the next one
+        self._onehot_index: dict[str, tuple[OneHotGroup, int]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -219,11 +220,10 @@ class QipProblem:
     def onehot_get_or_create(self, int_var: str, values: set[int]) -> OneHotGroup:
         """Return the variable's one-hot group covering ``values``.
 
-        The first request creates the group and emits the defining
-        equality pair.  A request for a subset of the stored values is a
-        cache hit; a request introducing new values extends the group to
-        the union and rewrites the pair in place, so exactly one
-        encoding per variable ever exists.
+        The first request reserves the group's two ``onehot:<var>``
+        equalities.  Every request adds the bits of the values the group
+        lacks, keeps the bits in value order and rewrites the pair in
+        place, so exactly one encoding per variable ever exists.
         """
         if not values:
             raise ValueOutOfDomain("one-hot over an empty value set")
@@ -233,43 +233,23 @@ class QipProblem:
             raise ValueOutOfDomain(
                 f"values {sorted(out)} outside declared domain of '{int_var}'"
             )
-        cached = self._onehot_index.get(int_var)
-        if cached is None:
+        if int_var not in self._onehot_index:
             group = OneHotGroup(int_var)
-            for v in sorted(values):
-                bit = self.fresh_var("onehot", f"{int_var}_{_vtag(v)}", BINARY)
-                group.bits.append((bit.name, v))
             self.onehot_groups.append(group)
-            i_sum = len(self.equalities)
-            self.add_equality(self._onehot_sum(group), f"onehot:{int_var}")
-            i_val = len(self.equalities)
-            self.add_equality(self._onehot_value(group), f"onehot:{int_var}")
-            self._onehot_index[int_var] = (group, i_sum, i_val)
-            return group
-        group, i_sum, i_val = cached
+            self._onehot_index[int_var] = (group, len(self.equalities))
+            self.add_equality(LinExpr(), f"onehot:{int_var}")
+            self.add_equality(LinExpr(), f"onehot:{int_var}")
+        group, i_sum = self._onehot_index[int_var]
         new = sorted(values - group.values())
         if new:
             for v in new:
                 bit = self.fresh_var("onehot", f"{int_var}_{_vtag(v)}", BINARY)
                 group.bits.append((bit.name, v))
             group.bits.sort(key=lambda bv: bv[1])
-            self.equalities[i_sum] = self._onehot_sum(group)
-            self.equalities[i_val] = self._onehot_value(group)
+            self.equalities[i_sum] = LinExpr({b: 1 for b, _ in group.bits}, -1)
+            self.equalities[i_sum + 1] = LinExpr(
+                {int_var: -1} | {b: v for b, v in group.bits})
         return group
-
-    @staticmethod
-    def _onehot_sum(group: OneHotGroup) -> LinExpr:
-        expr = LinExpr(constant=-1)
-        for bit, _ in group.bits:
-            expr.add_term(bit, 1)
-        return expr
-
-    @staticmethod
-    def _onehot_value(group: OneHotGroup) -> LinExpr:
-        expr = LinExpr({group.int_var: -1})
-        for bit, v in group.bits:
-            expr.add_term(bit, v)
-        return expr
 
     # ------------------------------------------------------------------
     # validation
@@ -318,6 +298,15 @@ class QipProblem:
                     violations.append(
                         f"one-hot({g.int_var}): value {v} outside declared domain"
                     )
+        for name, rows, sources in (
+            ("equality", self.equalities, self.equality_sources),
+            ("inequality", self.inequalities, self.inequality_sources),
+            ("product", self.products, self.product_sources),
+        ):
+            if len(sources) != len(rows):
+                violations.append(
+                    f"meta.{name}_sources: length {len(sources)}, expected {len(rows)}"
+                )
         return violations
 
     # ------------------------------------------------------------------

@@ -379,7 +379,7 @@ def enumerate_fzn(model: FzModel, cap: int = DEFAULT_CAP) -> tuple[list[str], se
     sizes = {name: _size(decl.domain) for name, decl in model.vars.items()}
     size = math.prod(sizes.values())
     if size > cap:
-        raise CapExceeded(size, cap, sorted(sizes.items(), key=lambda nv: -nv[1])[:3])
+        raise CapExceeded(size, cap, list(sizes.items()))
     index = {name: j for j, name in enumerate(names)}
     radix = list(sizes.values())
     dtype = _source_dtype(model)
@@ -693,8 +693,7 @@ def enumerate_qip(
 
     size = math.prod(u.size for u in units)
     if size > cap:
-        largest = sorted(units, key=lambda u: -u.size)[:3]
-        raise CapExceeded(size, cap, [(u.name, u.size) for u in largest])
+        raise CapExceeded(size, cap, [(u.name, u.size) for u in units])
     dtype = _table_dtype(worst)
 
     # stage 0 fills the seed column; stage k adds the k-th enumerated unit

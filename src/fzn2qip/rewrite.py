@@ -499,8 +499,7 @@ def compile_model(model: FzModel, options: RewriteOptions | None = None) -> QipP
             _DISPATCH[item.name](ctx, item)
         except EmptyDomain as exc:
             raise CompileUnsat(
-                f"constraint {ctx.source} is unsatisfiable: {exc.message}",
-                ctx.source,
+                f"constraint {ctx.source} is unsatisfiable: {exc.message}"
             ) from exc
     if model.solve.kind == "minimize":
         prob.objective_sense = "min"

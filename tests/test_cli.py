@@ -180,7 +180,9 @@ def test_missing_file_exit_1(capsys):
     (["check", "m.fzn", "--cap", "abc"], "argument --cap: invalid int value: 'abc'"),
     (["check"], "the following arguments are required: input"),
     (["frob", "m.fzn"], "argument command: invalid choice: 'frob'"),
-], ids=["bad-int", "missing-input", "unknown-subcommand"])
+    (["compile", "m.fzn", "--cap", "5"], "unrecognized arguments: --cap 5"),
+    (["stats", "m.fzn", "--cap", "5"], "unrecognized arguments: --cap 5"),
+], ids=["bad-int", "missing-input", "unknown-subcommand", "compile-cap", "stats-cap"])
 def test_usage_error_is_one_line_exit_1(capsys, argv, start):
     """Not argparse's exit 2, which is the counterexample code."""
     assert run(argv) == 1
@@ -480,12 +482,18 @@ def _address_space_2gb():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard))
 
 
-def test_set_in_reads_the_set_not_the_domain(tmp_path):
-    """set_in over a 2^31-value domain compiles by reading the set only, so
-    under a 2 GB address-space limit check stops at the cap (exit 3) with
-    one line, where building the domain ran out of memory."""
-    src = write(tmp_path, "wide.fzn",
-                "var 3..2147483648: v1;\nconstraint set_in(v1, {3});\nsolve satisfy;\n")
+@pytest.mark.parametrize("source", [
+    "var 3..2147483648: v1;\nconstraint set_in(v1, {3});\nsolve satisfy;\n",
+    "var 0..5: x;\nconstraint set_in(x, 0..100000000);\nsolve satisfy;\n",
+    "var 3..2147483648: v1;\nvar bool: r;\n"
+    "constraint set_in_reif(v1, {3}, r);\nsolve satisfy;\n",
+], ids=["set-in-wide-domain", "set-in-wide-range", "set-in-reif-wide-domain"])
+def test_a_wide_set_or_domain_is_one_line_exit_3(tmp_path, source):
+    """Under a 2 GB address-space limit, check stops with one line and exit
+    3: set_in over a 2^31-value domain reads only the set and stops at the
+    cap; a 10^8-value range and a set_in_reif group over that domain run
+    out of memory."""
+    src = write(tmp_path, "wide.fzn", source)
     # one BLAS thread: a many-core host's per-thread buffers would not fit
     env = {**os.environ, "PYTHONPATH": str(Path(fzn2qip.__file__).parents[1]),
            "OPENBLAS_NUM_THREADS": "1"}

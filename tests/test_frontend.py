@@ -213,11 +213,8 @@ def _reference_tokenize(source):
         if m is None:
             raise FznSyntaxError(f"unexpected character {source[pos]!r}", line, col)
         text = m.group(0)
-        kind = m.lastgroup or "punct"
-        if kind == "punct":
-            kind = text
-        if kind not in ("ws", "comment"):
-            tokens.append((kind, text, line, col))
+        if m.lastgroup not in ("ws", "comment"):
+            tokens.append((text, line, col))
         newlines = text.count("\n")
         if newlines:
             line += newlines
@@ -225,7 +222,7 @@ def _reference_tokenize(source):
         else:
             col += len(text)
         pos = m.end()
-    tokens.append(("eof", "", line, col))
+    tokens.append(("", line, col))
     return tokens
 
 
@@ -247,7 +244,7 @@ CORPUS_TEXTS = [generate(b, seed) for b in sorted(SIGNATURES) for seed in range(
 
 def test_tokenize_matches_reference_on_corpus():
     for source in CORPUS_TEXTS:
-        assert _assert_same_tokens(source)[-1][0] == "eof"
+        assert _assert_same_tokens(source)[-1][0] == ""
 
 
 @pytest.mark.parametrize("source", [

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -226,10 +227,12 @@ BITS = ("onehot_groups", 0, "bits")
     (_edit(("variables", 1, "hi"), 2**63),
      f"malformed document: integer {2**63} exceeds the supported range"),
     (_repeated_term, "equality[1]: variable 'x' listed twice"),
+    (_edit(("meta", "product_sources"), ["", "", ""]),
+     "invalid problem: meta.product_sources: length 3, expected 1"),
 ], ids=["zero-coefficient", "undeclared-product-operand", "two-groups",
         "undeclared-bit", "non-binary-bit", "duplicate-value", "value-outside-domain",
         "non-object", "objective-sense", "malformed-expression", "coefficient-range",
-        "constant-range", "bound-range", "repeated-term"])
+        "constant-range", "bound-range", "repeated-term", "extra-sources"])
 def test_deserialize_rejects_each_violation(edit, message):
     doc = _valid_document()
     deserialize(json.dumps(doc))  # the unedited document is valid
@@ -248,6 +251,12 @@ CORPUS_DIGESTS = {
     "verbatim_div":
         "db092f33c506c1cfe78cbeee3332e0d2688310b0aa15dde75bc2d1af7a9f694f",
 }
+# SHA-256 of the texts of seeded models whose 2-4 set_in, set_in_reif and
+# array_int_element constraints share x and i, so that a later constraint
+# extends the one-hot group of an earlier one; a model that compilation
+# proves UNSAT contributes its message instead of a text.
+EXTENSION_DIGEST = "9be3aab36d101ed6b67fe242f6cdef4fbcf1d392a58c147c6746f4bbf043bcc7"
+
 CORPUS_OPTIONS = {
     "default": RewriteOptions(),
     "verbatim_div": RewriteOptions(verbatim_div=True),
@@ -285,6 +294,42 @@ def test_serialize_corpus_is_canonical_json(corpus_problems):
     _, problems = corpus_problems
     for problem in problems:
         _assert_canonical(problem)
+
+
+def _extension_model(seed: int) -> str:
+    rng = random.Random(f"extend:{seed}")
+    lo = {"x": rng.randint(-4, 2), "i": rng.randint(1, 2)}
+    hi = {"x": rng.randint(lo["x"], 4), "i": rng.randint(lo["i"], 4)}
+    decls = [f"var {lo[v]}..{hi[v]}: {v};" for v in "xi"]
+    constraints = []
+    for k in range(rng.randint(2, 4)):
+        v = rng.choice("xi")
+        near = range(lo[v] - 1, hi[v] + 2)
+        values = ", ".join(map(str, sorted(rng.sample(near, rng.randint(1, 3)))))
+        # set_in twice as often: its group holds only the set's values, so
+        # a later, wider request extends it
+        builtin = rng.choice(["set_in", "set_in", "set_in_reif", "array_int_element"])
+        if builtin == "set_in":
+            constraints.append(f"constraint set_in({v}, {{{values}}});")
+        elif builtin == "set_in_reif":
+            decls.append(f"var bool: r{k};")
+            constraints.append(f"constraint set_in_reif({v}, {{{values}}}, r{k});")
+        else:
+            entries = ", ".join(str(rng.randint(lo["x"] - 1, hi["x"] + 1))
+                                for _ in range(4))
+            constraints.append(f"constraint array_int_element(i, [{entries}], x);")
+    return "\n".join(decls + constraints + ["solve satisfy;", ""])
+
+
+def test_serialize_extension_digest():
+    digest = hashlib.sha256()
+    for seed in range(400):
+        model = typecheck(parse_model(_extension_model(seed)))
+        try:
+            digest.update(compile_model(model).serialize().encode())
+        except CompileUnsat as exc:
+            digest.update(exc.message.encode())
+    assert digest.hexdigest() == EXTENSION_DIGEST
 
 
 def test_serialize_empty_lists():
