@@ -108,8 +108,8 @@ def compute_big_m(n: Domain, d: Domain, q: Domain, p: Domain) -> int:
     suite).  ``p`` must be product_bounds(d, q).
     """
     candidates = [
+        p.hi - n.lo,
         n.hi - p.lo,
-        -p.lo + n.hi,
         n.hi - d.lo - p.lo + 1,
         -n.lo + d.hi + p.hi + 1,
         n.hi + d.hi - p.lo + 1,

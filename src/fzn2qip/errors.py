@@ -98,10 +98,6 @@ class LengthMismatch(Fzn2QipError):
     code = "length-mismatch"
 
 
-class ValueOutOfDomain(Fzn2QipError):
-    code = "value-out-of-domain"
-
-
 class UnsupportedExponent(Fzn2QipError):
     code = "unsupported-exponent"
 

@@ -11,8 +11,8 @@ bounded integer variables:
 Integer variables may additionally own a one-hot bit group: a set of
 binary indicator variables, one per value, tied to the variable by the
 equality pair ``sum(bits) = 1`` and ``var = sum(value * bit)``.  Exactly
-one group per variable exists; requests for different value sets extend
-the existing group to the union and re-derive the pair.
+one group per variable exists, fixed when it is made: the pair restricts
+the variable to the group's values, so a value the group lacks is 0.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (
     EmptyDomain,
     OverflowLimit,
     SchemaError,
-    ValueOutOfDomain,
     checked_int,
 )
 
@@ -152,9 +151,6 @@ class OneHotGroup:
                 return name
         raise KeyError(value)
 
-    def values(self) -> set[int]:
-        return {v for _, v in self.bits}
-
 
 class QipProblem:
     """A problem under construction or a finished, validated problem."""
@@ -173,9 +169,7 @@ class QipProblem:
         self.inequality_sources: list[str] = []
         self.product_sources: list[str] = []
         self._fresh_counters: dict[tuple[str, str], int] = {}
-        # one-hot registry: int var -> (group, index of its sum equality);
-        # its value equality is the next one
-        self._onehot_index: dict[str, tuple[OneHotGroup, int]] = {}
+        self._onehot_index: dict[str, OneHotGroup] = {}  # int var -> group
 
     # ------------------------------------------------------------------
     # construction
@@ -218,37 +212,24 @@ class QipProblem:
     # one-hot registry
 
     def onehot_get_or_create(self, int_var: str, values: set[int]) -> OneHotGroup:
-        """Return the variable's one-hot group covering ``values``.
+        """Return the variable's one-hot group.
 
-        The first request reserves the group's two ``onehot:<var>``
-        equalities.  Every request adds the bits of the values the group
-        lacks, keeps the bits in value order and rewrites the pair in
-        place, so exactly one encoding per variable ever exists.
+        The first request makes the group over ``values``, in value order,
+        and appends its two ``onehot:<var>`` equalities.  A later request
+        gets the same group: those equalities already restrict the
+        variable to its values, so a value the group lacks is never taken.
         """
-        if not values:
-            raise ValueOutOfDomain("one-hot over an empty value set")
-        var = self.vars[int_var]
-        out = [v for v in values if v not in var.declared]
-        if out:
-            raise ValueOutOfDomain(
-                f"values {sorted(out)} outside declared domain of '{int_var}'"
-            )
-        if int_var not in self._onehot_index:
-            group = OneHotGroup(int_var)
+        group = self._onehot_index.get(int_var)
+        if group is None:
+            group = self._onehot_index[int_var] = OneHotGroup(int_var)
             self.onehot_groups.append(group)
-            self._onehot_index[int_var] = (group, len(self.equalities))
-            self.add_equality(LinExpr(), f"onehot:{int_var}")
-            self.add_equality(LinExpr(), f"onehot:{int_var}")
-        group, i_sum = self._onehot_index[int_var]
-        new = sorted(values - group.values())
-        if new:
-            for v in new:
+            for v in sorted(values):
                 bit = self.fresh_var("onehot", f"{int_var}_{_vtag(v)}", BINARY)
                 group.bits.append((bit.name, v))
-            group.bits.sort(key=lambda bv: bv[1])
-            self.equalities[i_sum] = LinExpr({b: 1 for b, _ in group.bits}, -1)
-            self.equalities[i_sum + 1] = LinExpr(
-                {int_var: -1} | {b: v for b, v in group.bits})
+            self.add_equality(LinExpr({b: 1 for b, _ in group.bits}, -1),
+                              f"onehot:{int_var}")
+            self.add_equality(LinExpr({int_var: -1} | {b: v for b, v in group.bits}),
+                              f"onehot:{int_var}")
         return group
 
     # ------------------------------------------------------------------
@@ -282,6 +263,8 @@ class QipProblem:
                     )
         owners = set()
         for g in self.onehot_groups:
+            if g.int_var not in order:
+                violations.append(f"one-hot: undeclared variable '{g.int_var}'")
             if g.int_var in owners:
                 violations.append(f"one-hot: variable '{g.int_var}' owns two groups")
             owners.add(g.int_var)

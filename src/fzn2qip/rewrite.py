@@ -112,12 +112,13 @@ class RewriteContext:
         self.eq0(_combine((1, c), (-1, self.times(builtin, role, a, b))))
 
     def onehot(self, x: Ref | Lit, values: set[int]) -> dict[int, Ref | Lit]:
-        """Indicator of each value of x: its one-hot bits, or 0/1 literals
-        when x is a literal."""
+        """Indicator of each value of x: its one-hot bit, or a 0/1 literal
+        when x is a literal or its group lacks the value."""
         if type(x) is Lit:
             return {v: Lit(int(v == x.value)) for v in values}
-        group = self.problem.onehot_get_or_create(x.name, values)
-        return {v: Ref(bit) for bit, v in group.bits if v in values}
+        bits = {v: Ref(bit) for bit, v in
+                self.problem.onehot_get_or_create(x.name, values).bits}
+        return {v: bits.get(v, Lit(0)) for v in values}
 
     def restrict(self, x: Ref | Lit, d: Domain) -> None:
         """Restrict x to d; raises EmptyDomain when nothing is left, also
@@ -450,7 +451,7 @@ def _rw_set_in(ctx, item):
     values = {v for v in item.args[1].values if v in dom}  # not the whole domain
     if not values:
         raise EmptyDomain(f"'{_label(x)}' cannot take any value of the set")
-    # membership equality of our own, robust to later group extension
+    # membership equality of our own: an earlier constraint may have made the group
     ctx.eq0(_combine(*((1, bit) for bit in ctx.onehot(x, values).values()),
                      constant=-1))
 

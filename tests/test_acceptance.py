@@ -134,8 +134,8 @@ def test_criterion_3_big_m_minimality():
         p = product_bounds(d, q)
         m = compute_big_m(n, d, q, p)
         requirements = [
+            p.hi - n.lo,
             n.hi - p.lo,
-            -p.lo + n.hi,
             n.hi - d.lo - p.lo + 1,
             -n.lo + d.hi + p.hi + 1,
             n.hi + d.hi - p.lo + 1,

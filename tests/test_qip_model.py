@@ -11,7 +11,6 @@ from fzn2qip.errors import (
     CompileUnsat,
     EmptyDomain,
     SchemaError,
-    ValueOutOfDomain,
 )
 from fzn2qip.frontend import SIGNATURES, parse_model, typecheck
 from fzn2qip.fuzz import generate
@@ -23,6 +22,7 @@ from fzn2qip.model import (
     QipVar,
     deserialize,
 )
+from fzn2qip.oracle import check_equivalence
 from fzn2qip.rewrite import RewriteOptions, compile_model
 
 
@@ -68,26 +68,17 @@ def test_onehot_create_cache_extend():
     assert len(p.onehot_groups) == 1
 
 
-def test_onehot_extension_rewrites_pair_in_place():
+def test_onehot_group_is_fixed_when_made():
     p = QipProblem()
     p.add_var(QipVar("i", Domain(1, 4)))
-    p.restrict_domain("i", Domain(1, 2))
     g = p.onehot_get_or_create("i", {1, 2})
-    sum_before = p.equalities[0]
-    assert len(sum_before.terms) == 2
-    # extension to a value still inside the declared domain
-    p.onehot_get_or_create("i", {3})
-    assert len(p.onehot_groups) == 1
-    assert len(p.equalities) == 2  # same pair, rewritten
-    assert len(p.equalities[0].terms) == 3
-    assert g.bit_for(3) in p.equalities[1].terms
-
-
-def test_onehot_rejects_undeclared_values():
-    p = QipProblem()
-    p.add_var(QipVar("i", Domain(1, 3)))
-    with pytest.raises(ValueOutOfDomain):
-        p.onehot_get_or_create("i", {1, 9})
+    rows = [LinExpr(dict(e.terms), e.constant) for e in p.equalities]
+    # a later request for a value the group lacks adds no bit and no row
+    assert p.onehot_get_or_create("i", {1, 3}) is g
+    assert [v for _, v in g.bits] == [1, 2]
+    assert list(p.vars) == ["i", *(b for b, _ in g.bits)]
+    assert p.equalities == rows and len(rows) == 2
+    assert p.equality_sources == ["onehot:i", "onehot:i"]
 
 
 def test_restrict_keeps_declared_domain():
@@ -211,6 +202,8 @@ BITS = ("onehot_groups", 0, "bits")
     (_edit(("products", 0, "left"), "ghost"),
      "invalid problem: product[0]: undeclared variable 'ghost'"),
     (_second_group, "invalid problem: one-hot: variable 'x' owns two groups"),
+    (_edit(("onehot_groups", 0, "int_var"), "ghost"),
+     "invalid problem: one-hot: undeclared variable 'ghost'"),
     (_edit((*BITS, 0, "var"), "ghost"),
      "invalid problem: one-hot(x): undeclared bit 'ghost'"),
     (_edit((*BITS, 0, "var"), "y"), "invalid problem: one-hot(x): bit 'y' not binary"),
@@ -230,9 +223,10 @@ BITS = ("onehot_groups", 0, "bits")
     (_edit(("meta", "product_sources"), ["", "", ""]),
      "invalid problem: meta.product_sources: length 3, expected 1"),
 ], ids=["zero-coefficient", "undeclared-product-operand", "two-groups",
-        "undeclared-bit", "non-binary-bit", "duplicate-value", "value-outside-domain",
-        "non-object", "objective-sense", "malformed-expression", "coefficient-range",
-        "constant-range", "bound-range", "repeated-term", "extra-sources"])
+        "undeclared-group-variable", "undeclared-bit", "non-binary-bit",
+        "duplicate-value", "value-outside-domain", "non-object", "objective-sense",
+        "malformed-expression", "coefficient-range", "constant-range", "bound-range",
+        "repeated-term", "extra-sources"])
 def test_deserialize_rejects_each_violation(edit, message):
     doc = _valid_document()
     deserialize(json.dumps(doc))  # the unedited document is valid
@@ -253,9 +247,9 @@ CORPUS_DIGESTS = {
 }
 # SHA-256 of the texts of seeded models whose 2-4 set_in, set_in_reif and
 # array_int_element constraints share x and i, so that a later constraint
-# extends the one-hot group of an earlier one; a model that compilation
+# reads the one-hot group of an earlier one; a model that compilation
 # proves UNSAT contributes its message instead of a text.
-EXTENSION_DIGEST = "9be3aab36d101ed6b67fe242f6cdef4fbcf1d392a58c147c6746f4bbf043bcc7"
+EXTENSION_DIGEST = "5bf0e470fde0b618f3fbfdc91c98fe5e2b0e00f8110a678828ade14e113aaf9e"
 
 CORPUS_OPTIONS = {
     "default": RewriteOptions(),
@@ -307,7 +301,7 @@ def _extension_model(seed: int) -> str:
         near = range(lo[v] - 1, hi[v] + 2)
         values = ", ".join(map(str, sorted(rng.sample(near, rng.randint(1, 3)))))
         # set_in twice as often: its group holds only the set's values, so
-        # a later, wider request extends it
+        # a later, wider request asks for values the group lacks
         builtin = rng.choice(["set_in", "set_in", "set_in_reif", "array_int_element"])
         if builtin == "set_in":
             constraints.append(f"constraint set_in({v}, {{{values}}});")
@@ -330,6 +324,18 @@ def test_serialize_extension_digest():
         except CompileUnsat as exc:
             digest.update(exc.message.encode())
     assert digest.hexdigest() == EXTENSION_DIGEST
+
+
+def test_shared_groups_check_equal():
+    for seed in range(400):
+        model = typecheck(parse_model(_extension_model(seed)))
+        try:
+            problem = compile_model(model)
+        except CompileUnsat:
+            problem = None
+        # with no problem, Equal means the source has no solution either
+        result = check_equivalence(model, problem)
+        assert result.equal, f"seed {seed}: {result.describe()}"
 
 
 def test_serialize_empty_lists():

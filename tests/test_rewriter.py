@@ -388,6 +388,24 @@ def test_onehot_shared_between_constraints():
     assert solutions(p, "i", "c") == {(1, 4), (3, 1)}
 
 
+def test_element_reads_a_narrower_group():
+    model, p = compile_src("""
+        var 1..4: x;
+        var 0..9: c;
+        constraint set_in(x, {1, 3});
+        constraint array_int_element(x, [5, 6, 7, 8], c);
+        solve satisfy;
+    """)
+    [group] = p.onehot_groups
+    b1, b3 = group.bit_for(1), group.bit_for(3)
+    assert [v for _, v in group.bits] == [1, 3]
+    assert list(p.vars) == ["x", "c", b1, b3]
+    # indices 2 and 4 are outside the group, so they have no term
+    element = p.equality_sources.index("array_int_element#1")
+    assert p.equalities[element] == LinExpr({"c": -1, b1: 5, b3: 7})
+    assert check_equivalence(model, p).describe() == "Equal (2 solutions)"
+
+
 def test_objective_sense_mapping():
     _, p = compile_src("var 1..3: x;\nsolve minimize x;\n")
     assert p.objective_sense == "min" and not p.objective_negated
