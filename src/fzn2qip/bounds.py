@@ -7,30 +7,39 @@ the inputs (the test suite checks this against brute force).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .errors import EmptyDomain, LengthMismatch, checked_int
 from .model import Domain
 
 
-def lin_bounds(coeffs: list[int], domains: list[Domain], c: int) -> Domain:
-    """Bounds of ``sum(coeffs[i] * v_i) - c`` over the given domains.
+def lin_range(terms: Iterable[tuple[int, Domain]], c: int) -> tuple[int, int]:
+    """Bounds of ``sum(a * v for a, v in terms) - c``, each v ranging over
+    its domain, as exact Python ints that may leave the supported range.
 
     Negative coefficients take the domain maximum for the lower bound
     and the minimum for the upper bound; positive coefficients the
     reverse.
     """
-    if len(coeffs) != len(domains):
-        raise LengthMismatch(
-            f"{len(coeffs)} coefficients vs {len(domains)} domains"
-        )
-    lo = -c
-    hi = -c
-    for a, d in zip(coeffs, domains):
+    lo = hi = -c
+    for a, d in terms:
         if a < 0:
             lo += a * d.hi
             hi += a * d.lo
         else:
             lo += a * d.lo
             hi += a * d.hi
+    return lo, hi
+
+
+def lin_bounds(coeffs: list[int], domains: list[Domain], c: int) -> Domain:
+    """Bounds of ``sum(coeffs[i] * v_i) - c`` over the given domains;
+    raises OverflowLimit when a bound leaves the supported range."""
+    if len(coeffs) != len(domains):
+        raise LengthMismatch(
+            f"{len(coeffs)} coefficients vs {len(domains)} domains"
+        )
+    lo, hi = lin_range(zip(coeffs, domains), c)
     return Domain(checked_int(lo), checked_int(hi))
 
 

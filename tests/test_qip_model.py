@@ -241,9 +241,9 @@ def test_deserialize_rejects_each_violation(edit, message):
 # 0..49 of every builtin, compile-UNSAT instances skipped), each written
 # by the reference encoder as json.dumps(json.loads(text), indent=1) + "\n".
 CORPUS_DIGESTS = {
-    "default": "cb555ae71fc68497fe712ee6a12ba969a3ea1eed883c7432a8e44a8ad21b1052",
+    "default": "f7c50e3b1fb17ce2eb6ac5fffd65aee4494f822969f7a29798ea970f39995fd2",
     "verbatim_div":
-        "db092f33c506c1cfe78cbeee3332e0d2688310b0aa15dde75bc2d1af7a9f694f",
+        "e03e0e3f1b309ed015a220ba64cda6d6bf32d68201f68152fed67cd4d19bb6ef",
 }
 # SHA-256 of the texts of seeded models whose 2-4 set_in, set_in_reif and
 # array_int_element constraints share x and i, so that a later constraint
@@ -264,30 +264,42 @@ def _assert_canonical(problem: QipProblem) -> str:
     return text
 
 
+def _assert_every_source_ships(model, problem: QipProblem) -> None:
+    """Every source constraint tags a row of the text as ``builtin#idx``,
+    also one whose rows the bounds all decide."""
+    back = deserialize(problem.serialize())
+    shipped = set(back.equality_sources + back.inequality_sources
+                  + back.product_sources)
+    for idx, item in enumerate(model.constraints):
+        assert f"{item.name}#{idx}" in shipped
+
+
 @pytest.fixture(scope="module", params=sorted(CORPUS_OPTIONS))
 def corpus_problems(request):
+    """The options' name and each (model, problem) pair of the corpus."""
     options = CORPUS_OPTIONS[request.param]
-    problems = []
+    pairs = []
     for builtin in sorted(SIGNATURES):
         for seed in range(50):
             model = typecheck(parse_model(generate(builtin, seed)))
             try:
-                problems.append(compile_model(model, options))
+                pairs.append((model, compile_model(model, options)))
             except CompileUnsat:
                 continue
-    return request.param, problems
+    return request.param, pairs
 
 
 def test_serialize_corpus_digest(corpus_problems):
-    name, problems = corpus_problems
-    joined = "".join(p.serialize() for p in problems)
+    name, pairs = corpus_problems
+    joined = "".join(p.serialize() for _, p in pairs)
     assert hashlib.sha256(joined.encode()).hexdigest() == CORPUS_DIGESTS[name]
 
 
 def test_serialize_corpus_is_canonical_json(corpus_problems):
-    _, problems = corpus_problems
-    for problem in problems:
+    _, pairs = corpus_problems
+    for model, problem in pairs:
         _assert_canonical(problem)
+        _assert_every_source_ships(model, problem)
 
 
 def _extension_model(seed: int) -> str:
@@ -333,6 +345,8 @@ def test_shared_groups_check_equal():
             problem = compile_model(model)
         except CompileUnsat:
             problem = None
+        else:
+            _assert_every_source_ships(model, problem)
         # with no problem, Equal means the source has no solution either
         result = check_equivalence(model, problem)
         assert result.equal, f"seed {seed}: {result.describe()}"

@@ -10,11 +10,12 @@ import itertools
 
 import pytest
 
+from fzn2qip import rewrite
 from fzn2qip.cli import run
 from fzn2qip.errors import CompileUnsat, UnsupportedExponent
 from fzn2qip.frontend import SIGNATURES, parse_model, typecheck
 from fzn2qip.fuzz import generate
-from fzn2qip.model import Domain, LinExpr
+from fzn2qip.model import Domain, LinExpr, deserialize
 from fzn2qip.oracle import check_equivalence, enumerate_qip
 from fzn2qip.rewrite import RewriteOptions, compile_model
 
@@ -718,6 +719,55 @@ def test_comparison_truth_table(builtin, a, b, r):
     if r is not None and not isinstance(r, str):
         assert not [v for v in p.vars if v.startswith("__const_")]
     assert solutions(p, *names) == want
+    back = deserialize(p.serialize())
+    assert f"{builtin}#0" in back.equality_sources + back.inequality_sources
+    if len({holds(x - y) for x in _values(a) for y in _values(b)}) == 1:
+        # the bounds decide the relation: one row and no auxiliary, an
+        # equality on r alone when reified, an inequality for a plain ne
+        assert all(v.is_model for v in p.vars.values())
+        (row,) = p.equalities + p.inequalities
+        if isinstance(r, str):
+            assert p.equalities and set(row.terms) == {"r"}
+        elif ROUTED[builtin] == ("eq" if r is False else "ne"):
+            assert p.inequalities
+
+
+def test_an_off_by_one_decision_is_a_counterexample(monkeypatch):
+    """A pass that also drops the inequalities whose maximum is 1 changes
+    the compiled solutions of some corpus model, and check tells."""
+    real = rewrite._holds
+    monkeypatch.setattr(rewrite, "_holds", lambda row, is_equality, variables: real(
+        row if is_equality else LinExpr(row.terms, row.constant - 1), is_equality,
+        variables))
+    for builtin in sorted(SIGNATURES):
+        for seed in range(50):
+            model = typecheck(parse_model(generate(builtin, seed)))
+            try:
+                problem = compile_model(model)
+            except CompileUnsat:
+                continue
+            if check_equivalence(model, problem).describe().startswith("Counterexample"):
+                return
+    pytest.fail("every corpus model checks Equal under the mutant")
+
+
+def test_onehot_rows_and_one_row_per_source_survive_the_pass(monkeypatch):
+    # as if every row held: each source keeps its first row, x its group
+    monkeypatch.setattr(rewrite, "_holds", lambda row, is_equality, variables: True)
+    _, p = compile_src("""
+        var 1..4: x;
+        var 0..9: c;
+        var 0..9: m;
+        constraint set_in(x, {1, 3});
+        constraint array_int_element(x, [5, 6, 7, 8], c);
+        constraint int_max(x, c, m);
+        solve satisfy;
+    """)
+    assert p.equality_sources == ["onehot:x", "onehot:x", "set_in#0",
+                                  "array_int_element#1"]
+    assert p.inequality_sources == ["int_max#2"]
+    assert [v for v in p.vars if v.startswith("__int_max")] == []
+    assert "onehot:x" in enumerate_qip(p).free_names
 
 
 @pytest.mark.parametrize("r", [None, "bool"])
