@@ -1,7 +1,7 @@
 """The quadratic integer program normal form.
 
-A problem is a linear objective plus three kinds of constraints over
-bounded integer variables:
+A problem is a linear objective, minimized when it has terms, plus three
+kinds of constraints over bounded integer variables:
 
 * equalities, each stored as a linear form that must equal 0,
 * inequalities, each stored as a linear form that must be <= 0,
@@ -13,6 +13,10 @@ binary indicator variables, one per value, tied to the variable by the
 equality pair ``sum(bits) = 1`` and ``var = sum(value * bit)``.  Exactly
 one group per variable exists, fixed when it is made: the pair restricts
 the variable to the group's values, so a value the group lacks is 0.
+
+Each row and product has a provenance tag in ``meta.*_sources``: the
+``builtin#idx`` of its source constraint, or ``onehot:<var>`` for a
+group's pair.  An auxiliary's ``origin`` is the tag of what made it.
 """
 
 from __future__ import annotations
@@ -58,19 +62,12 @@ BINARY = Domain(0, 1)
 
 
 @dataclass
-class AuxOrigin:
-    builtin: str
-    ordinal: int
-    role: str
-
-
-@dataclass
 class QipVar:
     """A problem variable; ``declared`` keeps the pre-restriction domain."""
 
     name: str
     domain: Domain
-    origin: AuxOrigin | None = None  # None means a model variable
+    origin: str | None = None  # provenance tag; None means a model variable
     declared: Domain = None  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -157,7 +154,6 @@ class QipProblem:
 
     def __init__(self):
         self.vars: dict[str, QipVar] = {}
-        self.objective_sense: str = "satisfy"  # "satisfy" | "min"
         self.objective_negated: bool = False
         self.objective: LinExpr = LinExpr()
         self.equalities: list[LinExpr] = []
@@ -180,8 +176,8 @@ class QipProblem:
         self.vars[var.name] = var
         return var
 
-    def fresh_var(self, builtin: str, role: str, domain: Domain) -> QipVar:
-        """Create a deterministically named auxiliary variable.
+    def fresh_var(self, builtin: str, role: str, domain: Domain, origin: str) -> QipVar:
+        """Create a deterministically named auxiliary made by ``origin``.
 
         The name is ``__<builtin>_<k>_<role>`` where k counts prior
         fresh variables with the same builtin and role.
@@ -189,8 +185,7 @@ class QipProblem:
         key = (builtin, role)
         k = self._fresh_counters.get(key, 0) + 1
         self._fresh_counters[key] = k
-        name = f"__{builtin}_{k}_{role}"
-        return self.add_var(QipVar(name, domain, AuxOrigin(builtin, k, role)))
+        return self.add_var(QipVar(f"__{builtin}_{k}_{role}", domain, origin))
 
     def restrict_domain(self, name: str, new: Domain) -> None:
         var = self.vars[name]
@@ -223,13 +218,13 @@ class QipProblem:
         if group is None:
             group = self._onehot_index[int_var] = OneHotGroup(int_var)
             self.onehot_groups.append(group)
+            tag = f"onehot:{int_var}"
             for v in sorted(values):
-                bit = self.fresh_var("onehot", f"{int_var}_{_vtag(v)}", BINARY)
+                bit = self.fresh_var("onehot", f"{int_var}_{_vtag(v)}", BINARY, tag)
                 group.bits.append((bit.name, v))
-            self.add_equality(LinExpr({b: 1 for b, _ in group.bits}, -1),
-                              f"onehot:{int_var}")
+            self.add_equality(LinExpr({b: 1 for b, _ in group.bits}, -1), tag)
             self.add_equality(LinExpr({int_var: -1} | {b: v for b, v in group.bits}),
-                              f"onehot:{int_var}")
+                              tag)
         return group
 
     # ------------------------------------------------------------------
@@ -306,14 +301,12 @@ class QipProblem:
         variables = [
             _VAR % (
                 s(v.name), v.domain.lo, v.domain.hi, v.declared.lo, v.declared.hi,
-                '"model"' if v.origin is None else _ORIGIN % (
-                    s(v.origin.builtin), v.origin.ordinal, s(v.origin.role)),
+                '"model"' if v.origin is None else s(v.origin),
             )
             for v in self.vars.values()
         ]
         return _DOC % (
             _list(variables, " "),
-            s(self.objective_sense),
             "true" if self.objective_negated else "false",
             _list([_OBJ_TERM % (s(v), c) for v, c in self.objective.sorted_terms()],
                   "  "),
@@ -338,7 +331,6 @@ _str = json.encoder.encode_basestring_ascii
 _DOC = """{
  "variables": %s,
  "objective": {
-  "sense": %s,
   "negated": %s,
   "terms": %s,
   "constant": %d
@@ -362,11 +354,6 @@ _VAR = """  {
    "declared_hi": %d,
    "origin": %s
   }"""
-_ORIGIN = """{
-    "builtin": %s,
-    "ordinal": %d,
-    "role": %s
-   }"""
 _OBJ_TERM = """   {
     "var": %s,
     "coef": %d
@@ -412,8 +399,10 @@ def _expr(e: LinExpr) -> str:
 def deserialize(text: str) -> QipProblem:
     """Parse and validate serialized problem text.
 
-    Raises SchemaError on bad input, naming the first violation when the
-    document parses but breaks an invariant of ``QipProblem.validate``.
+    Only what ``serialize`` writes is read: each key it writes, each
+    value of the JSON type it writes.  Raises SchemaError on bad input,
+    naming the field of a malformed value, or the first violation when
+    the document parses but breaks an invariant of ``QipProblem.validate``.
     """
     try:
         obj = json.loads(text)
@@ -430,65 +419,73 @@ def deserialize(text: str) -> QipProblem:
 
     def read_expr(e, where: str, name: str) -> LinExpr:
         try:
-            expr = LinExpr(constant=int(e["constant"]))
-            for t in e["terms"]:
-                var = str(t["var"])
+            expr = LinExpr(constant=_field(e, "constant", int))
+            for t in _field(e, "terms", list):
+                var = _field(t, "var", str)
                 if var in expr.terms:
                     raise SchemaError(f"{name}: variable '{var}' listed twice")
                 # kept as written, so that validate sees a zero coefficient
-                expr.terms[var] = checked_int(int(t["coef"]))
+                expr.terms[var] = checked_int(_field(t, "coef", int))
             return expr
-        except (KeyError, TypeError, ValueError, OverflowLimit) as exc:
+        except (KeyError, TypeError, OverflowLimit) as exc:
             raise SchemaError(f"malformed {where}: {exc}") from exc
 
     try:
-        for v in obj["variables"]:
-            origin = v["origin"]
-            aux = (
-                None
-                if origin == "model"
-                else AuxOrigin(str(origin["builtin"]), int(origin["ordinal"]),
-                               str(origin["role"]))
-            )
-            var = QipVar(str(v["name"]), Domain(int(v["lo"]), int(v["hi"])), aux)
-            var.declared = Domain(int(v["declared_lo"]), int(v["declared_hi"]))
+        for v in _field(obj, "variables", list):
+            origin = _field(v, "origin", str)
+            var = QipVar(_field(v, "name", str),
+                         Domain(_field(v, "lo", int), _field(v, "hi", int)),
+                         None if origin == "model" else origin)
+            var.declared = Domain(_field(v, "declared_lo", int),
+                                  _field(v, "declared_hi", int))
             prob.add_var(var)
         objective = obj["objective"]
-        prob.objective_sense = str(objective["sense"])
-        if prob.objective_sense not in ("satisfy", "min"):
-            raise SchemaError(f"bad objective sense '{prob.objective_sense}'")
-        prob.objective_negated = bool(objective["negated"])
+        prob.objective_negated = _field(objective, "negated", bool)
         prob.objective = read_expr(objective, "objective", "objective")
-        for i, e in enumerate(obj["equalities"]):
+        for i, e in enumerate(_field(obj, "equalities", list)):
             prob.equalities.append(read_expr(e, "equality", f"equality[{i}]"))
-        for i, e in enumerate(obj["inequalities"]):
+        for i, e in enumerate(_field(obj, "inequalities", list)):
             prob.inequalities.append(read_expr(e, "inequality", f"inequality[{i}]"))
-        for p in obj["products"]:
-            prob.products.append(
-                ProductConstraint(str(p["result"]), str(p["left"]), str(p["right"]))
-            )
-        for g in obj["onehot_groups"]:
-            group = OneHotGroup(str(g["int_var"]))
-            for b in g["bits"]:
-                group.bits.append((str(b["var"]), int(b["value"])))
+        for p in _field(obj, "products", list):
+            prob.products.append(ProductConstraint(
+                _field(p, "result", str), _field(p, "left", str), _field(p, "right", str)))
+        for g in _field(obj, "onehot_groups", list):
+            group = OneHotGroup(_field(g, "int_var", str))
+            for b in _field(g, "bits", list):
+                group.bits.append((_field(b, "var", str), _field(b, "value", int)))
             prob.onehot_groups.append(group)
         meta = obj["meta"]
-        prob.equality_sources = [str(s) for s in meta.get("equality_sources", [])]
-        prob.inequality_sources = [str(s) for s in meta.get("inequality_sources", [])]
-        prob.product_sources = [str(s) for s in meta.get("product_sources", [])]
+        prob.equality_sources = _strings(meta, "equality_sources")
+        prob.inequality_sources = _strings(meta, "inequality_sources")
+        prob.product_sources = _strings(meta, "product_sources")
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError, EmptyDomain, OverflowLimit) as exc:
         raise SchemaError(f"malformed document: {exc}") from exc
-    prob.equality_sources += [""] * (len(prob.equalities) - len(prob.equality_sources))
-    prob.inequality_sources += [""] * (
-        len(prob.inequalities) - len(prob.inequality_sources)
-    )
-    prob.product_sources += [""] * (len(prob.products) - len(prob.product_sources))
     violations = prob.validate()
     if violations:
         raise SchemaError(f"invalid problem: {violations[0]}")
     return prob
+
+
+_KINDS = {int: "an integer", bool: "a boolean", str: "a string", list: "an array"}
+
+
+def _field(record: dict, key: str, kind: type):
+    """``record[key]``, which must be a JSON value of type ``kind``; the
+    type test is exact, so ``true`` is not an integer nor ``3.0`` one."""
+    value = record[key]
+    if type(value) is not kind:
+        raise TypeError(f"'{key}' is not {_KINDS[kind]}")
+    return value
+
+
+def _strings(record: dict, key: str) -> list[str]:
+    """``record[key]``, which must be a JSON array of strings."""
+    values = _field(record, key, list)
+    if any(type(x) is not str for x in values):
+        raise TypeError(f"'{key}' holds a value that is not a string")
+    return values
 
 
 def _vtag(value: int) -> str:

@@ -751,7 +751,7 @@ def enumerate_qip(
     stages = [work(k) for k in range(n_stages)]
 
     model_cols = [i for i in range(n) if i not in aux]
-    has_obj = bool(obj[0]) or problem.objective_sense == "min"
+    has_obj = bool(obj[0])
     result = QipEnumeration(names, [names[i] for i in model_cols], set(),
                             [u.name for u in units], size,
                             full_solutions=set() if keep_full else None)

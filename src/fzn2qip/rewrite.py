@@ -86,7 +86,7 @@ class RewriteContext:
         return self.problem.vars[x.name].domain
 
     def fresh(self, builtin: str, role: str, domain: Domain) -> Ref:
-        return Ref(self.problem.fresh_var(builtin, role, domain).name)
+        return Ref(self.problem.fresh_var(builtin, role, domain, self.source).name)
 
     def times(self, builtin: str, role: str, a: Ref | Lit,
               b: Ref | Lit) -> Ref | Lit | LinExpr:
@@ -575,10 +575,8 @@ def compile_model(model: FzModel, options: RewriteOptions | None = None) -> QipP
                 f"constraint {ctx.source} is unsatisfiable: {exc.message}"
             ) from exc
     if model.solve.kind == "minimize":
-        prob.objective_sense = "min"
         prob.objective = LinExpr({model.solve.var: 1})
     elif model.solve.kind == "maximize":
-        prob.objective_sense = "min"
         prob.objective_negated = True
         prob.objective = LinExpr({model.solve.var: -1})
     _drop_decided_rows(prob)

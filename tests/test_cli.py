@@ -319,7 +319,7 @@ def test_coefficient_past_int64_is_an_overflow(tmp_path, capsys, terms):
 # int position of each builtin, every other argument valid; the digest
 # covers each model's exit code, stderr line and output.
 RANGE_LITERALS = (2**62, 2**62 + 1, -(2**62 + 1), 10**30 - 1)
-RANGE_DIGEST = "b033293eff868e4e8ba505b07ad73940e6df8fb0dde0973e5a40e9c1b4eb9f1a"
+RANGE_DIGEST = "aeb36ae9d7636bbbc54a68f642746097d9952302fe117364d5ce82c1f6f4670d"
 
 
 def _range_literal_model(builtin, sig, pos, value):

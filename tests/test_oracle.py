@@ -228,7 +228,7 @@ def test_enumerate_qip_substitutes_product_results():
     p = QipProblem()
     p.add_var(QipVar("a", Domain(0, 2)))
     p.add_var(QipVar("b", Domain(0, 2)))
-    c = p.fresh_var("t", "p", Domain(0, 4))
+    c = p.fresh_var("t", "p", Domain(0, 4), "t#0")
     p.add_product(c.name, "a", "b")
     enum = enumerate_qip(p, keep_full=True)
     assert enum.free_names == ["a", "b"]  # the product result is computed
@@ -241,7 +241,7 @@ def test_enumerate_qip_substitutes_product_results():
 def test_enumerate_qip_determined_domain_still_checked():
     p = QipProblem()
     p.add_var(QipVar("a", Domain(0, 3)))
-    c = p.fresh_var("t", "x", Domain(0, 2))
+    c = p.fresh_var("t", "x", Domain(0, 2), "t#0")
     # c = a is forced by an equality; c's tighter domain must prune a=3
     p.add_equality(LinExpr({"a": 1, c.name: -1}))
     enum = enumerate_qip(p)
@@ -521,7 +521,7 @@ def test_substituted_auxiliary_beyond_int64_is_exact(c_coef):
     p = QipProblem()
     for name in ("a", "b", "c"):
         p.add_var(QipVar(name, Domain(big - 1, big)))
-    x = p.fresh_var("t", "x", Domain(-big, big))
+    x = p.fresh_var("t", "x", Domain(-big, big), "t#0")
     # the step x = a + b + c_coef*c can leave int64: with c_coef = 1 and
     # a = b = c = 2^62 it wraps to -2^62, inside x's domain
     p.add_equality(LinExpr({"a": 1, "b": 1, "c": c_coef, x.name: -1}))
@@ -573,12 +573,12 @@ def _random_problem(rng: random.Random) -> QipProblem:
         if rng.random() < 0.5:
             left, right = rng.choice(names), rng.choice(names)
             value = planted[left] * planted[right]
-            y = add(p.fresh_var("t", "y", near(value)), value)
+            y = add(p.fresh_var("t", "y", near(value), "t#0"), value)
             p.add_product(y, left, right)
         else:
             expr = form(names)
             value = rng.randint(-3, 3)
-            z = add(p.fresh_var("t", "z", near(value)), value)
+            z = add(p.fresh_var("t", "z", near(value), "t#0"), value)
             expr.add_term(z, rng.choice([-1, 1, 2]))
             expr.add_const(-expr.evaluate(planted))
             p.add_equality(expr)
@@ -591,8 +591,7 @@ def _random_problem(rng: random.Random) -> QipProblem:
     for _ in range(rng.randint(0, 2)):
         p.add_inequality(form(names).add_const(-rng.randint(0, 2)))
     if rng.random() < 0.5:
-        p.objective_sense = "min"
-        p.objective = form(names)
+        p.objective = form(names)  # an objective: form has a term
     return p
 
 
@@ -607,7 +606,7 @@ def _flat_enumerate(p: QipProblem):
                 and all(a[q.result] == a[q.left] * a[q.right] for q in p.products)):
             full.add(combo)
             solutions.add(tuple(a[n] for n in names if p.vars[n].is_model))
-            if p.objective_sense == "min":
+            if p.objective.terms:
                 value = p.objective.evaluate(a)
                 best = value if best is None else min(best, value)
     return solutions, full, best

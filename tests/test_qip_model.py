@@ -24,6 +24,7 @@ from fzn2qip.model import (
 )
 from fzn2qip.oracle import check_equivalence
 from fzn2qip.rewrite import RewriteOptions, compile_model
+from test_oracle import SHARED_POOLS, _shared_model
 
 
 def test_domain_basics():
@@ -47,13 +48,13 @@ def test_linexpr_canonical():
 
 def test_fresh_naming_is_deterministic():
     p = QipProblem()
-    a = p.fresh_var("int_abs", "b", BINARY)
-    b = p.fresh_var("int_abs", "b", BINARY)
-    c = p.fresh_var("int_abs", "z", Domain(-2, 2))
+    a = p.fresh_var("int_abs", "b", BINARY, "int_abs#0")
+    b = p.fresh_var("int_abs", "b", BINARY, "int_abs#3")
+    c = p.fresh_var("int_abs", "z", Domain(-2, 2), "int_abs#3")
     assert (a.name, b.name, c.name) == (
         "__int_abs_1_b", "__int_abs_2_b", "__int_abs_1_z"
     )
-    assert not a.is_model and a.origin.ordinal == 1
+    assert not a.is_model and (a.origin, b.origin) == ("int_abs#0", "int_abs#3")
 
 
 def test_onehot_create_cache_extend():
@@ -109,7 +110,7 @@ def test_serialize_round_trip_and_stability():
     p = QipProblem()
     p.add_var(QipVar("x", Domain(-2, 2)))
     p.add_var(QipVar("i", Domain(1, 2)))
-    y = p.fresh_var("int_times", "p", Domain(-4, 4))
+    y = p.fresh_var("int_times", "p", Domain(-4, 4), "int_times#0")
     p.add_product(y.name, "x", "x", "int_times#0")
     p.add_equality(LinExpr({"x": 1, y.name: -1}, 1), "int_times#0")
     p.add_inequality(LinExpr({"x": 1}, -1), "int_le#1")
@@ -162,8 +163,8 @@ def _valid_document() -> dict:
     p.add_var(QipVar("x", Domain(1, 3)))
     p.add_var(QipVar("y", Domain(0, 2)))
     p.onehot_get_or_create("x", {1, 2, 3})
-    r = p.fresh_var("int_times", "p", Domain(0, 6))
-    p.add_product(r.name, "x", "y")
+    r = p.fresh_var("int_times", "p", Domain(0, 6), "int_times#0")
+    p.add_product(r.name, "x", "y", "int_times#0")
     return json.loads(p.serialize())
 
 
@@ -211,7 +212,6 @@ BITS = ("onehot_groups", 0, "bits")
     (_edit((*BITS, 0, "value"), 9),
      "invalid problem: one-hot(x): value 9 outside declared domain"),
     (lambda doc: [doc], "top level must be an object"),
-    (_edit(("objective", "sense"), "max"), "bad objective sense 'max'"),
     (_edit(("equalities", 0, "terms", 0, "coef"), ...), "malformed equality: 'coef'"),
     (_edit(("equalities", 0, "terms", 0, "coef"), 2**63),
      f"malformed equality: integer {2**63} exceeds the supported range"),
@@ -222,11 +222,27 @@ BITS = ("onehot_groups", 0, "bits")
     (_repeated_term, "equality[1]: variable 'x' listed twice"),
     (_edit(("meta", "product_sources"), ["", "", ""]),
      "invalid problem: meta.product_sources: length 3, expected 1"),
+    (_edit(("meta", "product_sources"), []),
+     "invalid problem: meta.product_sources: length 0, expected 1"),
+    (_edit(("meta", "product_sources"), ...), "malformed document: 'product_sources'"),
+    (_edit(("variables", 1, "hi"), 3.9), "malformed document: 'hi' is not an integer"),
+    (_edit(("equalities", 0, "terms", 0, "coef"), 1.5),
+     "malformed equality: 'coef' is not an integer"),
+    (_edit(("variables", 0, "lo"), "3"), "malformed document: 'lo' is not an integer"),
+    (_edit(("variables", 0, "lo"), True), "malformed document: 'lo' is not an integer"),
+    (_edit(("objective", "negated"), "false"),
+     "malformed document: 'negated' is not a boolean"),
+    (_edit(("variables", 2, "origin"), {"builtin": "onehot", "ordinal": 1, "role": "x_2"}),
+     "malformed document: 'origin' is not a string"),
+    (_edit(("meta", "equality_sources", 0), 0),
+     "malformed document: 'equality_sources' holds a value that is not a string"),
 ], ids=["zero-coefficient", "undeclared-product-operand", "two-groups",
         "undeclared-group-variable", "undeclared-bit", "non-binary-bit",
-        "duplicate-value", "value-outside-domain", "non-object", "objective-sense",
+        "duplicate-value", "value-outside-domain", "non-object",
         "malformed-expression", "coefficient-range", "constant-range", "bound-range",
-        "repeated-term", "extra-sources"])
+        "repeated-term", "extra-sources", "short-sources", "missing-sources",
+        "fractional-bound", "fractional-coefficient", "string-bound", "bool-bound",
+        "string-negated", "origin-record", "number-source"])
 def test_deserialize_rejects_each_violation(edit, message):
     doc = _valid_document()
     deserialize(json.dumps(doc))  # the unedited document is valid
@@ -241,15 +257,15 @@ def test_deserialize_rejects_each_violation(edit, message):
 # 0..49 of every builtin, compile-UNSAT instances skipped), each written
 # by the reference encoder as json.dumps(json.loads(text), indent=1) + "\n".
 CORPUS_DIGESTS = {
-    "default": "f7c50e3b1fb17ce2eb6ac5fffd65aee4494f822969f7a29798ea970f39995fd2",
+    "default": "7272f165174e2c61dc27ea6032f0529e26c3c139763b3bd52a52dfe1eea27f38",
     "verbatim_div":
-        "e03e0e3f1b309ed015a220ba64cda6d6bf32d68201f68152fed67cd4d19bb6ef",
+        "8c5018fb10810ee4b199c0bfa6410c1f0c0749d54bad7a881bbd828eed44e892",
 }
 # SHA-256 of the texts of seeded models whose 2-4 set_in, set_in_reif and
 # array_int_element constraints share x and i, so that a later constraint
 # reads the one-hot group of an earlier one; a model that compilation
 # proves UNSAT contributes its message instead of a text.
-EXTENSION_DIGEST = "5bf0e470fde0b618f3fbfdc91c98fe5e2b0e00f8110a678828ade14e113aaf9e"
+EXTENSION_DIGEST = "bf5bbccad08da83a67f60c5f511d2b4660a8f5508c1cfa406055548801875b12"
 
 CORPUS_OPTIONS = {
     "default": RewriteOptions(),
@@ -352,6 +368,47 @@ def test_shared_groups_check_equal():
         assert result.equal, f"seed {seed}: {result.describe()}"
 
 
+def _assert_auxiliaries_stay_local(problem: QipProblem) -> None:
+    """Premise (a) of per-constraint translation validation, read from the
+    text: each auxiliary's origin tags a row, and every row or product
+    that reads an auxiliary made by a source constraint has that
+    constraint as its source; only group bits are shared."""
+    back = deserialize(problem.serialize())
+    tags = set(back.equality_sources + back.inequality_sources
+               + back.product_sources)
+    origins = {name: v.origin for name, v in back.vars.items() if not v.is_model}
+    assert set(origins.values()) <= tags
+    readers = [*zip((e.terms for e in back.equalities), back.equality_sources),
+               *zip((e.terms for e in back.inequalities), back.inequality_sources),
+               *zip(((p.result, p.left, p.right) for p in back.products),
+                    back.product_sources)]
+    for names, source in readers:
+        for name in names:
+            origin = origins.get(name)
+            if origin is not None and not origin.startswith("onehot:"):
+                assert origin == source, f"{source} reads {name} of {origin}"
+
+
+def test_corpus_auxiliaries_are_read_by_their_source_only(corpus_problems):
+    for _, problem in corpus_problems[1]:
+        _assert_auxiliaries_stay_local(problem)
+
+
+def test_shared_auxiliaries_are_read_by_their_source_only():
+    sources = [_extension_model(seed) for seed in range(400)]
+    sources += [_shared_model(pool, seed) for pool in sorted(SHARED_POOLS)
+                for seed in range(300)]
+    compiled = 0
+    for source in sources:
+        try:
+            problem = compile_model(typecheck(parse_model(source)))
+        except CompileUnsat:
+            continue
+        _assert_auxiliaries_stay_local(problem)
+        compiled += 1
+    assert compiled > 900
+
+
 def test_serialize_empty_lists():
     p = QipProblem()
     text = _assert_canonical(p)
@@ -366,14 +423,13 @@ def test_serialize_negated_min_objective_and_extreme_values():
     p.add_var(QipVar("x", Domain(-INT_LIMIT, INT_LIMIT)))
     p.add_var(QipVar("y", Domain(-3, 3)))
     p.restrict_domain("y", Domain(-3, -1))
-    p.objective_sense = "min"
     p.objective_negated = True
     p.objective = LinExpr({"x": -1, "y": -INT_LIMIT}, INT_LIMIT)
     p.add_equality(LinExpr({"x": -2, "y": 1}, -INT_LIMIT), "int_lin_eq#0")
     p.add_inequality(LinExpr({"y": -1}, INT_LIMIT), "int_le#1")
     text = _assert_canonical(p)
     doc = json.loads(text)
-    assert doc["objective"]["negated"] is True
+    assert doc["objective"]["negated"] is True and "sense" not in doc["objective"]
     assert doc["variables"][0]["lo"] == -INT_LIMIT
     assert doc["equalities"][0]["terms"][0] == {"var": "x", "coef": -2}
 
@@ -382,13 +438,13 @@ def test_serialize_escapes_deserialized_names():
     p = QipProblem()
     p.add_var(QipVar("x", Domain(1, 2)))
     p.onehot_get_or_create("x", {1, 2})
-    aux = p.fresh_var("int_times", "p", Domain(0, 4))
+    aux = p.fresh_var("int_times", "p", Domain(0, 4), "int_times#0")
     p.add_product(aux.name, "x", "x", "int_times#0")
     doc = json.loads(p.serialize())
     odd = 'q"\u00e9\\\t\u2603'
     doc["variables"][0]["name"] = odd
     doc["onehot_groups"][0]["int_var"] = odd
-    doc["variables"][2]["origin"]["role"] = odd
+    doc["variables"][2]["origin"] = odd
     doc["products"][0]["left"] = odd
     doc["products"][0]["right"] = odd
     for e in doc["equalities"]:

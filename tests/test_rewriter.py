@@ -408,9 +408,11 @@ def test_element_reads_a_narrower_group():
 
 
 def test_objective_sense_mapping():
+    # a problem has an objective exactly when the objective has terms
+    _, p = compile_src("var 1..3: x;\nsolve satisfy;\n")
+    assert not p.objective.terms and not p.objective_negated
     _, p = compile_src("var 1..3: x;\nsolve minimize x;\n")
-    assert p.objective_sense == "min" and not p.objective_negated
-    assert p.objective.terms == {"x": 1}
+    assert not p.objective_negated and p.objective.terms == {"x": 1}
     _, p = compile_src("var 1..3: x;\nsolve maximize x;\n")
     assert p.objective_negated and p.objective.terms == {"x": -1}
 
