@@ -46,6 +46,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive(text: str) -> int:
+    """An integer of at least 1; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"invalid positive int value: {text!r}")
+    return value
+
+
 def _arg_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="fzn2qip",
@@ -70,13 +81,13 @@ def _arg_parser() -> argparse.ArgumentParser:
     for name, what in (("check", "verify equivalence exhaustively"),
                        ("solve", "solve by exhaustive enumeration")):
         p = add_common(sub.add_parser(name, help=what))
-        p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP,
+        p.add_argument("--cap", type=_positive, default=oracle.DEFAULT_CAP,
                        help="enumeration state-space cap")
     add_common(sub.add_parser("stats", help="print problem size counts"))
 
     p = sub.add_parser("fuzz", help="print seeded random test models")
     p.add_argument("builtin", help="builtin name to exercise")
-    p.add_argument("--instances", type=int, default=1)
+    p.add_argument("--instances", type=_positive, default=1)
     p.add_argument("--seed", type=int, default=0)
     return ap
 

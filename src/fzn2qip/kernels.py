@@ -23,18 +23,23 @@ from __future__ import annotations
 import numpy as np
 
 
-def linear_form(values: np.ndarray, terms, constant: int):
-    """``sum(c * values[i] for i, c in terms) + constant`` per column; the
-    constant itself if there are no terms."""
-    acc = constant
+def linear_form(values: np.ndarray, terms, constant: int = 0):
+    """``sum(c * values[i] for i, c in terms) + constant`` per column: the
+    constant if there are no terms, a lone ``+1`` term's own row if it is 0."""
+    acc = None
     for i, c in terms:
-        if c == 1:
-            acc = acc + values[i]
+        x = values[i]
+        if acc is None:
+            acc = x if c == 1 else -x if c == -1 else c * x
+        elif c == 1:
+            acc = acc + x
         elif c == -1:
-            acc = acc - values[i]
+            acc = acc - x
         else:
-            acc = acc + c * values[i]
-    return acc
+            acc = acc + c * x
+    if acc is None:
+        return constant
+    return acc + constant if constant else acc
 
 
 def feasible_mask(
@@ -51,17 +56,23 @@ def feasible_mask(
     right)`` row triples (a ``(k, 3)`` index array serves too).
     ``bounds``, if given, is ``(rows, lows, highs)``: ``k`` row indices
     and their ``(k, 1)`` domain minima and maxima.
+
+    A form's terms are compared with its negated constant, and the mask
+    is the conjunction of the checks' own results, with no all-true start
+    (a form with no terms gives a bool).
     """
-    mask = np.ones(values.shape[1], dtype=bool)
+    oks = []
+    for forms, holds in ((eqs, np.equal), (ineqs, np.less_equal)):
+        for terms, constant in forms:
+            oks.append(holds(linear_form(values, terms), -constant))
     if bounds is not None:
         rows, lows, highs = bounds
-        x = values[rows]
-        mask &= np.logical_and.reduce((x >= lows) & (x <= highs))
-    for terms, constant in eqs:
-        mask &= linear_form(values, terms, constant) == 0
-    for terms, constant in ineqs:
-        mask &= linear_form(values, terms, constant) <= 0
+        x = values.take(rows, axis=0)
+        oks.append(np.logical_and.reduce((x >= lows) & (x <= highs)))
     if len(prods):
         res, left, right = values[np.array(prods).T]
-        mask &= np.logical_and.reduce(res == left * right)
-    return mask
+        oks.append(np.logical_and.reduce(res == left * right))
+    mask = True
+    for ok in oks:
+        mask = ok if mask is True else mask & ok
+    return mask if type(mask) is np.ndarray else np.full(values.shape[1], mask)

@@ -400,24 +400,28 @@ def deserialize(text: str) -> QipProblem:
     """Parse and validate serialized problem text.
 
     Only what ``serialize`` writes is read: each key it writes, each
-    value of the JSON type it writes.  Raises SchemaError on bad input,
-    naming the field of a malformed value, or the first violation when
-    the document parses but breaks an invariant of ``QipProblem.validate``.
+    value of the JSON type it writes, no other key and no key twice.
+    Raises SchemaError on bad input, naming the field of a malformed
+    value or the key that is unknown or repeated, or the first violation
+    when the document parses but breaks an invariant of
+    ``QipProblem.validate``.
     """
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("top level must be an object")
-    for key in ("variables", "objective", "equalities", "inequalities",
-                "products", "onehot_groups", "meta"):
+    for key in _TOP_KEYS:
         if key not in obj:
             raise SchemaError(f"missing top-level key '{key}'")
+    for key in obj:
+        if key not in _TOP_KEYS:
+            raise SchemaError(f"unknown top-level key '{key}'")
 
     prob = QipProblem()
 
-    def read_expr(e, where: str, name: str) -> LinExpr:
+    def read_expr(e, where: str, name: str, keys=("terms", "constant")) -> LinExpr:
         try:
             expr = LinExpr(constant=_field(e, "constant", int))
             for t in _field(e, "terms", list):
@@ -426,6 +430,8 @@ def deserialize(text: str) -> QipProblem:
                     raise SchemaError(f"{name}: variable '{var}' listed twice")
                 # kept as written, so that validate sees a zero coefficient
                 expr.terms[var] = checked_int(_field(t, "coef", int))
+                _only(t, ("var", "coef"))
+            _only(e, keys)
             return expr
         except (KeyError, TypeError, OverflowLimit) as exc:
             raise SchemaError(f"malformed {where}: {exc}") from exc
@@ -438,10 +444,12 @@ def deserialize(text: str) -> QipProblem:
                          None if origin == "model" else origin)
             var.declared = Domain(_field(v, "declared_lo", int),
                                   _field(v, "declared_hi", int))
+            _only(v, ("name", "lo", "hi", "declared_lo", "declared_hi", "origin"))
             prob.add_var(var)
         objective = obj["objective"]
         prob.objective_negated = _field(objective, "negated", bool)
-        prob.objective = read_expr(objective, "objective", "objective")
+        prob.objective = read_expr(objective, "objective", "objective",
+                                   ("negated", "terms", "constant"))
         for i, e in enumerate(_field(obj, "equalities", list)):
             prob.equalities.append(read_expr(e, "equality", f"equality[{i}]"))
         for i, e in enumerate(_field(obj, "inequalities", list)):
@@ -449,15 +457,19 @@ def deserialize(text: str) -> QipProblem:
         for p in _field(obj, "products", list):
             prob.products.append(ProductConstraint(
                 _field(p, "result", str), _field(p, "left", str), _field(p, "right", str)))
+            _only(p, ("result", "left", "right"))
         for g in _field(obj, "onehot_groups", list):
             group = OneHotGroup(_field(g, "int_var", str))
             for b in _field(g, "bits", list):
                 group.bits.append((_field(b, "var", str), _field(b, "value", int)))
+                _only(b, ("var", "value"))
+            _only(g, ("int_var", "bits"))
             prob.onehot_groups.append(group)
         meta = obj["meta"]
         prob.equality_sources = _strings(meta, "equality_sources")
         prob.inequality_sources = _strings(meta, "inequality_sources")
         prob.product_sources = _strings(meta, "product_sources")
+        _only(meta, ("equality_sources", "inequality_sources", "product_sources"))
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError, EmptyDomain, OverflowLimit) as exc:
@@ -468,7 +480,30 @@ def deserialize(text: str) -> QipProblem:
     return prob
 
 
+_TOP_KEYS = ("variables", "objective", "equalities", "inequalities", "products",
+             "onehot_groups", "meta")
 _KINDS = {int: "an integer", bool: "a boolean", str: "a string", list: "an array"}
+
+
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key written twice, of which json.loads
+    would keep the last, is a ``SchemaError``."""
+    record = dict(pairs)
+    if len(record) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"duplicate key '{key}'")
+            seen.add(key)
+    return record
+
+
+def _only(record: dict, keys: tuple[str, ...]) -> None:
+    """Raise if ``record``, whose fields have been read, has a key
+    ``serialize`` does not write there."""
+    for key in record:
+        if key not in keys:
+            raise TypeError(f"unknown key '{key}'")
 
 
 def _field(record: dict, key: str, kind: type):

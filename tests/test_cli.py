@@ -183,7 +183,14 @@ def test_missing_file_exit_1(capsys):
     (["frob", "m.fzn"], "argument command: invalid choice: 'frob'"),
     (["compile", "m.fzn", "--cap", "5"], "unrecognized arguments: --cap 5"),
     (["stats", "m.fzn", "--cap", "5"], "unrecognized arguments: --cap 5"),
-], ids=["bad-int", "missing-input", "unknown-subcommand", "compile-cap", "stats-cap"])
+    (["check", "m.fzn", "--cap", "-5"], "argument --cap: invalid positive int value: '-5'"),
+    (["solve", "m.fzn", "--cap", "0"], "argument --cap: invalid positive int value: '0'"),
+    (["fuzz", "int_le", "--instances", "-3"],
+     "argument --instances: invalid positive int value: '-3'"),
+    (["fuzz", "int_le", "--instances", "0"],
+     "argument --instances: invalid positive int value: '0'"),
+], ids=["bad-int", "missing-input", "unknown-subcommand", "compile-cap", "stats-cap",
+        "negative-cap", "zero-cap", "negative-instances", "zero-instances"])
 def test_usage_error_is_one_line_exit_1(capsys, argv, start):
     """Not argparse's exit 2, which is the counterexample code."""
     assert run(argv) == 1

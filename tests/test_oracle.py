@@ -139,6 +139,9 @@ def _assert_columnwise_matches_reference(m):
         got = np.broadcast_to(oracle._holds(c.name, c.args, table, index), size)
         want = [eval_builtin(c.name, c.args, a) for a in assignments]
         assert got.tolist() == want, (c, model_to_fzn(m))
+    solutions = {tuple(r) for r, a in zip(rows, assignments)
+                 if all(eval_builtin(c.name, c.args, a) for c in m.constraints)}
+    assert enumerate_fzn(m) == (names, solutions), model_to_fzn(m)
 
 
 @pytest.mark.parametrize("builtin", sorted(SIGNATURES))
@@ -205,6 +208,36 @@ HAND_CASES = {
         var 2..3: x; var 0..9: z;
         constraint int_pow(x, 40, z); constraint int_pow(x, 2, z);
         solve satisfy;""",
+    # constraints over literals only, true and false, before, between and
+    # after the constraints over variables; a set_in over a literal gives
+    # a 0-d array, not a bool
+    "true literals around variables": """
+        var 0..3: x; var 0..3: y;
+        constraint int_le(1, 2); constraint int_le(x, y); constraint set_in(3, {1, 3});
+        constraint int_ne(x, 2); constraint bool_clause([true], []);
+        solve satisfy;""",
+    "false literal first": """
+        var 0..3: x; var 0..3: y;
+        constraint int_eq(1, 2); constraint int_le(x, y);
+        solve satisfy;""",
+    "false literal between": """
+        var 0..3: x; var 0..3: y;
+        constraint int_le(x, y); constraint set_in(2, {1, 3}); constraint int_ne(x, y);
+        solve satisfy;""",
+    "false literal last": """
+        var 0..3: x; var 0..3: y;
+        constraint int_le(x, y); constraint int_ne(x, y); constraint int_lt(2, 1);
+        solve satisfy;""",
+    "literals only, true": """
+        var 0..3: x; var bool: b;
+        constraint int_le(1, 2); constraint set_in(3, {1, 3});
+        solve satisfy;""",
+    "literals only, false": """
+        var 0..3: x;
+        constraint int_le(1, 2); constraint set_in(2, {1, 3});
+        solve satisfy;""",
+    "no variables, true": "constraint int_le(1, 2); constraint set_in(3, {3});\nsolve satisfy;",
+    "no variables, false": "constraint int_le(1, 2); constraint int_ne(3, 3);\nsolve satisfy;",
 }
 EXACT_CASES = {"2^62 domains", "int_times beyond int64", "int_pow beyond int64"}
 
@@ -388,6 +421,7 @@ def test_feasible_mask_matches_row_reference():
 
     eqs, ineqs = _sparse(eq_coef, eq_const), _sparse(ineq_coef, ineq_const)
     bounds = (np.arange(6), lows[:, None], highs[:, None])
+    one_row = (np.array([2]), lows[2:3, None], highs[2:3, None])
     none = prod_idx[:0]
     true, false = ([], 0), ([], 1)  # forms with a constant only
     blocks = [
@@ -399,6 +433,8 @@ def test_feasible_mask_matches_row_reference():
         (([], [], prod_idx), lambda r: prod_ok(r, prod_idx)),
         (([], [], none, bounds),
          lambda r: all(lo <= x <= hi for lo, x, hi in zip(lows, r, highs))),
+        (([], [], none, one_row), lambda r: lows[2] <= r[2] <= highs[2]),
+        (([true], [([], -1)], none, one_row), lambda r: lows[2] <= r[2] <= highs[2]),
         ((eqs, ineqs, prod_idx),
          lambda r: (lin_ok(r, eq_coef, eq_const, lambda v: v == 0)
                     and lin_ok(r, ineq_coef, ineq_const, lambda v: v <= 0)
@@ -411,8 +447,10 @@ def test_feasible_mask_matches_row_reference():
             assert feasible_mask(values, *args).tolist() == want
             assert any(want) and not all(want)
         for args in (([false], [], none), ([], [([], 1)], none),
-                     (eqs + [false], ineqs, prod_idx)):
+                     (eqs + [false], ineqs, prod_idx), ([false], [], none, one_row)):
             assert not feasible_mask(values, *args).any()
+        for args in (([], [], none), ([true], [([], -1)], none)):  # no check reads a row
+            assert feasible_mask(values, *args).tolist() == [True] * len(rows)
 
 
 def test_feasible_mask_object_table_is_exact():
@@ -612,6 +650,22 @@ def _flat_enumerate(p: QipProblem):
     return solutions, full, best
 
 
+# compiled problems that enumerate no unit (every variable fixed, or none
+# at all), or whose every check falls in stage 0, the seed column: no row
+# reads a free variable
+SEED_STAGE_SRCS = [
+    "var 2..2: x; var 1..1: y; constraint int_le(x, y); solve satisfy;",
+    "var 1..1: x; var 2..2: y; constraint int_le(x, y); solve satisfy;",
+    "constraint int_le(1, 2); solve satisfy;",
+    "var 1..1: x; var bool: b; constraint int_eq_reif(x, 1, b); solve satisfy;",
+    "var 1..1: x; var 1..1: y; var 0..9: z; constraint int_times(x, y, z); solve satisfy;",
+    "var 1..1: x; var 0..2: y; constraint int_le(x, 1); solve satisfy;",
+    "var 0..2: y; constraint int_le(1, 2); solve satisfy;",
+    "var 2..2: x; var 0..1: y; var 3..3: z;\n"
+    "constraint int_plus(x, 1, z); constraint int_ne(x, z); solve satisfy;",
+]
+
+
 @pytest.mark.parametrize("chunk, exact", [
     pytest.param(None, False, id="None"), pytest.param(3, False, id="3"),
     pytest.param(None, True, id="None-exact"), pytest.param(3, True, id="3-exact"),
@@ -634,6 +688,10 @@ def test_enumerate_qip_matches_flat_enumeration(chunk, exact, monkeypatch):
         compared += 1
         with_solutions += bool(solutions)
     assert with_solutions > 30
+    for src in SEED_STAGE_SRCS:
+        p = compile_model(check(src))
+        enum = enumerate_qip(p, keep_full=True)
+        assert (enum.solutions, enum.full_solutions, enum.best_value) == _flat_enumerate(p)
 
 
 # its last stage expands 25,308 columns over many parent columns

@@ -194,6 +194,22 @@ def _repeated_term(doc):
     return doc
 
 
+class _Repeated(dict):
+    """A record that json.dumps writes with ``key`` once more at the end."""
+
+    def __init__(self, record: dict, key: str, value):
+        super().__init__(record)
+        self.again = (key, value)
+
+    def items(self):
+        return [*super().items(), self.again]
+
+
+def _repeated_lo(doc):
+    doc["variables"][0] = _Repeated(doc["variables"][0], "lo", 2)  # x: "lo": 1, "lo": 2
+    return doc
+
+
 BITS = ("onehot_groups", 0, "bits")
 
 
@@ -236,13 +252,18 @@ BITS = ("onehot_groups", 0, "bits")
      "malformed document: 'origin' is not a string"),
     (_edit(("meta", "equality_sources", 0), 0),
      "malformed document: 'equality_sources' holds a value that is not a string"),
+    (_edit(("objective", "sense"), "max"), "malformed objective: unknown key 'sense'"),
+    (_edit(("variables", 0, "typo"), 1), "malformed document: unknown key 'typo'"),
+    (_edit(("extra",), []), "unknown top-level key 'extra'"),
+    (_repeated_lo, "duplicate key 'lo'"),
 ], ids=["zero-coefficient", "undeclared-product-operand", "two-groups",
         "undeclared-group-variable", "undeclared-bit", "non-binary-bit",
         "duplicate-value", "value-outside-domain", "non-object",
         "malformed-expression", "coefficient-range", "constant-range", "bound-range",
         "repeated-term", "extra-sources", "short-sources", "missing-sources",
         "fractional-bound", "fractional-coefficient", "string-bound", "bool-bound",
-        "string-negated", "origin-record", "number-source"])
+        "string-negated", "origin-record", "number-source", "objective-sense",
+        "unknown-variable-key", "unknown-top-level-key", "repeated-key"])
 def test_deserialize_rejects_each_violation(edit, message):
     doc = _valid_document()
     deserialize(json.dumps(doc))  # the unedited document is valid
