@@ -51,7 +51,20 @@ class Arr:
 
 @dataclass(frozen=True)
 class SetVal:
-    values: frozenset
+    """A set of integers as sorted, disjoint, non-adjacent runs ``(lo, hi)``."""
+
+    runs: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def of(cls, values) -> "SetVal":
+        """The set of ``values``, adjacent ones merged into one run."""
+        runs = []
+        for v in sorted(set(values)):
+            if runs and runs[-1][1] == v - 1:
+                runs[-1] = (runs[-1][0], v)
+            else:
+                runs.append((v, v))
+        return cls(tuple(runs))
 
 
 @dataclass
@@ -308,13 +321,13 @@ class _Parser:
             if self.toks[i] != "..":
                 return Lit(lo), i
             hi, i = self.integer(i + 1)
-            return SetVal(frozenset(range(lo, hi + 1))), i
+            return SetVal(((lo, hi),) if lo <= hi else ()), i
         if t == "[":
             items, i = self.seq(i + 1, self.element, "]")
             return Arr(tuple(items)), i
         if t == "{":
             values, i = self.seq(i + 1, self.integer, "}")
-            return SetVal(frozenset(values)), i
+            return SetVal.of(values), i
         raise self.error(FznSyntaxError, i, f"unexpected token {t!r}")
 
     def element(self, i: int):
@@ -611,7 +624,8 @@ def _expr_to_fzn(arg) -> str:
     if isinstance(arg, Arr):
         return "[" + ", ".join(_expr_to_fzn(a) for a in arg.items) + "]"
     if isinstance(arg, SetVal):
-        return "{" + ", ".join(str(v) for v in sorted(arg.values)) + "}"
+        return "{" + ", ".join(str(v) for lo, hi in arg.runs
+                               for v in range(lo, hi + 1)) + "}"
     raise AssertionError(f"cannot print {arg!r}")
 
 

@@ -17,6 +17,9 @@ the variable to the group's values, so a value the group lacks is 0.
 Each row and product has a provenance tag in ``meta.*_sources``: the
 ``builtin#idx`` of its source constraint, or ``onehot:<var>`` for a
 group's pair.  An auxiliary's ``origin`` is the tag of what made it.
+The text has no group record: the bits of ``var`` are the terms of its
+first ``onehot:<var>`` row (and the auxiliaries of that origin), and a
+bit's value is its coefficient in the second (absent: 0).
 """
 
 from __future__ import annotations
@@ -137,16 +140,10 @@ class ProductConstraint:
 
 @dataclass
 class OneHotGroup:
-    """Binding of an integer variable to its indicator bits."""
+    """Binding of an integer variable to its indicator bits (in memory)."""
 
     int_var: str
     bits: list[tuple[str, int]] = field(default_factory=list)
-
-    def bit_for(self, value: int) -> str:
-        for name, v in self.bits:
-            if v == value:
-                return name
-        raise KeyError(value)
 
 
 class QipProblem:
@@ -256,26 +253,6 @@ class QipProblem:
                     violations.append(
                         f"product[{i}]: product-order ({p.result} = {p.left}*{p.right})"
                     )
-        owners = set()
-        for g in self.onehot_groups:
-            if g.int_var not in order:
-                violations.append(f"one-hot: undeclared variable '{g.int_var}'")
-            if g.int_var in owners:
-                violations.append(f"one-hot: variable '{g.int_var}' owns two groups")
-            owners.add(g.int_var)
-            seen_values = set()
-            for bit, v in g.bits:
-                if bit not in order:
-                    violations.append(f"one-hot({g.int_var}): undeclared bit '{bit}'")
-                elif self.vars[bit].domain != BINARY:
-                    violations.append(f"one-hot({g.int_var}): bit '{bit}' not binary")
-                if v in seen_values:
-                    violations.append(f"one-hot({g.int_var}): duplicate value {v}")
-                seen_values.add(v)
-                if g.int_var in order and v not in self.vars[g.int_var].declared:
-                    violations.append(
-                        f"one-hot({g.int_var}): value {v} outside declared domain"
-                    )
         for name, rows, sources in (
             ("equality", self.equalities, self.equality_sources),
             ("inequality", self.inequalities, self.inequality_sources),
@@ -315,9 +292,6 @@ class QipProblem:
             _list([_expr(e) for e in self.inequalities], " "),
             _list([_PRODUCT % (s(p.result), s(p.left), s(p.right))
                    for p in self.products], " "),
-            _list([_GROUP % (s(g.int_var),
-                             _list([_BIT % (s(b), v) for b, v in g.bits], "   "))
-                   for g in self.onehot_groups], " "),
             _list([_SOURCE % s(x) for x in self.equality_sources], "  "),
             _list([_SOURCE % s(x) for x in self.inequality_sources], "  "),
             _list([_SOURCE % s(x) for x in self.product_sources], "  "),
@@ -338,7 +312,6 @@ _DOC = """{
  "equalities": %s,
  "inequalities": %s,
  "products": %s,
- "onehot_groups": %s,
  "meta": {
   "equality_sources": %s,
   "inequality_sources": %s,
@@ -371,14 +344,6 @@ _PRODUCT = """  {
    "left": %s,
    "right": %s
   }"""
-_GROUP = """  {
-   "int_var": %s,
-   "bits": %s
-  }"""
-_BIT = """    {
-     "var": %s,
-     "value": %d
-    }"""
 _SOURCE = "   %s"
 
 
@@ -423,9 +388,9 @@ def deserialize(text: str) -> QipProblem:
 
     def read_expr(e, where: str, name: str, keys=("terms", "constant")) -> LinExpr:
         try:
-            expr = LinExpr(constant=_field(e, "constant", int))
-            for t in _field(e, "terms", list):
-                var = _field(t, "var", str)
+            expr = LinExpr(constant=_field(_record(e, name), "constant", int))
+            for k, t in enumerate(_field(e, "terms", list)):
+                var = _field(_record(t, f"{name}.terms[{k}]"), "var", str)
                 if var in expr.terms:
                     raise SchemaError(f"{name}: variable '{var}' listed twice")
                 # kept as written, so that validate sees a zero coefficient
@@ -437,8 +402,8 @@ def deserialize(text: str) -> QipProblem:
             raise SchemaError(f"malformed {where}: {exc}") from exc
 
     try:
-        for v in _field(obj, "variables", list):
-            origin = _field(v, "origin", str)
+        for i, v in enumerate(_field(obj, "variables", list)):
+            origin = _field(_record(v, f"variable[{i}]"), "origin", str)
             var = QipVar(_field(v, "name", str),
                          Domain(_field(v, "lo", int), _field(v, "hi", int)),
                          None if origin == "model" else origin)
@@ -446,7 +411,7 @@ def deserialize(text: str) -> QipProblem:
                                   _field(v, "declared_hi", int))
             _only(v, ("name", "lo", "hi", "declared_lo", "declared_hi", "origin"))
             prob.add_var(var)
-        objective = obj["objective"]
+        objective = _record(obj["objective"], "objective")
         prob.objective_negated = _field(objective, "negated", bool)
         prob.objective = read_expr(objective, "objective", "objective",
                                    ("negated", "terms", "constant"))
@@ -454,18 +419,12 @@ def deserialize(text: str) -> QipProblem:
             prob.equalities.append(read_expr(e, "equality", f"equality[{i}]"))
         for i, e in enumerate(_field(obj, "inequalities", list)):
             prob.inequalities.append(read_expr(e, "inequality", f"inequality[{i}]"))
-        for p in _field(obj, "products", list):
+        for i, p in enumerate(_field(obj, "products", list)):
+            p = _record(p, f"product[{i}]")
             prob.products.append(ProductConstraint(
                 _field(p, "result", str), _field(p, "left", str), _field(p, "right", str)))
             _only(p, ("result", "left", "right"))
-        for g in _field(obj, "onehot_groups", list):
-            group = OneHotGroup(_field(g, "int_var", str))
-            for b in _field(g, "bits", list):
-                group.bits.append((_field(b, "var", str), _field(b, "value", int)))
-                _only(b, ("var", "value"))
-            _only(g, ("int_var", "bits"))
-            prob.onehot_groups.append(group)
-        meta = obj["meta"]
+        meta = _record(obj["meta"], "meta")
         prob.equality_sources = _strings(meta, "equality_sources")
         prob.inequality_sources = _strings(meta, "inequality_sources")
         prob.product_sources = _strings(meta, "product_sources")
@@ -480,8 +439,7 @@ def deserialize(text: str) -> QipProblem:
     return prob
 
 
-_TOP_KEYS = ("variables", "objective", "equalities", "inequalities", "products",
-             "onehot_groups", "meta")
+_TOP_KEYS = ("variables", "objective", "equalities", "inequalities", "products", "meta")
 _KINDS = {int: "an integer", bool: "a boolean", str: "a string", list: "an array"}
 
 
@@ -496,6 +454,13 @@ def _object(pairs: list[tuple[str, object]]) -> dict:
                 raise SchemaError(f"duplicate key '{key}'")
             seen.add(key)
     return record
+
+
+def _record(value, name: str) -> dict:
+    """``value``, which must be a JSON object: the record ``name``."""
+    if type(value) is not dict:
+        raise SchemaError(f"{name} is not an object")
+    return value
 
 
 def _only(record: dict, keys: tuple[str, ...]) -> None:

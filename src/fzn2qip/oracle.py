@@ -10,12 +10,12 @@ Two independent enumerations are compared:
   (``_COLUMNWISE``; ``eval_builtin`` is the scalar reference it is
   tested against), and
 * the compiled problem, enumerated unit by unit (free variables and
-  categorical one-hot groups) over variable-major, C-ordered tables
+  exactly-one rows) over variable-major, C-ordered tables
   (one contiguous row per variable, one column per partial assignment;
   grown with ``np.repeat`` and shrunk with ``compress``, never by a
   fancy-index gather, which would return them column-major) with every
   computable variable substituted, each constraint that no substitution
-  or one-hot choice makes hold checked by the numeric kernel, summed
+  or exactly-one choice makes hold checked by the numeric kernel, summed
   over its nonzero terms only, as soon as its variables are known, and
   solutions projected back onto the source variables.
 
@@ -61,7 +61,7 @@ def _av(arg, asg):
     if isinstance(arg, Arr):
         return [_av(a, asg) for a in arg.items]
     if isinstance(arg, SetVal):
-        return arg.values
+        return arg.runs
     raise TypeError(f"cannot evaluate {arg!r}")
 
 
@@ -144,9 +144,9 @@ def eval_builtin(name: str, args: tuple, asg: dict[str, int]) -> bool:
     if name == "array_int_minimum":
         return v[0] == min(v[1])
     if name == "set_in":
-        return v[0] in v[1]
+        return any(lo <= v[0] <= hi for lo, hi in v[1])
     if name == "set_in_reif":
-        return (v[0] in v[1]) == bool(v[2])
+        return any(lo <= v[0] <= hi for lo, hi in v[1]) == bool(v[2])
     raise AssertionError(f"unknown builtin {name}")
 
 
@@ -155,7 +155,7 @@ def eval_builtin(name: str, args: tuple, asg: dict[str, int]) -> bool:
 #
 # The same formulas as ``eval_builtin``, over many assignments at once: a
 # variable is a numpy array of its values, a literal a Python int, an
-# array a list of either, a set a frozenset.  Each entry returns a bool
+# array a list of either, a set its runs.  Each entry returns a bool
 # array (or a bool scalar when every argument is a literal).  Divisors equal to 0 and
 # negative exponents are replaced before the arithmetic and their rows
 # answer False.  Bool values are 0/1, so ``and``/``or`` are ``&``/``|``.
@@ -217,8 +217,8 @@ def _extremum(pick):
     return lambda v: bool(v[1]) and v[0] == functools.reduce(pick, v[1])
 
 
-def _member(x, values: frozenset):
-    return np.isin(x, list(values))
+def _member(x, runs: tuple):
+    return _any((lo <= x) & (x <= hi) for lo, hi in runs)
 
 
 _COLUMNWISE = {
@@ -310,7 +310,8 @@ def _magnitude(arg, mag: dict[str, int], worst: list[int]):
         return mag[arg.name]
     if t is Arr:
         return [_magnitude(a, mag, worst) for a in arg.items]
-    worst.append(abs(arg.value) if t is Lit else max(map(abs, arg.values), default=0))
+    worst.append(abs(arg.value) if t is Lit else  # a set: max |v| of lo..hi
+                 max((max(-lo, hi) for lo, hi in arg.runs), default=0))
     return worst[-1]
 
 
@@ -334,7 +335,7 @@ def _cv(arg, table: np.ndarray, index: dict[str, int]):
     if t is Arr:
         return [_cv(a, table, index) for a in arg.items]
     if t is SetVal:
-        return arg.values
+        return arg.runs
     raise TypeError(f"cannot evaluate {arg!r}")
 
 
@@ -493,8 +494,8 @@ def _build_substitution(eqs: list, prods: list, aux: set[int],
 @dataclass(slots=True)
 class _Unit:
     """One enumeration unit: a free variable, whose choice p sets it to
-    ``lo + p``, or a categorical one-hot group, whose choice p sets its
-    p-th bit to 1 and leaves the others 0.  A group also sets each of
+    ``lo + p``, or the bits of an exactly-one row, whose choice p sets its
+    p-th bit to 1 and leaves the others 0.  A row unit also sets each of
     ``targets``, the variables that steps compute from its bits alone, to
     its value for choice p: column p of ``lookup``."""
 
@@ -502,8 +503,7 @@ class _Unit:
     cols: list[int]
     size: int
     lo: int = 0  # value of choice 0 of a variable
-    onehot: bool = False
-    sums: list[int] | tuple = ()  # its sum(bits) = 1 equalities
+    row: int | None = None  # the sum(bits) - 1 = 0 equality of a row unit
     targets: list[int] | tuple = ()
     lookup: np.ndarray | None = None  # (len(targets), size)
 
@@ -511,7 +511,7 @@ class _Unit:
         """Write choice ``r0 + p`` into each ``view[:, j, p]``, whose rows
         ``cols`` hold 0 (no earlier stage writes them)."""
         m = view.shape[2]
-        if not self.onehot:
+        if self.row is None:  # a variable
             view[self.cols[0]] = np.arange(self.lo + r0, self.lo + r0 + m)
             return
         view[self.cols[r0:r0 + m], :, np.arange(m)] = 1
@@ -519,37 +519,27 @@ class _Unit:
             view[self.targets] = self.lookup[:, None, r0:r0 + m]
 
 
-def _categorical_groups(groups: list, index: dict[str, int], doms: list[Domain],
-                        eqs: list) -> list[_Unit]:
-    """The one-hot ``groups`` that can be enumerated as one unit of k choices.
-
-    A group qualifies only when ``eqs`` (the equalities as ``(terms,
-    constant)`` over columns) contains its exact ``sum(bits) - 1 = 0``
-    equality and every bit domain lies in 0..1: then exactly one bit is
-    1 on every solution.
-    """
-    if not groups:
-        return []
-    sums: dict[frozenset, list[int]] = {}
-    for j, (terms, constant) in enumerate(eqs):
-        if constant == -1 and all(c == 1 for _, c in terms):
-            sums.setdefault(frozenset(i for i, _ in terms), []).append(j)
+def _exactly_one_units(eqs: list, doms: list[Domain], tags: list[str]) -> list[_Unit]:
+    """A unit of k choices, named by its row's tag, for each exact
+    ``sum(bits) - 1 = 0`` equality of ``eqs`` (as ``(terms, constant)``
+    over columns) whose bits lie in 0..1 and are in no earlier unit:
+    exactly one bit is 1 on every solution.  A one-hot group's first row
+    is one, and so are a set membership's, ``bool_not`` and
+    ``array_bool_xor``."""
     units: list[_Unit] = []
     taken: set[int] = set()
-    for g in groups:
-        cols = [index[b] for b, _ in g.bits]
-        rows = sums.get(frozenset(cols))
-        if (cols and rows is not None and len(set(cols)) == len(cols)
-                and taken.isdisjoint(cols)
-                and all(doms[c].lo >= 0 and doms[c].hi <= 1 for c in cols)):
+    for j, (terms, constant) in enumerate(eqs):
+        if constant != -1 or not terms:
+            continue
+        cols = sorted(i for i, c in terms if c == 1 and 0 <= doms[i].lo and doms[i].hi <= 1)
+        if len(cols) == len(terms) and taken.isdisjoint(cols):
             taken.update(cols)
-            units.append(_Unit(f"onehot:{g.int_var}", cols, len(cols), onehot=True,
-                               sums=rows))
+            units.append(_Unit(tags[j] or f"equality[{j}]", cols, len(cols), row=j))
     return units
 
 
 def _lookup(unit: _Unit, steps: list[_Step], dtype) -> np.ndarray:
-    """The values of the ``steps``' targets for each choice of the one-hot
+    """The values of the ``steps``' targets for each choice of the row
     ``unit``, one row per step and one column per choice.  The steps read
     only the unit's bits and earlier targets.  Each step's arithmetic runs
     on all k choices at once: bit p is 1 for choice p alone, so a term
@@ -611,7 +601,7 @@ class QipEnumeration:
     names: list[str]  # all problem variables, declaration order
     model_names: list[str]
     solutions: set  # tuples over model_names
-    free_names: list[str]  # enumeration units; a categorical group is "onehot:<int_var>"
+    free_names: list[str]  # enumeration units; an exactly-one row's is its tag
     space_size: int
     best_value: int | None = None  # optimal objective value, in the source's sense
     full_solutions: set | None = None  # tuples over names, if requested
@@ -626,8 +616,8 @@ def enumerate_qip(
 ) -> QipEnumeration:
     """Exhaustively enumerate the compiled problem, one unit at a time.
 
-    The units are the variables with no substitution rule and the
-    categorical one-hot groups; the cap applies to the product of their
+    The units are the bits of each exactly-one row and the variables
+    with no substitution rule; the cap applies to the product of their
     sizes.  A table is variable-major: row ``i`` holds variable ``i``'s
     values, one column per partial assignment, so a step or a check
     reads and writes whole contiguous rows.  Units of size 1 are preset
@@ -636,7 +626,7 @@ def enumerate_qip(
     their choices at once, or, if it has more choices than a table
     holds, over one parent column and a table-sized slice of its
     choices; a check keeps the surviving columns with ``compress``.  So
-    every table stays C-ordered.  A one-hot group's choice also writes
+    every table stays C-ordered.  An exactly-one unit's choice also writes
     the variables that steps compute from its bits alone, from a lookup
     of their values per choice made once per call.  After each unit,
     every other step whose inputs are known is computed, and one
@@ -646,7 +636,7 @@ def enumerate_qip(
 
     Every domain is checked on every assignment, and so is every row
     except those that hold by construction: the equality or product a
-    step solves, and a one-hot unit's ``sum(bits) - 1 = 0``.  int64
+    step solves, and an exactly-one unit's ``sum(bits) - 1 = 0``.  int64
     arithmetic is exact modulo 2^64 and ``sign**2 = 1``, so a step's
     equality ``sign * (-sign * S) + S`` is 0 even when a value wraps; a
     product check would recompute the step's own product; a choice sets
@@ -696,13 +686,13 @@ def enumerate_qip(
     prods = [(index[p.result], index[p.left], index[p.right]) for p in problem.products]
     worst = max([worst, *(mag[left] * mag[right] for _, left, right in prods)])
 
-    groups = _categorical_groups(problem.onehot_groups, index, doms, eqs)
-    grouped = {c for u in groups for c in u.cols}
-    steps = _build_substitution(eqs, prods, aux, grouped | fixed)
-    computed = grouped.union([s.target for s in steps])  # the non-free variables
-    units = groups + [_Unit(names[i], [i], _size(doms[i]), doms[i].lo)
+    row_units = _exactly_one_units(eqs, doms, problem.equality_sources)
+    unit_cols = {c for u in row_units for c in u.cols}
+    steps = _build_substitution(eqs, prods, aux, unit_cols | fixed)
+    computed = unit_cols.union([s.target for s in steps])  # the non-free variables
+    units = row_units + [_Unit(names[i], [i], _size(doms[i]), doms[i].lo)
                       for i in range(n) if i not in computed]
-    if groups:
+    if row_units:
         units.sort(key=_first_col)
 
     # stage 0 fills the seed column, the units of size 1 preset;
@@ -713,7 +703,7 @@ def enumerate_qip(
         if u.size > 1:
             order.append(u)
         else:
-            seed[u.cols[0]] = 1 if u.onehot else u.lo
+            seed[u.cols[0]] = u.lo if u.row is None else 1
     if size > cap:
         raise CapExceeded(size, cap, [(u.name, u.size) for u in units])
     dtype = _table_dtype(worst)
@@ -721,7 +711,7 @@ def enumerate_qip(
     for k, u in enumerate(order, start=1):
         for c in u.cols:
             stage[c] = k
-    # each stage's steps, then the rows no step or one-hot choice makes
+    # each stage's steps, then the rows no step or exactly-one choice makes
     # hold, each at the first stage that knows its variables, and the
     # domains of the non-free variables
     work = [([], [], [], [], []) for _ in range(len(order) + 1)]
@@ -730,11 +720,11 @@ def enumerate_qip(
         k = stage[s.target] = max([stage[i] for i in s.inputs], default=0)
         work[k][0].append(s)
         solved.add((s.kind, s.row))
-    for u in groups:  # the steps computing from a group's bits alone
-        solved.update(("equality", j) for j in u.sums)
+    for u in row_units:  # the steps computing from a unit's bits alone
+        solved.add(("equality", u.row))
         k, own, mine = stage[u.cols[0]], set(u.cols), []
         if k == 0:
-            continue  # a group of one bit, preset in the seed column
+            continue  # a unit of one bit, preset in the seed column
         for s in work[k][0]:
             if own.issuperset(s.inputs):
                 own.add(s.target)

@@ -20,14 +20,17 @@ big-M constants and add at most one binary auxiliary and no product,
 unless the bounds decide the relation: then they are one row.
 The extremum builtins are big-M rows with selector binaries and no
 product either (``_rw_extremum``).  The four element builtins are one
-rewrite (``_rw_element``), and ``bool_and(a, b, r)`` is
-``array_bool_and([a, b], r)``.  Every rewrite takes its scalar
+rewrite (``_rw_element``), the only one that makes a one-hot group, and
+``bool_and(a, b, r)`` is ``array_bool_and([a, b], r)``.  Set membership
+is one rewrite on the segments of the domain (``_rw_set_in``, after the
+order encoding of Tamura et al. 2009), whose row ``sum(b) = 1`` the
+enumerator reads as one unit.  Every rewrite takes its scalar
 arguments as the checked model gives them, a variable (``Ref``) or a
 literal (``Lit``), and builds each emitted row once, from coefficient
 and variable, literal or linear-form parts (``_combine``).  So a
 literal stays a constant: a product with a literal factor is linear
 and a product of two literals is a literal (``RewriteContext.times``),
-and a literal's one-hot indicators are 0/1 literals.  A product row's
+and a literal's one-hot indicator is the literal 1.  A product row's
 result is a fresh auxiliary, or, for ``int_times(a, b, c)`` and
 ``int_pow(x, 2, z)`` over variables, the result variable itself when
 it is declared after its operands (``RewriteContext.times_onto``).
@@ -114,14 +117,14 @@ class RewriteContext:
                 return
         self.eq0(_combine((1, c), (-1, self.times(builtin, role, a, b))))
 
-    def onehot(self, x: Ref | Lit, values: set[int]) -> dict[int, Ref | Lit]:
-        """Indicator of each value of x: its one-hot bit, or a 0/1 literal
-        when x is a literal or its group lacks the value."""
+    def onehot(self, x: Ref | Lit) -> dict[int, Ref | Lit]:
+        """Indicator of each value of x: its one-hot bit, or the literal 1
+        when x is a literal.  The first request makes the group over the
+        domain of x; domains only shrink, so each later value has a bit."""
         if type(x) is Lit:
-            return {v: Lit(int(v == x.value)) for v in values}
-        bits = {v: Ref(bit) for bit, v in
-                self.problem.onehot_get_or_create(x.name, values).bits}
-        return {v: bits.get(v, Lit(0)) for v in values}
+            return {x.value: Lit(1)}
+        return {v: Ref(bit) for bit, v in self.problem.onehot_get_or_create(
+            x.name, self.dom(x).values()).bits}
 
     def restrict(self, x: Ref | Lit, d: Domain) -> None:
         """Restrict x to d; raises EmptyDomain when nothing is left, also
@@ -239,11 +242,12 @@ def _rw_element(ctx, item):
                                                   [ctx.dom(e) for e in elems])
     ctx.restrict(i, i_dom)
     ctx.restrict(c, c_dom)
+    i_dom = ctx.dom(i)  # narrower than computed when c is i
     reachable = elems[i_dom.lo - 1 : i_dom.hi]
     if all(e == reachable[0] for e in reachable):
         ctx.eq0(_combine((1, c), (-1, reachable[0])))
         return
-    bits = ctx.onehot(i, set(i_dom.values()))
+    bits = ctx.onehot(i)
     parts = [(-1, c)]
     for j in i_dom.values():
         e = elems[j - 1]
@@ -464,21 +468,44 @@ def _rw_array_bool_and(ctx, item):
 
 
 def _rw_set_in(ctx, item):
-    x = item.args[0]
-    dom = ctx.dom(x)
-    values = {v for v in item.args[1].values if v in dom}  # not the whole domain
-    if not values:
-        raise EmptyDomain(f"'{_label(x)}' cannot take any value of the set")
-    # membership equality of our own: an earlier constraint may have made the group
-    ctx.eq0(_combine(*((1, bit) for bit in ctx.onehot(x, values).values()),
-                     constant=-1))
+    """``r = [x in S]``; ``set_in(x, S)`` is ``set_in_reif(x, S, 1)``.
 
-
-def _rw_set_in_reif(ctx, item):
-    x, _, r = item.args
-    bits = ctx.onehot(x, set(ctx.dom(x).values()))
-    ctx.eq0(_combine((1, r), *((-1, bits[v]) for v in item.args[1].values
-                               if v in bits)))
+    The segments of dom(x) are the maximal runs of S in it and the gaps
+    between them.  A literal r keeps the runs (1) or the gaps (0) and
+    restricts x to their hull.  One binary b per segment, ``sum(b) = 1``
+    (one segment: the literal 1), and ``sum(lo * b) <= x <= sum(hi * b)``,
+    or ``x = sum(v * b)`` when each segment is one value v, so x is
+    computed.  A variable r is the sum of the runs' b."""
+    x, s, r = (*item.args, Lit(1))[:3]
+    d = ctx.dom(x)
+    segments, at = [], d.lo  # (lo, hi, in S); at: the first value not placed
+    for lo, hi in s.runs:
+        lo, hi = max(lo, at), min(hi, d.hi)
+        if lo <= hi:
+            if at < lo:
+                segments.append((at, lo - 1, False))
+            segments.append((lo, hi, True))
+            at = hi + 1
+    if at <= d.hi:
+        segments.append((at, d.hi, False))
+    if type(r) is Lit:
+        segments = [seg for seg in segments if seg[2] == bool(r.value)]
+        if not segments:
+            raise EmptyDomain(f"'{_label(x)}' cannot take any value "
+                              f"{'of' if r.value else 'outside'} the set")
+        ctx.restrict(x, Domain(segments[0][0], segments[-1][1]))
+    bits = [Lit(1)]
+    if len(segments) > 1:
+        bits = [ctx.fresh(item.name, "b", BINARY) for _ in segments]
+        ctx.eq0(_combine(*((1, b) for b in bits), constant=-1))
+    if all(lo == hi for lo, hi, _ in segments):
+        ctx.eq0(_combine((1, x), *((-lo, b) for (lo, _, _), b in zip(segments, bits))))
+    else:
+        ctx.le0(_combine((-1, x), *((lo, b) for (lo, _, _), b in zip(segments, bits))))
+        ctx.le0(_combine((1, x), *((-hi, b) for (_, hi, _), b in zip(segments, bits))))
+    if type(r) is Ref:
+        ctx.eq0(_combine((1, r), *((-1, b) for (*_, run), b in zip(segments, bits)
+                                   if run)))
 
 
 _DISPATCH = {name: _rw_relation for name in _FORMS} | {
@@ -498,7 +525,7 @@ _DISPATCH = {name: _rw_relation for name in _FORMS} | {
     "int_pow": _rw_int_pow,
     "int_times": _rw_int_times,
     "set_in": _rw_set_in,
-    "set_in_reif": _rw_set_in_reif,
+    "set_in_reif": _rw_set_in,
 }
 
 
@@ -516,7 +543,7 @@ def _drop_decided_rows(problem: QipProblem) -> None:
     bits, and the objective reads a model variable).
 
     Two kinds of row stay whatever the bounds say: the ``onehot:<var>``
-    rows, since a group's defining pair makes it a categorical unit, and
+    rows, since they are all that the text says of a group, and
     the first row of a source constraint whose rows all hold, so that
     every ``builtin#idx`` still ships in ``meta.*_sources``.  The
     solution set is unchanged: a dropped row holds on every point, and a

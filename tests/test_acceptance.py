@@ -40,7 +40,6 @@ RESTRICTING = {
 ONEHOT_USERS = {
     "array_int_element", "array_bool_element",
     "array_var_int_element", "array_var_bool_element",
-    "set_in", "set_in_reif",
 }
 
 

@@ -101,10 +101,16 @@ def test_assignment_becomes_equality():
 def test_set_argument():
     m = check("""
         var 1..6: x;
-        constraint set_in(x, {2, 4, 9});
+        constraint set_in(x, {9, 2, 3, 4, 2});
+        constraint set_in(x, 5..7);
+        constraint set_in(x, 7..5);
+        constraint set_in(x, {});
         solve satisfy;
     """)
-    assert m.constraints[0].args[1] == SetVal(frozenset({2, 4, 9}))
+    # sorted, disjoint, non-adjacent runs: adjacent values are merged
+    assert [c.args[1] for c in m.constraints] == [
+        SetVal(((2, 4), (9, 9))), SetVal(((5, 7),)), SetVal(()), SetVal(())]
+    assert SetVal.of([3, 1, 2, 5]) == SetVal(((1, 3), (5, 5)))
 
 
 def test_empty_domain_names_the_variable():

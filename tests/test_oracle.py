@@ -208,9 +208,18 @@ HAND_CASES = {
         var 2..3: x; var 0..9: z;
         constraint int_pow(x, 40, z); constraint int_pow(x, 2, z);
         solve satisfy;""",
+    # a set is its runs: adjacent values merge, a range may be empty or
+    # wider than the domain
+    "set runs": """
+        var -2..12: x; var bool: r1; var bool: r2; var bool: r3; var bool: r4;
+        constraint set_in_reif(x, {6, 1, 2, 3, 5, 9, 2}, r1);
+        constraint set_in_reif(x, {}, r2); constraint set_in_reif(x, 5..3, r3);
+        constraint set_in_reif(x, -100..100, r4); constraint set_in(x, -1..10);
+        constraint set_in(2, 2..2); constraint set_in(x, {-2, -1, 0, 12});
+        solve satisfy;""",
     # constraints over literals only, true and false, before, between and
     # after the constraints over variables; a set_in over a literal gives
-    # a 0-d array, not a bool
+    # a bool
     "true literals around variables": """
         var 0..3: x; var 0..3: y;
         constraint int_le(1, 2); constraint int_le(x, y); constraint set_in(3, {1, 3});
@@ -524,9 +533,55 @@ def test_group_without_sum_equality_enumerated_as_binaries():
     assert enum.solutions == {(0,), (1,), (2,), (3,)}
 
 
+@pytest.mark.parametrize("src, unit, space", [
+    ("var bool: a; var bool: b; constraint bool_not(a, b);", "bool_not#0", 2),
+    ("var bool: a; var bool: b; var bool: c; constraint array_bool_xor([a, b, c]);",
+     "array_bool_xor#0", 3),
+    # segments 0..1, 2..3, 4..6, 7 and 8..9; x is free within its segment
+    ("var 0..9: x; var bool: r; constraint set_in_reif(x, {2, 3, 7}, r);",
+     "set_in_reif#0", 5 * 10),
+], ids=["bool_not", "array_bool_xor", "segments"])
+def test_exactly_one_rows_are_units(src, unit, space):
+    p = compile_model(check(src + " solve satisfy;\n"))
+    enum = enumerate_qip(p, keep_full=True)
+    assert unit in enum.free_names and enum.space_size == space
+    solutions, full, _ = _flat_enumerate(p)
+    assert enum.solutions == solutions and enum.full_solutions == full
+
+
+def test_a_row_unit_needs_0_1_columns_that_no_earlier_unit_uses(monkeypatch):
+    """``sum = 1`` rows over a 0..2 column, or over a column of an earlier
+    unit, stay rows that a stage checks."""
+    p = QipProblem()
+    for name, hi in (("a", 1), ("b", 1), ("c", 1), ("d", 1), ("w", 2)):
+        p.add_var(QipVar(name, Domain(0, hi)))
+    for terms, constant, tag in (({"a": 1, "b": 1}, -1, "ab#0"),
+                                 ({"c": 1, "d": 1}, -1, "cd#1"),
+                                 ({"b": 1, "c": 1}, -1, "bc#2"),  # shares b and c
+                                 ({"w": 1, "a": -1, "b": -1}, 0, "w#3"),  # w = a + b
+                                 ({"a": 1, "w": 1}, -1, "aw#4")):  # w in 0..2
+        p.add_equality(LinExpr(terms, constant), tag)
+    checked = []
+
+    def mask(values, eqs, *args):
+        checked.extend(sorted(t) for t, _ in eqs)
+        return real_mask(values, eqs, *args)
+
+    real_mask = kernels.feasible_mask
+    monkeypatch.setattr(kernels, "feasible_mask", mask)
+    enum = enumerate_qip(p, keep_full=True)
+    assert enum.free_names == ["ab#0", "cd#1"] and enum.space_size == 4
+    assert sorted(checked) == [[(0, 1), (4, 1)], [(1, 1), (2, 1)]]  # aw#4, bc#2
+    solutions, full, _ = _flat_enumerate(p)
+    assert enum.solutions == solutions == {(0, 1, 0, 1, 1)}
+    assert enum.full_solutions == full
+
+
 def test_group_bit_fixed_to_zero_prunes_rows():
     p = _onehot_problem(with_sum=True)
-    p.restrict_domain(p.onehot_groups[0].bit_for(1), Domain(0, 0))
+    [(bit, value), _] = p.onehot_groups[0].bits
+    assert value == 1
+    p.restrict_domain(bit, Domain(0, 0))
     enum = enumerate_qip(p, keep_full=True)
     assert enum.free_names == ["onehot:x"]
     assert enum.solutions == {(2,)}
@@ -788,7 +843,7 @@ def _element_src(n: int) -> str:
 @pytest.mark.parametrize("exact", [False, True], ids=["int64", "exact"])
 def test_dropped_checks_would_have_passed(exact, monkeypatch):
     """Each row that no stage checks (the equality or product a step
-    solves, a one-hot unit's sum row) is 0 on every column of the table
+    solves, an exactly-one unit's sum row) is 0 on every column of the table
     of the stage that would have checked it: the stage that bounds the
     step's target or the unit's bits."""
     plan, evaluated = {}, []
@@ -797,8 +852,8 @@ def test_dropped_checks_would_have_passed(exact, monkeypatch):
         plan["steps"] = real_steps(*args)
         return plan["steps"]
 
-    def groups(*args):
-        plan["units"] = real_groups(*args)
+    def units(*args):
+        plan["units"] = real_units(*args)
         return plan["units"]
 
     def mask(values, eqs, ineqs, prods, bounds=None):
@@ -807,7 +862,7 @@ def test_dropped_checks_would_have_passed(exact, monkeypatch):
         known = set() if bounds is None else set(bounds[0].tolist())
         dropped = [(s.target, p.equalities[s.row] if s.kind == "equality" else
                     p.products[s.row]) for s in plan["steps"]]
-        dropped += [(u.cols[0], p.equalities[j]) for u in plan["units"] for j in u.sums]
+        dropped += [(u.cols[0], p.equalities[u.row]) for u in plan["units"]]
         for anchor, row in dropped:
             if anchor not in known:
                 continue
@@ -820,10 +875,10 @@ def test_dropped_checks_would_have_passed(exact, monkeypatch):
             evaluated.append(row)
         return real_mask(values, eqs, ineqs, prods, bounds)
 
-    real_steps, real_groups, real_mask = (
-        oracle._build_substitution, oracle._categorical_groups, kernels.feasible_mask)
+    real_steps, real_units, real_mask = (
+        oracle._build_substitution, oracle._exactly_one_units, kernels.feasible_mask)
     monkeypatch.setattr(oracle, "_build_substitution", steps)
-    monkeypatch.setattr(oracle, "_categorical_groups", groups)
+    monkeypatch.setattr(oracle, "_exactly_one_units", units)
     monkeypatch.setattr(kernels, "feasible_mask", mask)
     if exact:
         monkeypatch.setattr(oracle, "_table_dtype", lambda *args: object)
@@ -851,7 +906,7 @@ def compiled_corpus() -> list[QipProblem]:
 
 # what enumerate_qip decides on the compiled corpus, DIV_SRC and
 # _element_src(12)
-PLAN_DIGEST = "1781e40a3ed9ab2ca3aec8f8f2e178eaedbcd61467ee21d5cecce232c38fe962"
+PLAN_DIGEST = "e3997134b1a05942a47d3f26318b4f1c9e43f8fb73ce67e4a1686fb9ffd173e8"
 
 
 def test_plan_is_pinned(compiled_corpus, monkeypatch):
@@ -924,10 +979,12 @@ def test_a_wide_group_costs_linear_memory(k, exact, monkeypatch):
     table at most ``_CELLS``: the value step ``x = sum v*bit_v`` reads
     every bit, so one length-k vector per bit would hold 8*k**2 bytes
     (3.2 GB at 20,001 bits, 200 MB at 5,001).  Exact tables would write
-    all of it, so they are checked at 5,001 bits."""
+    all of it, so they are checked at 5,001 bits.  An element over k
+    entries makes the group."""
     p = compile_model(check(
-        f"var 0..{k - 1}: x; var bool: r; constraint set_in_reif(x, {{1, 2}}, r);\n"
-        "solve satisfy;\n"))
+        f"var 1..{k}: x; var 0..{k}: c;\n"
+        f"constraint array_int_element(x, {list(range(k))}, c);\nsolve satisfy;\n"))
+    assert len(p.onehot_groups[0].bits) == k
     if exact:
         monkeypatch.setattr(oracle, "_table_dtype", lambda *args: object)
     tracemalloc.start()

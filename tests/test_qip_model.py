@@ -184,11 +184,6 @@ def _edit(path, value):
     return apply
 
 
-def _second_group(doc):
-    doc["onehot_groups"].append(doc["onehot_groups"][0])
-    return doc
-
-
 def _repeated_term(doc):
     doc["equalities"][1]["terms"].append({"var": "x", "coef": 2})  # x is listed at -1
     return doc
@@ -210,24 +205,16 @@ def _repeated_lo(doc):
     return doc
 
 
-BITS = ("onehot_groups", 0, "bits")
-
-
 @pytest.mark.parametrize("edit, message", [
     (_edit(("equalities", 0, "terms", 0, "coef"), 0),
      "invalid problem: equality[0]: non-canonical expr (zero coefficient)"),
     (_edit(("products", 0, "left"), "ghost"),
      "invalid problem: product[0]: undeclared variable 'ghost'"),
-    (_second_group, "invalid problem: one-hot: variable 'x' owns two groups"),
-    (_edit(("onehot_groups", 0, "int_var"), "ghost"),
-     "invalid problem: one-hot: undeclared variable 'ghost'"),
-    (_edit((*BITS, 0, "var"), "ghost"),
-     "invalid problem: one-hot(x): undeclared bit 'ghost'"),
-    (_edit((*BITS, 0, "var"), "y"), "invalid problem: one-hot(x): bit 'y' not binary"),
-    (_edit((*BITS, 1, "value"), 1), "invalid problem: one-hot(x): duplicate value 1"),
-    (_edit((*BITS, 0, "value"), 9),
-     "invalid problem: one-hot(x): value 9 outside declared domain"),
     (lambda doc: [doc], "top level must be an object"),
+    (_edit(("variables", 1), ["y", 0, 2]), "variable[1] is not an object"),
+    (_edit(("variables", 1), 7), "variable[1] is not an object"),
+    (_edit(("objective",), []), "objective is not an object"),
+    (_edit(("meta",), []), "meta is not an object"),
     (_edit(("equalities", 0, "terms", 0, "coef"), ...), "malformed equality: 'coef'"),
     (_edit(("equalities", 0, "terms", 0, "coef"), 2**63),
      f"malformed equality: integer {2**63} exceeds the supported range"),
@@ -256,9 +243,8 @@ BITS = ("onehot_groups", 0, "bits")
     (_edit(("variables", 0, "typo"), 1), "malformed document: unknown key 'typo'"),
     (_edit(("extra",), []), "unknown top-level key 'extra'"),
     (_repeated_lo, "duplicate key 'lo'"),
-], ids=["zero-coefficient", "undeclared-product-operand", "two-groups",
-        "undeclared-group-variable", "undeclared-bit", "non-binary-bit",
-        "duplicate-value", "value-outside-domain", "non-object",
+], ids=["zero-coefficient", "undeclared-product-operand", "non-object",
+        "array-variable", "number-variable", "array-objective", "array-meta",
         "malformed-expression", "coefficient-range", "constant-range", "bound-range",
         "repeated-term", "extra-sources", "short-sources", "missing-sources",
         "fractional-bound", "fractional-coefficient", "string-bound", "bool-bound",
@@ -278,15 +264,15 @@ def test_deserialize_rejects_each_violation(edit, message):
 # 0..49 of every builtin, compile-UNSAT instances skipped), each written
 # by the reference encoder as json.dumps(json.loads(text), indent=1) + "\n".
 CORPUS_DIGESTS = {
-    "default": "7272f165174e2c61dc27ea6032f0529e26c3c139763b3bd52a52dfe1eea27f38",
+    "default": "adda446eb8cdd5bfd3425a9cadd7fcb45fa7ab8849710186b6071a636a974c98",
     "verbatim_div":
-        "8c5018fb10810ee4b199c0bfa6410c1f0c0749d54bad7a881bbd828eed44e892",
+        "e4a9bf1f488457928fd104ab5dd947c1a032aa6f07642c8bec4e44aa0fd3152c",
 }
 # SHA-256 of the texts of seeded models whose 2-4 set_in, set_in_reif and
 # array_int_element constraints share x and i, so that a later constraint
-# reads the one-hot group of an earlier one; a model that compilation
+# meets a domain that an earlier one narrowed; a model that compilation
 # proves UNSAT contributes its message instead of a text.
-EXTENSION_DIGEST = "bf5bbccad08da83a67f60c5f511d2b4660a8f5508c1cfa406055548801875b12"
+EXTENSION_DIGEST = "88b71f45cbffe14286a1df91ca6e1b676e2ab478e397a9b2155d682c81f1aa68"
 
 CORPUS_OPTIONS = {
     "default": RewriteOptions(),
@@ -349,8 +335,8 @@ def _extension_model(seed: int) -> str:
         v = rng.choice("xi")
         near = range(lo[v] - 1, hi[v] + 2)
         values = ", ".join(map(str, sorted(rng.sample(near, rng.randint(1, 3)))))
-        # set_in twice as often: its group holds only the set's values, so
-        # a later, wider request asks for values the group lacks
+        # set_in twice as often: it restricts the variable to the hull of
+        # the set's runs in its domain, which a later constraint meets
         builtin = rng.choice(["set_in", "set_in", "set_in_reif", "array_int_element"])
         if builtin == "set_in":
             constraints.append(f"constraint set_in({v}, {{{values}}});")
@@ -387,6 +373,41 @@ def test_shared_groups_check_equal():
         # with no problem, Equal means the source has no solution either
         result = check_equivalence(model, problem)
         assert result.equal, f"seed {seed}: {result.describe()}"
+
+
+def _groups_read_from_rows(problem: QipProblem) -> dict[str, list[tuple[str, int]]]:
+    """Each variable's group as the text states it: the terms of its first
+    ``onehot:<var>`` row are its bits, and a bit's value is its coefficient
+    in the second, ``-var + sum(value * bit) = 0`` (absent: 0)."""
+    rows: dict[str, list] = {}
+    for row, source in zip(problem.equalities, problem.equality_sources):
+        if source.startswith("onehot:"):
+            rows.setdefault(source.removeprefix("onehot:"), []).append(row)
+    groups = {}
+    for var, (sums, value) in rows.items():
+        assert sums.constant == -1 and set(sums.terms.values()) == {1}
+        assert value.terms.get(var) == -1 and value.constant == 0
+        groups[var] = [(bit, value.terms.get(bit, 0)) for bit in sorted(sums.terms)]
+    return groups
+
+
+def test_a_group_is_stated_by_its_rows_and_origins():
+    problems = []
+    for seed in range(400):
+        try:
+            problems.append(compile_model(typecheck(parse_model(_extension_model(seed)))))
+        except CompileUnsat:
+            continue
+    assert sum(bool(p.onehot_groups) for p in problems) > 50
+    for problem in problems:
+        text = problem.serialize()
+        assert "onehot_groups" not in json.loads(text)
+        back = deserialize(text)
+        groups = _groups_read_from_rows(back)
+        assert groups == {g.int_var: sorted(g.bits) for g in problem.onehot_groups}
+        for var, bits in groups.items():
+            assert {name for name, v in back.vars.items()
+                    if v.origin == f"onehot:{var}"} == {bit for bit, _ in bits}
 
 
 def _assert_auxiliaries_stay_local(problem: QipProblem) -> None:
@@ -464,7 +485,6 @@ def test_serialize_escapes_deserialized_names():
     doc = json.loads(p.serialize())
     odd = 'q"\u00e9\\\t\u2603'
     doc["variables"][0]["name"] = odd
-    doc["onehot_groups"][0]["int_var"] = odd
     doc["variables"][2]["origin"] = odd
     doc["products"][0]["left"] = odd
     doc["products"][0]["right"] = odd

@@ -248,6 +248,18 @@ def test_array_var_int_element():
     assert got == want
 
 
+def test_element_whose_index_is_its_result():
+    # restricting the result to 1..3 restricts the index too, so the
+    # group and the row cover indices 1..3 only
+    m, p = compile_src("""
+        var 1..4: x;
+        constraint array_int_element(x, [1, 2, 3, 3], x);
+        solve satisfy;
+    """)
+    assert p.vars["x"].domain == Domain(1, 3)
+    assert [v for _, v in p.onehot_groups[0].bits] == [1, 2, 3]
+    assert check_equivalence(m, p).describe() == "Equal (3 solutions)"
+
 
 @pytest.mark.parametrize("builtin, entries, result", [
     ("array_int_element", "[5, 5, 3]", "c"),
@@ -351,21 +363,74 @@ def test_bool_and_three_rows():
 
 
 def test_set_in_and_reif():
-    _, p = compile_src("""
+    # set_in keeps the runs 2 and 4 within 1..6, restricts x to 2..4, and
+    # computes x from one binary per run
+    model, p = compile_src("""
         var 1..6: x;
         constraint set_in(x, {2, 4, 9});
         solve satisfy;
     """)
-    assert [v for _, v in p.onehot_groups[0].bits] == [2, 4]
-    assert solutions(p, "x") == {(2,), (4,)}
-    _, p = compile_src("""
+    b1, b2 = "__set_in_1_b", "__set_in_2_b"
+    assert list(p.vars) == ["x", b1, b2] and p.vars["x"].domain == Domain(2, 4)
+    assert p.equalities == [LinExpr({b1: 1, b2: 1}, -1),
+                            LinExpr({"x": 1, b1: -2, b2: -4})]
+    assert not p.inequalities and not p.onehot_groups
+    assert check_equivalence(model, p).describe() == "Equal (2 solutions)"
+    # segments 1, 2 and 3 of 1..3: x is computed, r is the run's binary
+    model, p = compile_src("""
         var 1..3: x;
         var bool: r;
         constraint set_in_reif(x, {2}, r);
         solve satisfy;
     """)
-    assert len(p.onehot_groups[0].bits) == 3
+    b1, b2, b3 = (f"__set_in_reif_{k}_b" for k in (1, 2, 3))
+    assert p.equalities == [LinExpr({b1: 1, b2: 1, b3: 1}, -1),
+                            LinExpr({"x": 1, b1: -1, b2: -2, b3: -3}),
+                            LinExpr({"r": 1, b2: -1})]
     assert solutions(p, "x", "r") == {(1, 0), (2, 1), (3, 0)}
+
+
+def test_set_in_reif_on_wide_segments():
+    # segments 0..2, 3..5, 6..7, 8 and 9: two rows bound x by its segment
+    model, p = compile_src("""
+        var 0..9: x;
+        var bool: r;
+        constraint set_in_reif(x, {3, 4, 5, 8}, r);
+        solve satisfy;
+    """)
+    b = [f"__set_in_reif_{k}_b" for k in range(1, 6)]
+    assert list(p.vars) == ["x", "r", *b] and not p.onehot_groups
+    assert p.equalities == [LinExpr(dict.fromkeys(b, 1), -1),
+                            LinExpr({"r": 1, b[1]: -1, b[3]: -1})]
+    assert p.inequalities == [
+        LinExpr({"x": -1, b[1]: 3, b[2]: 6, b[3]: 8, b[4]: 9}),
+        LinExpr({"x": 1, b[0]: -2, b[1]: -5, b[2]: -7, b[3]: -8, b[4]: -9})]
+    assert check_equivalence(model, p).describe() == "Equal (10 solutions)"
+
+
+@pytest.mark.parametrize("membership, domain", [
+    ("set_in(x, 2..40)", Domain(2, 9)),
+    ("set_in_reif(x, {3, 4}, true)", Domain(3, 4)),
+    ("set_in_reif(x, 0..4, false)", Domain(5, 9)),
+], ids=["set_in-range", "reif-true", "reif-false"])
+def test_one_segment_is_the_literal_1(membership, domain):
+    # x is restricted to the segment, so its bounds hold and only the
+    # first row ships, to carry the source
+    model, p = compile_src(f"var 0..9: x; constraint {membership}; solve satisfy;")
+    assert list(p.vars) == ["x"] and p.vars["x"].domain == domain
+    assert len(p.equalities) + len(p.inequalities) == 1
+    assert check_equivalence(model, p).equal
+
+
+def test_a_set_is_not_listed_value_by_value():
+    # a 10^8-value range and a 2^31-value domain compile to a few rows
+    model, p = compile_src("var 0..5: x; constraint set_in(x, 0..100000000); "
+                           "solve satisfy;")
+    assert list(p.vars) == ["x"]
+    assert check_equivalence(model, p).describe() == "Equal (6 solutions)"
+    _, p = compile_src("var 0..2147483648: x; var bool: r; "
+                       "constraint set_in_reif(x, {1, 2}, r); solve satisfy;")
+    assert len(p.vars) == 5 and len(p.serialize()) < 10_000
 
 
 def test_set_in_empty_intersection_unsat():
@@ -373,6 +438,12 @@ def test_set_in_empty_intersection_unsat():
         compile_src("""
             var 1..3: x;
             constraint set_in(x, {7, 8});
+            solve satisfy;
+        """)
+    with pytest.raises(CompileUnsat, match="cannot take any value outside the set"):
+        compile_src("""
+            var 1..3: x;
+            constraint set_in_reif(x, 0..3, false);
             solve satisfy;
         """)
 
@@ -397,13 +468,13 @@ def test_element_reads_a_narrower_group():
         constraint array_int_element(x, [5, 6, 7, 8], c);
         solve satisfy;
     """)
+    # set_in restricts x to 1..3, so the group has no bit for index 4
     [group] = p.onehot_groups
-    b1, b3 = group.bit_for(1), group.bit_for(3)
-    assert [v for _, v in group.bits] == [1, 3]
-    assert list(p.vars) == ["x", "c", b1, b3]
-    # indices 2 and 4 are outside the group, so they have no term
+    assert [v for _, v in group.bits] == [1, 2, 3]
+    b1, b2, b3 = (bit for bit, _ in group.bits)
+    assert list(p.vars) == ["x", "c", "__set_in_1_b", "__set_in_2_b", b1, b2, b3]
     element = p.equality_sources.index("array_int_element#1")
-    assert p.equalities[element] == LinExpr({"c": -1, b1: 5, b3: 7})
+    assert p.equalities[element] == LinExpr({"c": -1, b1: 5, b2: 6, b3: 7})
     assert check_equivalence(model, p).describe() == "Equal (2 solutions)"
 
 
@@ -765,7 +836,7 @@ def test_onehot_rows_and_one_row_per_source_survive_the_pass(monkeypatch):
         constraint int_max(x, c, m);
         solve satisfy;
     """)
-    assert p.equality_sources == ["onehot:x", "onehot:x", "set_in#0",
+    assert p.equality_sources == ["set_in#0", "onehot:x", "onehot:x",
                                   "array_int_element#1"]
     assert p.inequality_sources == ["int_max#2"]
     assert [v for v in p.vars if v.startswith("__int_max")] == []
