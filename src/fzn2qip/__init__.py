@@ -1,5 +1,10 @@
 """fzn2qip: compile finite-domain FlatZinc models into a quadratic
-integer-programming normal form, with an exhaustive equivalence checker."""
+integer-programming normal form, with an exhaustive equivalence checker.
+
+The compiler imports no numpy.  The proof names (``check_equivalence``,
+``enumerate_fzn``, ``enumerate_qip``, ``solve_optimum``) live in
+``oracle``, which loads ``kernels`` and numpy; they resolve on first
+access, so code that only compiles never loads numpy."""
 
 from .errors import (
     CapExceeded,
@@ -10,7 +15,6 @@ from .errors import (
 )
 from .frontend import FzModel, parse_model, typecheck
 from .model import Domain, LinExpr, QipProblem, deserialize
-from .oracle import check_equivalence, enumerate_fzn, enumerate_qip, solve_optimum
 from .rewrite import RewriteOptions, compile_model
 
 __version__ = "0.1.0"
@@ -36,3 +40,19 @@ __all__ = [
     "typecheck",
     "__version__",
 ]
+
+_PROOF_NAMES = ("check_equivalence", "enumerate_fzn", "enumerate_qip", "solve_optimum")
+
+
+def __getattr__(name: str):
+    """Import ``oracle`` (and numpy) on the first access to a proof name."""
+    if name not in _PROOF_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    value = globals()[name] = getattr(oracle, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_PROOF_NAMES})

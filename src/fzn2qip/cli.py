@@ -5,7 +5,8 @@ Subcommands: ``compile`` (emit the serialized problem), ``check``
 (optimize or decide satisfiability by enumeration), ``stats`` (size
 summary), ``fuzz`` (print seeded random test models).  ``check`` and
 ``solve`` enumerate the problem read back from its serialized text, so
-they cover the bytes ``compile`` emits.
+they cover the bytes ``compile`` emits.  Only they import ``oracle``,
+and numpy with it; ``compile``, ``stats`` and ``fuzz`` start without it.
 
 Exit codes: 0 success / Equal / optimal; 1 input diagnostics (input
 that is not UTF-8 included) and usage errors; 2 counterexample found; 3
@@ -18,8 +19,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import fuzz, oracle
+from . import fuzz
 from .errors import (
+    DEFAULT_CAP,
     CapExceeded,
     CompileUnsat,
     Diagnostic,
@@ -81,7 +83,7 @@ def _arg_parser() -> argparse.ArgumentParser:
     for name, what in (("check", "verify equivalence exhaustively"),
                        ("solve", "solve by exhaustive enumeration")):
         p = add_common(sub.add_parser(name, help=what))
-        p.add_argument("--cap", type=_positive, default=oracle.DEFAULT_CAP,
+        p.add_argument("--cap", type=_positive, default=DEFAULT_CAP,
                        help="enumeration state-space cap")
     add_common(sub.add_parser("stats", help="print problem size counts"))
 
@@ -129,6 +131,8 @@ def _shipped(model, ns):
 
 
 def _cmd_check(ns) -> int:
+    from . import oracle
+
     model = _load(ns.input)
     try:
         problem = _shipped(model, ns)
@@ -140,6 +144,8 @@ def _cmd_check(ns) -> int:
 
 
 def _cmd_solve(ns) -> int:
+    from . import oracle
+
     model = _load(ns.input)
     problem = _shipped(model, ns)
     enum = oracle.enumerate_qip(problem, ns.cap)

@@ -123,6 +123,10 @@ class SchemaError(Fzn2QipError):
     code = "schema-error"
 
 
+# Largest enumeration state space a proof takes on by default (``--cap``).
+DEFAULT_CAP = 2_000_000
+
+
 class CapExceeded(Fzn2QipError):
     """Enumeration state space exceeds the configured cap."""
 

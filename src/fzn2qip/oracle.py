@@ -33,11 +33,10 @@ from operator import attrgetter
 import numpy as np
 
 from . import kernels
-from .errors import CapExceeded
+from .errors import DEFAULT_CAP, CapExceeded
 from .frontend import Arr, FzModel, Lit, Ref, SetVal
 from .model import Domain, QipProblem
 
-DEFAULT_CAP = 2_000_000
 _CHUNK = 1 << 16  # rows per enumeration table
 _CELLS = 1 << 20  # values per enumeration table, for wide problems
 _INT64_MAX = 2**63 - 1

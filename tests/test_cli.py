@@ -515,3 +515,79 @@ def test_a_wide_set_or_domain_is_one_line_exit_3(tmp_path, source, code, expecte
     assert (out.stdout if code else out.stderr) == ""
     # an out-of-memory stop must never stand in for the state-space cap
     assert re.fullmatch(expected, line), line
+
+
+PROOF_NAMES = {"check_equivalence", "enumerate_fzn", "enumerate_qip", "solve_optimum"}
+BLOCK_NUMPY = 'import sys; sys.modules["numpy"] = None; '
+RUN_CLI = "import sys; from fzn2qip.cli import run; sys.exit(run(sys.argv[1:]))"
+
+
+def _fresh_python(code, *args, cwd=None):
+    """Run ``code`` in a new interpreter that imports this package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(fzn2qip.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          env=env, cwd=cwd, timeout=120)
+
+
+def test_import_loads_no_numpy_until_a_proof_name_is_read():
+    out = _fresh_python(
+        "import sys, fzn2qip\n"
+        "heavy = ('numpy', 'fzn2qip.oracle', 'fzn2qip.kernels')\n"
+        "print([m for m in heavy if m in sys.modules])\n"
+        "first = fzn2qip.enumerate_qip\n"
+        "print(first is fzn2qip.oracle.enumerate_qip, 'numpy' in sys.modules)\n")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.decode().splitlines() == ["[]", "True True"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "m.fzn"],
+    ["compile", "m.fzn", "-o", "m.qip"],
+    ["stats", "m.fzn"],
+    ["fuzz", "int_div", "--instances", "3"],
+], ids=["compile", "compile-to-file", "stats", "fuzz"])
+def test_compile_stats_and_fuzz_run_without_numpy(tmp_path, argv):
+    """With numpy unimportable, these commands print the same bytes as
+    with it."""
+    write(tmp_path, "m.fzn", DIV)
+    dest = tmp_path / "m.qip"
+    outputs = []
+    for prefix in ("", BLOCK_NUMPY):
+        dest.unlink(missing_ok=True)
+        out = _fresh_python(prefix + RUN_CLI, *argv, cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == b""
+        outputs.append((out.stdout, dest.read_bytes() if dest.exists() else None))
+    assert outputs[0] == outputs[1]
+    stdout, written = outputs[0]
+    assert (written if "-o" in argv else stdout)
+
+
+def test_every_public_name_resolves():
+    for name in fzn2qip.__all__:
+        getattr(fzn2qip, name)
+    assert PROOF_NAMES <= set(dir(fzn2qip))
+    assert set(fzn2qip.__all__) <= set(dir(fzn2qip))
+
+
+def test_proof_names_are_the_oracle_functions():
+    from fzn2qip import check_equivalence, oracle
+
+    assert check_equivalence is oracle.check_equivalence
+    for name in PROOF_NAMES:
+        assert getattr(fzn2qip, name) is getattr(oracle, name)
+
+
+def test_an_unknown_package_name_is_an_attribute_error():
+    assert not hasattr(fzn2qip, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fzn2qip.no_such_name
+
+
+def test_default_cap_is_one_object_from_errors():
+    from fzn2qip import cli, errors, oracle
+
+    assert oracle.DEFAULT_CAP is errors.DEFAULT_CAP
+    assert errors.DEFAULT_CAP == 2_000_000
+    for command in ("check", "solve"):
+        assert cli._arg_parser().parse_args([command, "m.fzn"]).cap is errors.DEFAULT_CAP
