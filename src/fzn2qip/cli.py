@@ -72,10 +72,6 @@ def _arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--verbatim-div", action="store_true",
                        help="emit the unextended division system "
                        "(no zero-numerator indicator)")
-        p.add_argument("--corrupt-div-big-m", action="store_true",
-                       help=argparse.SUPPRESS)
-        p.add_argument("--corrupt-bool-and", action="store_true",
-                       help=argparse.SUPPRESS)
         return p
 
     p = add_common(sub.add_parser("compile", help="compile and emit the problem"))
@@ -85,6 +81,9 @@ def _arg_parser() -> argparse.ArgumentParser:
         p = add_common(sub.add_parser(name, help=what))
         p.add_argument("--cap", type=_positive, default=DEFAULT_CAP,
                        help="enumeration state-space cap")
+        if name == "check":  # seeded faults, which the proof must catch
+            for flag in ("--corrupt-div-big-m", "--corrupt-bool-and"):
+                p.add_argument(flag, action="store_true", help=argparse.SUPPRESS)
     add_common(sub.add_parser("stats", help="print problem size counts"))
 
     p = sub.add_parser("fuzz", help="print seeded random test models")
@@ -108,8 +107,8 @@ def _load(path: str):
 def _options(ns) -> RewriteOptions:
     return RewriteOptions(
         verbatim_div=ns.verbatim_div,
-        corrupt_div_big_m=ns.corrupt_div_big_m,
-        corrupt_bool_and=ns.corrupt_bool_and,
+        corrupt_div_big_m=getattr(ns, "corrupt_div_big_m", False),  # check only
+        corrupt_bool_and=getattr(ns, "corrupt_bool_and", False),
     )
 
 

@@ -624,6 +624,8 @@ def _expr_to_fzn(arg) -> str:
     if isinstance(arg, Arr):
         return "[" + ", ".join(_expr_to_fzn(a) for a in arg.items) + "]"
     if isinstance(arg, SetVal):
+        if len(arg.runs) == 1:  # a range; FlatZinc has none for several runs
+            return "%d..%d" % arg.runs[0]
         return "{" + ", ".join(str(v) for lo, hi in arg.runs
                                for v in range(lo, hi + 1)) + "}"
     raise AssertionError(f"cannot print {arg!r}")

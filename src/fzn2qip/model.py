@@ -20,6 +20,11 @@ group's pair.  An auxiliary's ``origin`` is the tag of what made it.
 The text has no group record: the bits of ``var`` are the terms of its
 first ``onehot:<var>`` row (and the auxiliaries of that origin), and a
 bit's value is its coefficient in the second (absent: 0).
+
+The text's format is one schema, ``_SCHEMA``.  The writer's record
+templates are made from it, and ``deserialize`` checks its input against
+it; a mismatch is a SchemaError that names its path from the root
+(``equality[0].terms[0]: missing key 'coef'``).
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import (
+    INT_LIMIT,
     EmptyDomain,
-    OverflowLimit,
     SchemaError,
     checked_int,
 )
@@ -298,53 +303,51 @@ class QipProblem:
         )
 
 
-# Serialization templates: one per record, each indented as json.dumps
-# with indent=1 places it.  Strings go through the encoder json.dumps
-# uses by default (ensure_ascii=True); integers print as repr.
-_str = json.encoder.encode_basestring_ascii
-_DOC = """{
- "variables": %s,
- "objective": {
-  "negated": %s,
-  "terms": %s,
-  "constant": %d
- },
- "equalities": %s,
- "inequalities": %s,
- "products": %s,
- "meta": {
-  "equality_sources": %s,
-  "inequality_sources": %s,
-  "product_sources": %s
- }
+# The text's format: an object maps its keys to the schemas of their
+# values, an array is (item name, item schema), and a leaf is int, bool or
+# str.  A message names an item by its name and index: ``variable[1]``.
+_TERMS = ("terms", {"var": str, "coef": int})
+_ROW = {"terms": _TERMS, "constant": int}
+_SCHEMA = {
+    "variables": ("variable", {"name": str, "lo": int, "hi": int, "declared_lo": int,
+                               "declared_hi": int, "origin": str}),
+    "objective": {"negated": bool, "terms": _TERMS, "constant": int},
+    "equalities": ("equality", _ROW),
+    "inequalities": ("inequality", _ROW),
+    "products": ("product", {"result": str, "left": str, "right": str}),
+    "meta": {"equality_sources": ("equality_sources", str),
+             "inequality_sources": ("inequality_sources", str),
+             "product_sources": ("product_sources", str)},
 }
-"""
-_VAR = """  {
-   "name": %s,
-   "lo": %d,
-   "hi": %d,
-   "declared_lo": %d,
-   "declared_hi": %d,
-   "origin": %s
-  }"""
-_OBJ_TERM = """   {
-    "var": %s,
-    "coef": %d
-   }"""
-_TERM = """    {
-     "var": %s,
-     "coef": %d
-    }"""
-_EXPR = """  {
-   "terms": %s,
-   "constant": %d
-  }"""
-_PRODUCT = """  {
-   "result": %s,
-   "left": %s,
-   "right": %s
-  }"""
-_SOURCE = "   %s"
+_KINDS = {int: "an integer", bool: "a boolean", str: "a string"}
+_INT_MIN = -INT_LIMIT
+
+
+def _template(schema, depth: int) -> str:
+    """The %-template of a value of ``schema`` at nesting ``depth``, laid
+    out as json.dumps with indent=1 lays it out: ``%d`` for an integer,
+    ``%s`` for any other leaf and for an array, a nested object inline."""
+    if type(schema) is not dict:
+        return "%d" if schema is int else "%s"
+    fields = [f'{" " * (depth + 1)}"{key}": {_template(sub, depth + 1)}'
+              for key, sub in schema.items()]
+    return "{\n" + ",\n".join(fields) + "\n" + " " * depth + "}"
+
+
+def _item(array, depth: int) -> str:
+    return " " * depth + _template(array[1], depth)
+
+
+# One template per record, made once.  Strings go through the encoder
+# json.dumps uses by default (ensure_ascii=True); integers print as repr.
+_str = json.encoder.encode_basestring_ascii
+_DOC = _template(_SCHEMA, 0) + "\n"
+_VAR = _item(_SCHEMA["variables"], 2)
+_OBJ_TERM = _item(_TERMS, 3)
+_TERM = _item(_TERMS, 4)
+_EXPR = _item(_SCHEMA["equalities"], 2)
+_PRODUCT = _item(_SCHEMA["products"], 2)
+_SOURCE = _item(_SCHEMA["meta"]["equality_sources"], 3)
 
 
 def _list(items: list[str], indent: str) -> str:
@@ -364,128 +367,122 @@ def _expr(e: LinExpr) -> str:
 def deserialize(text: str) -> QipProblem:
     """Parse and validate serialized problem text.
 
-    Only what ``serialize`` writes is read: each key it writes, each
-    value of the JSON type it writes, no other key and no key twice.
-    Raises SchemaError on bad input, naming the field of a malformed
-    value or the key that is unknown or repeated, or the first violation
-    when the document parses but breaks an invariant of
-    ``QipProblem.validate``.
+    Only what ``serialize`` writes is read: ``_SCHEMA``'s keys, no key
+    twice, values of their exact JSON type and integers within +-2^62; no
+    empty bounds, no variable or term listed twice, and a problem that
+    ``QipProblem.validate`` passes.  Else raises SchemaError, naming the
+    path of the first mismatch or the first violation.
     """
     try:
-        obj = json.loads(text, object_pairs_hook=_object)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise SchemaError("top level must be an object")
-    for key in _TOP_KEYS:
-        if key not in obj:
-            raise SchemaError(f"missing top-level key '{key}'")
-    for key in obj:
-        if key not in _TOP_KEYS:
-            raise SchemaError(f"unknown top-level key '{key}'")
-
+    _check(doc, _SCHEMA)
     prob = QipProblem()
-
-    def read_expr(e, where: str, name: str, keys=("terms", "constant")) -> LinExpr:
+    for i, v in enumerate(doc["variables"]):
         try:
-            expr = LinExpr(constant=_field(_record(e, name), "constant", int))
-            for k, t in enumerate(_field(e, "terms", list)):
-                var = _field(_record(t, f"{name}.terms[{k}]"), "var", str)
-                if var in expr.terms:
-                    raise SchemaError(f"{name}: variable '{var}' listed twice")
-                # kept as written, so that validate sees a zero coefficient
-                expr.terms[var] = checked_int(_field(t, "coef", int))
-                _only(t, ("var", "coef"))
-            _only(e, keys)
-            return expr
-        except (KeyError, TypeError, OverflowLimit) as exc:
-            raise SchemaError(f"malformed {where}: {exc}") from exc
-
-    try:
-        for i, v in enumerate(_field(obj, "variables", list)):
-            origin = _field(_record(v, f"variable[{i}]"), "origin", str)
-            var = QipVar(_field(v, "name", str),
-                         Domain(_field(v, "lo", int), _field(v, "hi", int)),
-                         None if origin == "model" else origin)
-            var.declared = Domain(_field(v, "declared_lo", int),
-                                  _field(v, "declared_hi", int))
-            _only(v, ("name", "lo", "hi", "declared_lo", "declared_hi", "origin"))
-            prob.add_var(var)
-        objective = _record(obj["objective"], "objective")
-        prob.objective_negated = _field(objective, "negated", bool)
-        prob.objective = read_expr(objective, "objective", "objective",
-                                   ("negated", "terms", "constant"))
-        for i, e in enumerate(_field(obj, "equalities", list)):
-            prob.equalities.append(read_expr(e, "equality", f"equality[{i}]"))
-        for i, e in enumerate(_field(obj, "inequalities", list)):
-            prob.inequalities.append(read_expr(e, "inequality", f"inequality[{i}]"))
-        for i, p in enumerate(_field(obj, "products", list)):
-            p = _record(p, f"product[{i}]")
-            prob.products.append(ProductConstraint(
-                _field(p, "result", str), _field(p, "left", str), _field(p, "right", str)))
-            _only(p, ("result", "left", "right"))
-        meta = _record(obj["meta"], "meta")
-        prob.equality_sources = _strings(meta, "equality_sources")
-        prob.inequality_sources = _strings(meta, "inequality_sources")
-        prob.product_sources = _strings(meta, "product_sources")
-        _only(meta, ("equality_sources", "inequality_sources", "product_sources"))
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ValueError, EmptyDomain, OverflowLimit) as exc:
-        raise SchemaError(f"malformed document: {exc}") from exc
+            prob.add_var(QipVar(v["name"], Domain(v["lo"], v["hi"]),
+                                None if v["origin"] == "model" else v["origin"],
+                                Domain(v["declared_lo"], v["declared_hi"])))
+        except (EmptyDomain, ValueError) as exc:  # ValueError: a duplicate name
+            raise SchemaError(f"variable[{i}]: {exc}") from None
+    prob.objective_negated = doc["objective"]["negated"]
+    prob.objective = _read_row(doc["objective"], ("objective",))
+    prob.equalities = [_read_row(e, (("equality", i),))
+                       for i, e in enumerate(doc["equalities"])]
+    prob.inequalities = [_read_row(e, (("inequality", i),))
+                         for i, e in enumerate(doc["inequalities"])]
+    prob.products = [ProductConstraint(p["result"], p["left"], p["right"])
+                     for p in doc["products"]]
+    prob.equality_sources = doc["meta"]["equality_sources"]
+    prob.inequality_sources = doc["meta"]["inequality_sources"]
+    prob.product_sources = doc["meta"]["product_sources"]
     violations = prob.validate()
     if violations:
         raise SchemaError(f"invalid problem: {violations[0]}")
     return prob
 
 
-_TOP_KEYS = ("variables", "objective", "equalities", "inequalities", "products", "meta")
-_KINDS = {int: "an integer", bool: "a boolean", str: "a string", list: "an array"}
+class _Repeated:
+    """A JSON object that writes ``key`` twice (json.loads keeps the last)."""
+
+    def __init__(self, key: str):
+        self.key = key
 
 
-def _object(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object as a dict; a key written twice, of which json.loads
-    would keep the last, is a ``SchemaError``."""
+def _object(pairs: list[tuple[str, object]]) -> dict | _Repeated:
     record = dict(pairs)
     if len(record) < len(pairs):
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise SchemaError(f"duplicate key '{key}'")
+                return _Repeated(key)
             seen.add(key)
     return record
 
 
-def _record(value, name: str) -> dict:
-    """``value``, which must be a JSON object: the record ``name``."""
+def _check(value, schema: dict, path: tuple = ()) -> None:
+    """Raise SchemaError unless ``value`` is an object of ``schema``.
+
+    ``path`` holds the keys and (item name, index) pairs from the root to
+    ``value``; it is spelled out only in a message.  A leaf's type test is
+    exact, so ``true`` is not an integer nor ``3.0`` one.
+    """
     if type(value) is not dict:
-        raise SchemaError(f"{name} is not an object")
-    return value
+        if type(value) is _Repeated:
+            raise SchemaError(f"{_where(path)}: duplicate key '{value.key}'")
+        raise SchemaError(f"{_where(path)} is not an object")
+    try:
+        if len(value) != len(schema):  # a key unknown; a missing one is a KeyError
+            raise KeyError
+        for key, sub in schema.items():
+            v = value[key]
+            if type(v) is sub:  # a leaf of its type, tested first as most are
+                if sub is int and not _INT_MIN <= v <= INT_LIMIT:
+                    raise SchemaError(_where((*path, key)) + _misfit(v, sub))
+            elif type(sub) is dict:
+                _check(v, sub, (*path, key))
+            elif type(sub) is not tuple or type(v) is not list:
+                raise SchemaError(_where((*path, key)) + _misfit(v, sub))
+            else:
+                name, sub = sub
+                for k, item in enumerate(v):
+                    if type(sub) is dict:
+                        _check(item, sub, (*path, (name, k)))
+                    elif type(item) is not sub or sub is int and not (
+                            _INT_MIN <= item <= INT_LIMIT):
+                        raise SchemaError(_where((*path, (name, k))) + _misfit(item, sub))
+    except KeyError:
+        missing = [key for key in schema if key not in value]
+        key = missing[0] if missing else next(k for k in value if k not in schema)
+        raise SchemaError(f"{_where(path)}: {'missing' if missing else 'unknown'} "
+                          f"key '{key}'") from None
 
 
-def _only(record: dict, keys: tuple[str, ...]) -> None:
-    """Raise if ``record``, whose fields have been read, has a key
-    ``serialize`` does not write there."""
-    for key in record:
-        if key not in keys:
-            raise TypeError(f"unknown key '{key}'")
+def _where(path: tuple) -> str:
+    return ".".join(step if type(step) is str else f"{step[0]}[{step[1]}]"
+                    for step in path) or "top level"
 
 
-def _field(record: dict, key: str, kind: type):
-    """``record[key]``, which must be a JSON value of type ``kind``; the
-    type test is exact, so ``true`` is not an integer nor ``3.0`` one."""
-    value = record[key]
-    if type(value) is not kind:
-        raise TypeError(f"'{key}' is not {_KINDS[kind]}")
-    return value
+def _misfit(value, schema) -> str:
+    """How ``value`` fails to be a leaf or an array of ``schema``."""
+    if type(schema) is tuple:
+        return " is not an array"
+    if type(value) is not schema:
+        return f" is not {_KINDS[schema]}"
+    return f": integer {value} exceeds the supported range"
 
 
-def _strings(record: dict, key: str) -> list[str]:
-    """``record[key]``, which must be a JSON array of strings."""
-    values = _field(record, key, list)
-    if any(type(x) is not str for x in values):
-        raise TypeError(f"'{key}' holds a value that is not a string")
-    return values
+def _read_row(record: dict, path: tuple) -> LinExpr:
+    """The linear form of a checked row record; a zero coefficient stays,
+    for validate to see."""
+    expr = LinExpr(constant=record["constant"])
+    for k, t in enumerate(record["terms"]):
+        if t["var"] in expr.terms:
+            raise SchemaError(f"{_where((*path, ('terms', k)))}: "
+                              f"variable '{t['var']}' listed twice")
+        expr.terms[t["var"]] = t["coef"]
+    return expr
 
 
 def _vtag(value: int) -> str:

@@ -29,11 +29,12 @@ arguments as the checked model gives them, a variable (``Ref``) or a
 literal (``Lit``), and builds each emitted row once, from coefficient
 and variable, literal or linear-form parts (``_combine``).  So a
 literal stays a constant: a product with a literal factor is linear
-and a product of two literals is a literal (``RewriteContext.times``),
-and a literal's one-hot indicator is the literal 1.  A product row's
-result is a fresh auxiliary, or, for ``int_times(a, b, c)`` and
-``int_pow(x, 2, z)`` over variables, the result variable itself when
-it is declared after its operands (``RewriteContext.times_onto``).
+and a product of two literals is a literal (``RewriteContext.times``).
+A literal element index reaches one entry and makes no one-hot group.
+A product row's result is a fresh auxiliary, or, for
+``int_times(a, b, c)`` and ``int_pow(x, 2, z)`` over variables, the
+result variable itself when it is declared after its operands
+(``RewriteContext.times_onto``).
 Either way operand-before-result acyclicity holds by construction.
 A last pass leaves out the rows that the final domains make hold, and
 the auxiliaries only they read (``_drop_decided_rows``).
@@ -117,12 +118,10 @@ class RewriteContext:
                 return
         self.eq0(_combine((1, c), (-1, self.times(builtin, role, a, b))))
 
-    def onehot(self, x: Ref | Lit) -> dict[int, Ref | Lit]:
-        """Indicator of each value of x: its one-hot bit, or the literal 1
-        when x is a literal.  The first request makes the group over the
-        domain of x; domains only shrink, so each later value has a bit."""
-        if type(x) is Lit:
-            return {x.value: Lit(1)}
+    def onehot(self, x: Ref) -> dict[int, Ref]:
+        """Indicator of each value of x: its one-hot bit.  The first
+        request makes the group over the domain of x; domains only
+        shrink, so each later value has a bit."""
         return {v: Ref(bit) for bit, v in self.problem.onehot_get_or_create(
             x.name, self.dom(x).values()).bits}
 

@@ -189,8 +189,14 @@ def test_missing_file_exit_1(capsys):
      "argument --instances: invalid positive int value: '-3'"),
     (["fuzz", "int_le", "--instances", "0"],
      "argument --instances: invalid positive int value: '0'"),
+    (["compile", "m.fzn", "--corrupt-div-big-m"],
+     "unrecognized arguments: --corrupt-div-big-m"),
+    (["solve", "m.fzn", "--corrupt-bool-and"], "unrecognized arguments: --corrupt-bool-and"),
+    (["stats", "m.fzn", "--corrupt-div-big-m"],
+     "unrecognized arguments: --corrupt-div-big-m"),
 ], ids=["bad-int", "missing-input", "unknown-subcommand", "compile-cap", "stats-cap",
-        "negative-cap", "zero-cap", "negative-instances", "zero-instances"])
+        "negative-cap", "zero-cap", "negative-instances", "zero-instances",
+        "compile-corrupt", "solve-corrupt", "stats-corrupt"])
 def test_usage_error_is_one_line_exit_1(capsys, argv, start):
     """Not argparse's exit 2, which is the counterexample code."""
     assert run(argv) == 1

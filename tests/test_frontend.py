@@ -5,7 +5,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fzn2qip.errors import (
@@ -111,6 +111,13 @@ def test_set_argument():
     assert [c.args[1] for c in m.constraints] == [
         SetVal(((2, 4), (9, 9))), SetVal(((5, 7),)), SetVal(()), SetVal(())]
     assert SetVal.of([3, 1, 2, 5]) == SetVal(((1, 3), (5, 5)))
+    # one run prints as a range, however wide; several runs value by value
+    assert model_to_fzn(m).splitlines()[1:5] == [
+        "constraint set_in(x, {2, 3, 4, 9});", "constraint set_in(x, 5..7);",
+        "constraint set_in(x, {});", "constraint set_in(x, {});"]
+    wide = model_to_fzn(check("var 0..5: x; constraint set_in(x, -3..1000000); "
+                              "solve satisfy;"))
+    assert "constraint set_in(x, -3..1000000);" in wide and len(wide) < 80
 
 
 def test_empty_domain_names_the_variable():
@@ -181,6 +188,7 @@ def models(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(models())
+@example("var 0..5: x;\nconstraint set_in(x, 0..1000000);\nsolve satisfy;\n")
 def test_print_parse_round_trip(src):
     m1 = check(src)
     text = model_to_fzn(m1)
@@ -500,7 +508,7 @@ _EDIT_WORDS = ["var", "bool", "int", "float", "set", "array", "of", "constraint"
                "solve", "satisfy", "minimize", "maximize", "true", "false",
                "v1", "v2", "zz", "::", "..", "1.5", "[1]", "{1, 2}", "2..3",
                "int_le", "bool_not", "predicate", ";", "=", "(", ")"]
-MUTATION_DIGEST = "cada9757544d8746a1ae96a4234efaf309d8a5b720fc90bc4581d60b3f60b4c0"
+MUTATION_DIGEST = "283b60d66025d23f9b9a3e479e7b19d255894c8c05bfd9384f1b41ed4d5ed940"
 
 
 def _mutated(rng, text):

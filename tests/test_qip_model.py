@@ -205,51 +205,62 @@ def _repeated_lo(doc):
     return doc
 
 
+def _duplicate_name(doc):
+    doc["variables"][1]["name"] = "x"  # variable[0] is x
+    return doc
+
+
 @pytest.mark.parametrize("edit, message", [
     (_edit(("equalities", 0, "terms", 0, "coef"), 0),
      "invalid problem: equality[0]: non-canonical expr (zero coefficient)"),
     (_edit(("products", 0, "left"), "ghost"),
      "invalid problem: product[0]: undeclared variable 'ghost'"),
-    (lambda doc: [doc], "top level must be an object"),
+    (lambda doc: [doc], "top level is not an object"),
     (_edit(("variables", 1), ["y", 0, 2]), "variable[1] is not an object"),
     (_edit(("variables", 1), 7), "variable[1] is not an object"),
     (_edit(("objective",), []), "objective is not an object"),
     (_edit(("meta",), []), "meta is not an object"),
-    (_edit(("equalities", 0, "terms", 0, "coef"), ...), "malformed equality: 'coef'"),
+    (_edit(("equalities", 0, "terms", 0, "coef"), ...),
+     "equality[0].terms[0]: missing key 'coef'"),
     (_edit(("equalities", 0, "terms", 0, "coef"), 2**63),
-     f"malformed equality: integer {2**63} exceeds the supported range"),
+     f"equality[0].terms[0].coef: integer {2**63} exceeds the supported range"),
     (_edit(("equalities", 0, "constant"), -2**63),
-     f"malformed equality: integer {-2**63} exceeds the supported range"),
+     f"equality[0].constant: integer {-2**63} exceeds the supported range"),
     (_edit(("variables", 1, "hi"), 2**63),
-     f"malformed document: integer {2**63} exceeds the supported range"),
-    (_repeated_term, "equality[1]: variable 'x' listed twice"),
+     f"variable[1].hi: integer {2**63} exceeds the supported range"),
+    (_repeated_term, "equality[1].terms[4]: variable 'x' listed twice"),
     (_edit(("meta", "product_sources"), ["", "", ""]),
      "invalid problem: meta.product_sources: length 3, expected 1"),
     (_edit(("meta", "product_sources"), []),
      "invalid problem: meta.product_sources: length 0, expected 1"),
-    (_edit(("meta", "product_sources"), ...), "malformed document: 'product_sources'"),
-    (_edit(("variables", 1, "hi"), 3.9), "malformed document: 'hi' is not an integer"),
+    (_edit(("meta", "product_sources"), ...), "meta: missing key 'product_sources'"),
+    (_edit(("variables", 1, "hi"), 3.9), "variable[1].hi is not an integer"),
     (_edit(("equalities", 0, "terms", 0, "coef"), 1.5),
-     "malformed equality: 'coef' is not an integer"),
-    (_edit(("variables", 0, "lo"), "3"), "malformed document: 'lo' is not an integer"),
-    (_edit(("variables", 0, "lo"), True), "malformed document: 'lo' is not an integer"),
-    (_edit(("objective", "negated"), "false"),
-     "malformed document: 'negated' is not a boolean"),
+     "equality[0].terms[0].coef is not an integer"),
+    (_edit(("variables", 0, "lo"), "3"), "variable[0].lo is not an integer"),
+    (_edit(("variables", 0, "lo"), True), "variable[0].lo is not an integer"),
+    (_edit(("objective", "negated"), "false"), "objective.negated is not a boolean"),
     (_edit(("variables", 2, "origin"), {"builtin": "onehot", "ordinal": 1, "role": "x_2"}),
-     "malformed document: 'origin' is not a string"),
-    (_edit(("meta", "equality_sources", 0), 0),
-     "malformed document: 'equality_sources' holds a value that is not a string"),
-    (_edit(("objective", "sense"), "max"), "malformed objective: unknown key 'sense'"),
-    (_edit(("variables", 0, "typo"), 1), "malformed document: unknown key 'typo'"),
-    (_edit(("extra",), []), "unknown top-level key 'extra'"),
-    (_repeated_lo, "duplicate key 'lo'"),
+     "variable[2].origin is not a string"),
+    (_edit(("meta", "equality_sources", 0), 0), "meta.equality_sources[0] is not a string"),
+    (_edit(("objective", "sense"), "max"), "objective: unknown key 'sense'"),
+    (_edit(("variables", 0, "typo"), 1), "variable[0]: unknown key 'typo'"),
+    (_edit(("extra",), []), "top level: unknown key 'extra'"),
+    (_repeated_lo, "variable[0]: duplicate key 'lo'"),
+    (_edit(("equalities", 0, "terms", 0), 7), "equality[0].terms[0] is not an object"),
+    (_edit(("meta",), ...), "top level: missing key 'meta'"),
+    (_edit(("variables", 0, "lo"), 4), "variable[0]: empty domain [4, 3]"),
+    (_duplicate_name, "variable[1]: duplicate variable 'x'"),
+    (_edit(("products",), {}), "products is not an array"),
 ], ids=["zero-coefficient", "undeclared-product-operand", "non-object",
         "array-variable", "number-variable", "array-objective", "array-meta",
         "malformed-expression", "coefficient-range", "constant-range", "bound-range",
         "repeated-term", "extra-sources", "short-sources", "missing-sources",
         "fractional-bound", "fractional-coefficient", "string-bound", "bool-bound",
         "string-negated", "origin-record", "number-source", "objective-sense",
-        "unknown-variable-key", "unknown-top-level-key", "repeated-key"])
+        "unknown-variable-key", "unknown-top-level-key", "repeated-key",
+        "number-term", "missing-top-level-key", "empty-domain", "duplicate-name",
+        "object-products"])
 def test_deserialize_rejects_each_violation(edit, message):
     doc = _valid_document()
     deserialize(json.dumps(doc))  # the unedited document is valid
