@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .errors import EmptyDomain, LengthMismatch, checked_int
+from .errors import INT_LIMIT, EmptyDomain, LengthMismatch, checked_int
 from .model import Domain
 
 
@@ -43,15 +43,20 @@ def lin_bounds(coeffs: list[int], domains: list[Domain], c: int) -> Domain:
     return Domain(checked_int(lo), checked_int(hi))
 
 
+def product_range(d1: Domain, d2: Domain) -> tuple[int, int]:
+    """Bounds of ``v1 * v2``: min/max over the four corner products; raises
+    OverflowLimit, naming the first corner out of range, if any is."""
+    corners = (d1.lo * d2.lo, d1.lo * d2.hi, d1.hi * d2.lo, d1.hi * d2.hi)
+    lo, hi = min(corners), max(corners)
+    if lo < -INT_LIMIT or hi > INT_LIMIT:
+        for c in corners:
+            checked_int(c)
+    return lo, hi
+
+
 def product_bounds(d1: Domain, d2: Domain) -> Domain:
-    """Bounds of ``v1 * v2``: min/max over the four corner products."""
-    corners = [
-        checked_int(d1.lo * d2.lo),
-        checked_int(d1.lo * d2.hi),
-        checked_int(d1.hi * d2.lo),
-        checked_int(d1.hi * d2.hi),
-    ]
-    return Domain(min(corners), max(corners))
+    """Bounds of ``v1 * v2`` as a domain (see ``product_range``)."""
+    return Domain(*product_range(d1, d2))
 
 
 def abs_bounds(d: Domain) -> Domain:

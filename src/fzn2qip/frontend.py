@@ -29,27 +29,27 @@ from .model import BINARY, Domain
 # argument AST (post-parse; typecheck normalizes further)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Lit:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BoolLit:
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Ref:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Arr:
     items: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SetVal:
     """A set of integers as sorted, disjoint, non-adjacent runs ``(lo, hi)``."""
 
@@ -67,7 +67,7 @@ class SetVal:
         return cls(tuple(runs))
 
 
-@dataclass
+@dataclass(slots=True)
 class VarDecl:
     name: str
     kind: str  # "int" | "bool"
@@ -75,14 +75,14 @@ class VarDecl:
     is_introduced: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class ConstraintItem:
     name: str
     args: tuple
     tok: int = field(default=0, compare=False)  # index of the name token
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveItem:
     kind: str  # "satisfy" | "minimize" | "maximize"
     var: str | None = None
@@ -276,7 +276,9 @@ class _Parser:
     def bounds(self, i: int) -> tuple[int, int, int]:
         """``lo..hi`` at ``i``: lo, hi and the index after."""
         lo, i = self.integer(i)
-        hi, i = self.integer(self.want(i, ".."))
+        if self.toks[i] != "..":
+            raise self.expected(i, "'..'")
+        hi, i = self.integer(i + 1)
         return lo, hi, i
 
     def seq(self, i: int, item, close: str) -> tuple[list, int]:
@@ -288,11 +290,13 @@ class _Parser:
         while True:
             value, i = item(i)
             items.append(value)
-            if toks[i] == close:
+            t = toks[i]
+            if t == ",":
+                i += 1
+            elif t == close:
                 return items, i + 1
-            if toks[i] != ",":
+            else:
                 raise self.expected(i, f"',' or '{close}'")
-            i += 1
 
     def annotations(self, i: int) -> tuple[list[str], int]:
         toks = self.toks
@@ -376,7 +380,13 @@ class _Parser:
 
     def head(self, i: int, what: str) -> tuple[list[str], int]:
         """``: name :: anns`` of a declaration: its annotations, index after."""
-        self.name(self.want(i, ":"), what)
+        toks = self.toks
+        if toks[i] != ":":
+            raise self.expected(i, "':'")
+        if not toks[i + 1].isidentifier():
+            raise self.expected(i + 1, what)
+        if toks[i + 2] != "::":
+            return [], i + 2
         return self.annotations(i + 2)
 
     def param_decl(self, model: FzModel, kind: str, i: int) -> int:
@@ -413,7 +423,9 @@ class _Parser:
         assigned = None
         if self.toks[i] == "=":
             assigned, i = self.expr(i + 1)
-        i = self.want(i, ";")
+        if self.toks[i] != ";":
+            raise self.expected(i, "';'")
+        i += 1
         name = self.declared(model, at)
         if lo > hi:
             raise self.error(EmptyDeclaredDomain, at,
@@ -467,13 +479,20 @@ class _Parser:
         return i
 
     def constraint(self, model: FzModel, i: int) -> int:
-        name = self.name(i, "predicate name")
-        if name not in SIGNATURES:
+        toks = self.toks
+        name = toks[i]
+        if name not in SIGNATURES:  # every builtin's name is an identifier
+            self.name(i, "predicate name")
             raise self.error(UnsupportedItem, i, f"predicate '{name}'")
-        args, j = self.seq(self.want(i + 1, "("), self.expr, ")")
-        _, j = self.annotations(j)
+        if toks[i + 1] != "(":
+            raise self.expected(i + 1, "'('")
+        args, j = self.seq(i + 2, self.expr, ")")
+        if toks[j] == "::":
+            _, j = self.annotations(j)
         model.constraints.append(ConstraintItem(name, tuple(args), i))
-        return self.want(j, ";")
+        if toks[j] != ";":
+            raise self.expected(j, "';'")
+        return j + 1
 
     def solve(self, model: FzModel, i: int) -> int:
         _, i = self.annotations(i)
@@ -505,6 +524,11 @@ def parse_model(source: str) -> FzModel:
 def _located(cls, model: FzModel, item: ConstraintItem | SolveItem, *args):
     """``cls(*args)`` at token ``item.tok``: a predicate or objective name."""
     return cls(*args, *_position(model.source, item.tok))
+
+
+# the kind codes of each builtin form, by (name, number of arguments)
+_ARG_KINDS = {(name, len(sig)): sig for name, sigs in SIGNATURES.items() for sig in sigs}
+_LINEAR = frozenset(name for name in SIGNATURES if name.startswith(("int_lin_", "bool_lin_")))
 
 
 def _fold(arg, model: FzModel, item: ConstraintItem):
@@ -581,28 +605,33 @@ def typecheck(model: FzModel) -> FzModel:
     Parameters and alias arrays are folded into the constraints and
     cleared, so the result is self-contained.
     """
-    checked = FzModel(vars=dict(model.vars), solve=model.solve, source=model.source)
-    for name, decl in model.vars.items():
+    variables = model.vars
+    checked = FzModel(vars=dict(variables), solve=model.solve, source=model.source)
+    for name, decl in variables.items():
         if decl.kind == "bool" and decl.domain != BINARY:
             raise KindMismatch(f"bool variable '{name}' must have domain [0, 1]")
+    constraints = checked.constraints
     for item in model.constraints:
-        sigs = SIGNATURES[item.name]
-        for sig in sigs:
-            if len(sig) == len(item.args):
-                break
-        else:
-            arities = " or ".join(str(len(s)) for s in sigs)
+        name, args = item.name, item.args
+        sig = _ARG_KINDS.get((name, len(args)))
+        if sig is None:
+            arities = " or ".join(str(len(s)) for s in SIGNATURES[name])
             raise _located(ArityMismatch, model, item,
-                           f"{item.name} takes {arities} arguments, got {len(item.args)}")
-        folded = [_fold(a, model, item) for a in item.args]
-        args = tuple([_check_arg(a, k, model, item) for a, k in zip(folded, sig)])
-        if item.name.startswith(("int_lin_", "bool_lin_")):
-            if len(args[0].items) != len(args[1].items):
-                raise _located(
-                    ArityMismatch, model, item,
-                    f"{item.name}: coefficient and variable arrays differ in length",
-                )
-        checked.constraints.append(ConstraintItem(item.name, args, item.tok))
+                           f"{name} takes {arities} arguments, got {len(args)}")
+        # every argument is folded before any is checked, so an undeclared
+        # name is reported first; a variable folds to itself
+        folded = []
+        for a in args:
+            folded.append(a if type(a) is Ref and a.name in variables
+                          else _fold(a, model, item))
+        args = []
+        for a, kind in zip(folded, sig):
+            args.append(_check_arg(a, kind, model, item))
+        args = tuple(args)
+        if name in _LINEAR and len(args[0].items) != len(args[1].items):
+            raise _located(ArityMismatch, model, item,
+                           f"{name}: coefficient and variable arrays differ in length")
+        constraints.append(ConstraintItem(name, args, item.tok))
     solve = model.solve
     if solve.var is not None and solve.var not in model.vars:
         if solve.var in model.params or solve.var in model.arrays:

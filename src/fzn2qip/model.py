@@ -40,18 +40,26 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Domain:
-    """Nonempty closed integer interval [lo, hi]."""
+    """Nonempty closed integer interval [lo, hi].
+
+    Slotted, not frozen, as are the other records of the compiler: a
+    frozen dataclass costs about twice as much to build.  No code assigns
+    to a domain's fields; a restriction replaces the domain.
+    """
 
     lo: int
     hi: int
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise EmptyDomain(f"empty domain [{self.lo}, {self.hi}]")
-        checked_int(self.lo)
-        checked_int(self.hi)
+    def __init__(self, lo: int, hi: int):
+        if lo > hi:
+            raise EmptyDomain(f"empty domain [{lo}, {hi}]")
+        if lo < -INT_LIMIT or hi > INT_LIMIT:  # lo is named first, as lo <= hi
+            checked_int(lo)
+            checked_int(hi)
+        self.lo = lo
+        self.hi = hi
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
@@ -69,18 +77,21 @@ class Domain:
 BINARY = Domain(0, 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class QipVar:
     """A problem variable; ``declared`` keeps the pre-restriction domain."""
 
     name: str
     domain: Domain
-    origin: str | None = None  # provenance tag; None means a model variable
-    declared: Domain = None  # type: ignore[assignment]
+    origin: str | None  # provenance tag; None means a model variable
+    declared: Domain
 
-    def __post_init__(self):
-        if self.declared is None:
-            self.declared = self.domain
+    def __init__(self, name: str, domain: Domain, origin: str | None = None,
+                 declared: Domain | None = None):
+        self.name = name
+        self.domain = domain
+        self.origin = origin
+        self.declared = domain if declared is None else declared
 
     @property
     def is_model(self) -> bool:
@@ -134,7 +145,7 @@ class LinExpr:
         return " ".join(parts)
 
 
-@dataclass
+@dataclass(slots=True)
 class ProductConstraint:
     """result = left * right."""
 
@@ -250,14 +261,15 @@ class QipProblem:
             check_expr(e, f"inequality[{i}]")
         check_expr(self.objective, "objective")
         for i, p in enumerate(self.products):
-            for v in (p.result, p.left, p.right):
-                if v not in order:
-                    violations.append(f"product[{i}]: undeclared variable '{v}'")
-            if p.result in order and p.left in order and p.right in order:
-                if order[p.left] >= order[p.result] or order[p.right] >= order[p.result]:
-                    violations.append(
-                        f"product[{i}]: product-order ({p.result} = {p.left}*{p.right})"
-                    )
+            result, left, right = order.get(p.result), order.get(p.left), order.get(p.right)
+            if result is None or left is None or right is None:
+                for v in (p.result, p.left, p.right):
+                    if v not in order:
+                        violations.append(f"product[{i}]: undeclared variable '{v}'")
+            elif left >= result or right >= result:
+                violations.append(
+                    f"product[{i}]: product-order ({p.result} = {p.left}*{p.right})"
+                )
         for name, rows, sources in (
             ("equality", self.equalities, self.equality_sources),
             ("inequality", self.inequalities, self.inequality_sources),

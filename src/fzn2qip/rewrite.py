@@ -112,8 +112,10 @@ class RewriteContext:
         variables and c is declared after a and b, else c equals
         ``times``."""
         if type(a) is Ref and type(b) is Ref and type(c) is Ref:
-            if self.rank[c.name] > max(self.rank[a.name], self.rank[b.name]):
-                bounds.product_bounds(self.dom(a), self.dom(b))  # overflow check
+            rank = self.rank
+            if rank[c.name] > rank[a.name] and rank[c.name] > rank[b.name]:
+                variables = self.problem.vars  # the bounds are an overflow check
+                bounds.product_range(variables[a.name].domain, variables[b.name].domain)
                 self.problem.add_product(c.name, a.name, b.name, self.source)
                 return
         self.eq0(_combine((1, c), (-1, self.times(builtin, role, a, b))))

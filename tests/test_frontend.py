@@ -540,3 +540,90 @@ def test_mutated_corpus_outcomes_are_pinned():
         text = _mutated(rng, rng.choice(CORPUS_TEXTS))
         digest.update(repr(_diagnosis(text)).encode())
     assert digest.hexdigest() == MUTATION_DIGEST
+
+
+# A long model that uses every item kind: parameters and parameter arrays,
+# alias arrays, annotations with nested parentheses and strings, comments,
+# bool and assigned variables, set braces and ranges, and an objective.
+# Its checked text and the outcomes of seeded edits are pinned, so a
+# change to the parser or the checker that moves any accepted model or
+# any diagnostic on a long input shows.
+def _long_model(rng, n_vars=120, n_cons=240):
+    lines = ["% a long model, every item kind", "int: n3 = 5;", "bool: flag = true;",
+             "array [1..3] of int: c = [1, -2, 3];",
+             "array[1..2] of bool: bs = [true, false];", "int: neg = -4;"]
+    anns = ["", " :: output_var", " :: var_is_introduced :: is_defined_var",
+            ' :: mzn_path("a(b) ; [c]")', " :: ann(f(1, g(2, (3))), \"s (x)\")"]
+    xs, bools = [], []
+    for j in range(n_vars):
+        if j % 5 == 4:
+            name = f"b{j}"
+            value = f" = {rng.choice(['true', 'false'])}" if j % 15 == 4 else ""
+            lines.append(f"var bool: {name}{rng.choice(anns)}{value};")
+            bools.append(name)
+            continue
+        lo = rng.randint(-4, 2)
+        hi = lo + rng.randint(0, 6)
+        name = f"x{j}"
+        value = f" = {rng.randint(lo, hi)}" if j % 11 == 7 else ""
+        sep = rng.choice([" ", "\n  ", "\t"])
+        lines.append(f"var {lo}..{hi}:{sep}{name}{rng.choice(anns)}{value};")
+        xs.append(name)
+        if rng.random() < 0.1:
+            lines.append(f"% after {name}: (not a token) ; [x]")
+    for k in range(0, len(xs) - 2, 30):
+        lines.append(f"array [1..3] of var int: xs{k} :: output_array([1..3]) = "
+                     f"[{xs[k]}, {xs[k + 1]}, {xs[k + 2]}];")
+        lines.append(f"array [1..2] of var bool: bb{k} = [{bools[k // 10]}, "
+                     f"{bools[k // 10 + 1]}];")
+    aliases = [k for k in range(0, len(xs) - 2, 30)]
+    for i in range(n_cons):
+        a, b, r = rng.sample(xs, 3)
+        p, q = rng.sample(bools, 2)
+        k = rng.choice(aliases)
+        item = rng.choice([
+            f"int_lin_eq(c, [{a}, {b}, {r}], n3)",
+            f"int_lin_le(c, xs{k}, 7)",
+            f"int_lin_ne_reif([2, -1], [{a}, {b}], neg, {p})",
+            f"int_times({a}, {b}, {r})",
+            f"int_plus({a}, n3, {r})",
+            f"int_le_reif({a}, {b}, {p})",
+            f"bool_clause([{p}, flag], [{q}])",
+            f"array_bool_and(bb{k}, {p})",
+            f"array_int_element({a}, c, {b})",
+            f"array_var_int_element({a}, [{b}, 3, {r}], {r})",
+            f"set_in({a}, {{1, 3, 5, -2}})",
+            f"set_in_reif({a}, -2..4, {p})",
+            f"int_eq({a}, neg)",
+            f"bool_eq({p}, true)",
+            f"array_int_maximum({a}, [{b}, 3, {r}])",
+            f"int_abs({a}, {b})",
+            f"bool2int({p}, {a})",
+            f"bool_xor({p}, {q})",
+        ])
+        ann = rng.choice(["", " :: domain", f" :: defines_var({r})",
+                          ' :: ann("x (y", h((1), [2..3]))'])
+        sep = rng.choice([" ", "\n    ", ""])
+        lines.append(f"constraint{' ' if sep == '' else sep}{item}{ann};")
+        if i % 37 == 0:
+            lines.append(f"% constraint {i} done")
+    lines.append(f"solve :: int_search(xs0, input_order, indomain_min, complete) "
+                 f"minimize {xs[0]};")
+    return "\n".join(lines) + "\n"
+
+
+LONG_MODEL_DIGEST = "4159a380b22385c9782a13036c971943325aa49709ced2d0f1fd9441cd1c85b4"
+LONG_MUTATION_DIGEST = "b2506282a4770a811da67093e898111f4d695f2150570c89a2ea5cbb488e88d9"
+
+
+def test_long_model_outcomes_are_pinned():
+    text = _long_model(random.Random(2024))
+    assert text.count("\n") > 400
+    printed = _diagnosis(text)
+    assert type(printed) is str  # the long model checks
+    assert hashlib.sha256(printed.encode()).hexdigest() == LONG_MODEL_DIGEST
+    rng = random.Random(4202)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        digest.update(repr(_diagnosis(_mutated(rng, text))).encode())
+    assert digest.hexdigest() == LONG_MUTATION_DIGEST

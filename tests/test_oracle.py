@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -498,6 +499,71 @@ def test_int_times_chain_of_1000_links_solves():
     enum = enumerate_qip(p)
     assert enum.free_names == ["x0"]
     assert len(enum.solutions) == 2
+
+
+def test_int_times_chain_declared_result_first_plans_in_linear_time():
+    """``int_times(x{i+1}, x{i+1}, x{i})``: each link is a product onto
+    an auxiliary and the equality x{i} = aux, and step i's target is read
+    by the steps planned before it.  A cycle test that searched only the
+    target's dependents would walk the whole planned chain for each link,
+    quadratic in the links (about 15 s at 10,000); one that stops at the
+    smaller side takes a fraction of a second."""
+    links = 10_000
+    decls = [f"var 0..1: x{i};" for i in range(links + 1)]
+    cons = [f"constraint int_times(x{i + 1}, x{i + 1}, x{i});" for i in range(links)]
+    p = compile_model(check("\n".join(decls + cons + ["solve satisfy;"]) + "\n"))
+    start = time.perf_counter()
+    enum = enumerate_qip(p)
+    elapsed = time.perf_counter() - start
+    assert enum.free_names == [f"x{links}"]
+    assert len(enum.solutions) == 2
+    assert elapsed < 5.0, f"enumerate_qip took {elapsed:.1f} s"
+
+
+def test_planning_sweeps_the_equalities_until_none_plans():
+    """``u - v = 0`` has two undetermined auxiliaries until ``v - m = 0``,
+    the later row, computes v from the model variable m; a second sweep
+    then computes u from v, so m is the one unit."""
+    p = QipProblem()
+    p.add_var(QipVar("m", Domain(0, 3)))
+    for name in ("u", "v"):
+        p.add_var(QipVar(name, Domain(0, 3), "int_eq#0"))
+    p.add_equality(LinExpr({"u": 1, "v": -1}), "int_eq#0")
+    p.add_equality(LinExpr({"v": 1, "m": -1}), "int_eq#0")
+    enum = enumerate_qip(p, keep_full=True)
+    assert enum.free_names == ["m"]
+    assert enum.full_solutions == {(m, m, m) for m in range(4)}
+
+
+def _reaches(start: int, goal: set, readers: dict) -> bool:
+    stack, seen = [start], set()
+    while stack:
+        v = stack.pop()
+        if v in goal:
+            return True
+        if v not in seen:
+            seen.add(v)
+            stack.extend(readers.get(v, ()))
+    return False
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cycle_test_matches_a_search_of_the_dependents(seed):
+    """``_plan`` searches from both ends, and only when a step reads the
+    target already; it must accept exactly the steps that a plain search
+    of the target's dependents finds acyclic, on random plans."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 40)
+    defs, readers, done = {}, {}, set()
+    for _ in range(4 * n):
+        target = rng.randrange(n)
+        if target in defs:
+            continue
+        inputs = rng.sample(range(n), rng.randint(1, 3))
+        expected = not _reaches(target, set(inputs), readers)
+        step = oracle._Step("equality", 0, target, inputs, [1] * len(inputs))
+        assert oracle._plan(step, defs, readers, done) == expected
+        assert (target in defs) == expected
 
 
 @pytest.mark.parametrize("seed", [310, 1169])

@@ -861,3 +861,49 @@ def test_binary_and_linear_forms_compile_alike(binary, linear, c, a, b, r):
                 len(p.products))
 
     assert counts(binary) == counts(linear, c)
+
+
+SHARED_RECORDS_SRC = """\
+array [1..3] of int: c = [1, -2, 3];
+var 0..2: x; var 0..2: y; var bool: b;
+array [1..2] of var int: xs = [x, y];
+constraint int_lin_le([1, -2], xs, 1);
+constraint int_lin_eq_reif([1, 1], xs, 2, b);
+constraint array_int_element(x, c, y);
+constraint array_int_element(y, c, x);
+constraint set_in(y, {0, 2});
+constraint set_in_reif(x, {0, 2}, b);
+solve maximize x;
+"""
+
+
+def test_compiling_and_proving_leave_the_records_as_they_were():
+    """The records of both models (``Lit``, ``Ref``, ``Arr``, ``SetVal``,
+    ``Domain``, ``VarDecl``, ``ConstraintItem``, ``QipVar``) are slotted,
+    not frozen, and some are shared: the checked model holds the parsed
+    arguments, a parameter array is one ``Arr`` in every constraint that
+    names it, a compiled variable starts with its declaration's domain,
+    and ``BINARY`` is the domain of every binary auxiliary.  Compiling,
+    serializing, proving and solving leave each of them as it was."""
+    import copy
+
+    from fzn2qip.model import BINARY
+
+    texts = [generate(b, seed) for b in sorted(SIGNATURES) for seed in range(10)]
+    for text in [*texts, SHARED_RECORDS_SRC]:
+        parsed = parse_model(text)
+        model = typecheck(parsed)
+        records = (parsed.vars, parsed.params, parsed.arrays, parsed.constraints,
+                   model.vars, model.constraints)
+        before = copy.deepcopy(records)
+        try:
+            problem = compile_model(model)
+        except CompileUnsat:
+            problem = None
+        check_equivalence(model, problem)
+        if problem is not None:
+            declared = {name: copy.copy(v.declared) for name, v in problem.vars.items()}
+            enumerate_qip(deserialize(problem.serialize()))
+            assert {name: v.declared for name, v in problem.vars.items()} == declared
+        assert records == before, text
+    assert BINARY == Domain(0, 1)
