@@ -90,26 +90,25 @@ def element_domain_restrict(
 
 
 def minmax_domain_restrict(
-    m: Domain, xs: list[Domain], mode: str
+    m: Domain, xs: list[Domain], sign: int
 ) -> tuple[Domain, list[Domain]]:
-    """Restrict domains for ``m = max(xs)`` or ``m = min(xs)``.
+    """Restrict domains for ``m = max(xs)`` (sign 1) or ``m = min(xs)``
+    (sign -1).
 
-    mode is "max" or "min".  For max, the result is at least the largest
-    element minimum and each element is capped at the result maximum;
-    for min the dual holds.  Raises EmptyDomain on infeasibility.
+    For max, the result is at least the largest element minimum and each
+    element is capped at the result maximum; for min the dual holds.
+    Raises EmptyDomain on infeasibility.
     """
-    if mode == "max":
+    if sign == 1:
         m2 = Domain(
             max(m.lo, max(d.lo for d in xs)), min(m.hi, max(d.hi for d in xs))
         )
         xs2 = [Domain(d.lo, min(d.hi, m2.hi)) for d in xs]
-    elif mode == "min":
+    else:
         m2 = Domain(
             max(m.lo, min(d.lo for d in xs)), min(m.hi, min(d.hi for d in xs))
         )
         xs2 = [Domain(max(d.lo, m2.lo), d.hi) for d in xs]
-    else:
-        raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
     return m2, xs2
 
 

@@ -132,16 +132,17 @@ class CapExceeded(Fzn2QipError):
 
     code = "cap-exceeded"
 
-    def __init__(self, size: int, cap: int, units: list[tuple[str, int]]):
+    def __init__(self, size: int, cap: int | None, units: list[tuple[str, int]]):
         """``units``: the enumeration units as (name, size); the message
-        names the three largest."""
+        names the three largest.  ``cap`` None: past int64 indexing."""
         from decimal import Decimal  # formats any size; imported only here
 
         magnitude = f"{Decimal(size):.1e}".replace("+", "")
         largest = ", ".join(f"{name} ({n})" for name, n
                             in sorted(units, key=lambda nv: -nv[1])[:3])
+        limit = f"cap {cap}" if cap is not None else "2^63 - 1, the int64 index limit"
         super().__init__(
-            f"state space of ~{magnitude} assignments exceeds cap {cap}"
+            f"state space of ~{magnitude} assignments exceeds {limit}"
             + (f"; largest free units: {largest}" if largest else "")
         )
 

@@ -318,10 +318,10 @@ def _source_dtype(model: FzModel):
     """int64, or object (exact Python ints) if a value or intermediate of
     some constraint can leave the int64 range over the domains."""
     mag = {n: max(-d.domain.lo, d.domain.hi) for n, d in model.vars.items()}
-    worst = [max(mag.values(), default=0)]
+    worst = []  # no domain value: Domain bounds them by 2^62
     for c in model.constraints:
         worst.append(_worst_value(c.name, [_magnitude(a, mag, worst) for a in c.args]))
-    return object if max(worst) > _INT64_MAX else np.int64
+    return object if max(worst, default=0) > _INT64_MAX else np.int64
 
 
 def _cv(arg, table: np.ndarray, index: dict[str, int]):
@@ -351,10 +351,13 @@ def _source_table(radix: list[int], lows: np.ndarray, start: int, stop: int,
     decoded by mixed radix (the last variable fastest), one per column.
     Row ``j`` holds the values of variable ``j``, so each variable's
     values are contiguous; ``lows`` holds the domain minima, shape (n, 1),
-    added in the same call that makes the table."""
-    if not radix:
-        return np.empty((0, stop - start), dtype=dtype)
-    return np.add(np.unravel_index(np.arange(start, stop), radix), lows, dtype=dtype)
+    added in the same call that makes the table.  A fixed variable takes
+    no axis and has digit 0 (all fixed: one axis of size 1 gives the 0s)."""
+    digits = np.unravel_index(np.arange(start, stop), [r for r in radix if r > 1] or [1])
+    if len(digits) < len(radix):
+        vary, zero = iter(digits), np.zeros(stop - start, dtype=np.intp)
+        digits = [next(vary) if r > 1 else zero for r in radix]
+    return np.add(digits, lows, dtype=dtype)
 
 
 # ----------------------------------------------------------------------
@@ -366,13 +369,18 @@ def _size(domain: Domain) -> int:
     return domain.hi - domain.lo + 1
 
 
+def _table_width(n: int) -> int:
+    """Assignments per table of n variables: ``_CHUNK``, or fewer so that
+    a table holds at most ``_CELLS`` values."""
+    return max(1, min(_CHUNK, _CELLS // max(1, n)))
+
+
 def enumerate_fzn(model: FzModel, cap: int = DEFAULT_CAP) -> tuple[list[str], set]:
     """All satisfying assignments of the model, as (names, set of tuples).
 
-    The flat product of the domains is enumerated in tables of at most
-    ``_CHUNK`` assignments (fewer when there are many variables, so a
-    table has at most ``_CELLS`` values), and every constraint is
-    evaluated over a whole table by its ``_COLUMNWISE`` entry.  The mask
+    The flat product of the domains is enumerated in tables of
+    ``_table_width`` assignments, and every constraint is evaluated over
+    a whole table by its ``_COLUMNWISE`` entry.  The mask
     is the conjunction of their results, with no all-true start.  On the
     corpus a call costs about 48 us after its model's compile, as in a
     ``corpus`` op, and 20 us in a tight loop (2-core shared host).
@@ -384,11 +392,11 @@ def enumerate_fzn(model: FzModel, cap: int = DEFAULT_CAP) -> tuple[list[str], se
         lows.append(decl.domain.lo)
     names = list(index)
     size = math.prod(radix)
-    if size > cap:
-        raise CapExceeded(size, cap, list(zip(names, radix)))
+    if size > cap or size > _INT64_MAX:  # past what an int64 flat index addresses
+        raise CapExceeded(size, cap if size > cap else None, list(zip(names, radix)))
     dtype = _source_dtype(model)
     lows = np.array(lows, dtype=dtype).reshape(-1, 1)
-    chunk = max(1, min(_CHUNK, _CELLS // max(1, len(names))))
+    chunk = _table_width(len(names))
     solutions = set()
     for start in range(0, size, chunk):
         table = _source_table(radix, lows, start, min(start + chunk, size), dtype)
@@ -645,10 +653,6 @@ class QipEnumeration:
     full_solutions: set | None = None  # tuples over names, if requested
 
 
-def _first_col(unit: _Unit) -> int:
-    return min(unit.cols)
-
-
 def enumerate_qip(
     problem: QipProblem, cap: int = DEFAULT_CAP, keep_full: bool = False
 ) -> QipEnumeration:
@@ -689,10 +693,9 @@ def enumerate_qip(
     compile and 48 us in a tight loop, and on a 300-link ``int_times``
     chain about 1.0 ms (2-core shared host).
 
-    Tables hold at most ``_CHUNK`` assignments (fewer when there are
-    many variables, so a table has at most ``_CELLS`` values) and are
-    expanded depth first, one table per unit of size >= 2 at a time, so
-    at most log2(cap) tables are alive.
+    Tables hold ``_table_width`` assignments and are expanded depth
+    first, one table per unit of size >= 2 at a time, so at most
+    log2(cap) tables are alive.
     """
     names = list(problem.vars)
     n = len(names)
@@ -730,10 +733,10 @@ def enumerate_qip(
     unit_cols = {c for u in row_units for c in u.cols}
     steps = _build_substitution(eqs, prods, aux, unit_cols | fixed)
     computed = unit_cols.union([s.target for s in steps])  # the non-free variables
-    units = row_units + [_Unit(names[i], [i], _size(doms[i]), doms[i].lo)
-                      for i in range(n) if i not in computed]
-    if row_units:
-        units.sort(key=_first_col)
+    # in column order: a row unit at its first bit
+    first = {u.cols[0]: u for u in row_units}
+    units = [first[i] if i in first else _Unit(names[i], [i], _size(doms[i]), doms[i].lo)
+             for i in range(n) if i in first or i not in computed]
 
     # stage 0 fills the seed column, the units of size 1 preset;
     # stage k adds the k-th enumerated unit
@@ -809,7 +812,7 @@ def enumerate_qip(
     table = np.array(seed, dtype=dtype).reshape(n, 1)
     if stages[0]:
         table = _advance(table, *stages[0])
-    chunk = max(1, min(_CHUNK, _CELLS // max(1, n)))
+    chunk = _table_width(n)
     # depth-first: (next unit, table, first flat index of table x unit not
     # done); only tables with columns are pushed
     stack = [(0, table, 0)] if table.shape[1] else []
@@ -885,10 +888,10 @@ def check_equivalence(
     qip_sols = set()
     if problem is not None:
         qe = enumerate_qip(problem, cap)
-        # align the projections on the source variable order
-        order = [qe.model_names.index(n) for n in fzn_names]
         qip_sols = qe.solutions
-        if order != list(range(len(qe.model_names))):
+        if qe.model_names != fzn_names:  # align on the source variable order
+            at = {n: i for i, n in enumerate(qe.model_names)}
+            order = [at[n] for n in fzn_names]
             qip_sols = {tuple(t[i] for i in order) for t in qe.solutions}
     counts = len(fzn_sols), len(qip_sols)
     for direction, only in (("fzn-only", fzn_sols - qip_sols),

@@ -36,8 +36,8 @@ A product row's result is a fresh auxiliary, or, for
 result variable itself when it is declared after its operands
 (``RewriteContext.times_onto``).
 Either way operand-before-result acyclicity holds by construction.
-A last pass leaves out the rows that the final domains make hold, and
-the auxiliaries only they read (``_drop_decided_rows``).
+A last pass leaves out the rows the final domains make hold, bar one per
+constraint, and the auxiliaries only they read (``_drop_decided_rows``).
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ class RewriteContext:
         self.problem = problem
         self.options = options
         self.rank = rank  # declaration index of each model variable
-        self.source = ""  # provenance of the constraint being rewritten
+        self.builtin = ""  # name of the constraint being rewritten
+        self.source = ""  # its provenance, ``builtin#idx``
 
     # -- helpers --------------------------------------------------------
 
@@ -89,11 +90,10 @@ class RewriteContext:
             return Domain(x.value, x.value)
         return self.problem.vars[x.name].domain
 
-    def fresh(self, builtin: str, role: str, domain: Domain) -> Ref:
-        return Ref(self.problem.fresh_var(builtin, role, domain, self.source).name)
+    def fresh(self, role: str, domain: Domain) -> Ref:
+        return Ref(self.problem.fresh_var(self.builtin, role, domain, self.source).name)
 
-    def times(self, builtin: str, role: str, a: Ref | Lit,
-              b: Ref | Lit) -> Ref | Lit | LinExpr:
+    def times(self, role: str, a: Ref | Lit, b: Ref | Lit) -> Ref | Lit | LinExpr:
         """``a * b``: a literal for two literals, a linear form for one,
         else a fresh product variable."""
         if type(a) is Lit:
@@ -102,12 +102,11 @@ class RewriteContext:
             return LinExpr({b.name: a.value})
         if type(b) is Lit:
             return LinExpr({a.name: b.value})
-        y = self.fresh(builtin, role, bounds.product_bounds(self.dom(a), self.dom(b)))
+        y = self.fresh(role, bounds.product_bounds(self.dom(a), self.dom(b)))
         self.problem.add_product(y.name, a.name, b.name, self.source)
         return y
 
-    def times_onto(self, c: Ref | Lit, builtin: str, role: str, a: Ref | Lit,
-                   b: Ref | Lit) -> None:
+    def times_onto(self, c: Ref | Lit, role: str, a: Ref | Lit, b: Ref | Lit) -> None:
         """``c = a * b``: the product row onto c itself when all three are
         variables and c is declared after a and b, else c equals
         ``times``."""
@@ -118,7 +117,7 @@ class RewriteContext:
                 bounds.product_range(variables[a.name].domain, variables[b.name].domain)
                 self.problem.add_product(c.name, a.name, b.name, self.source)
                 return
-        self.eq0(_combine((1, c), (-1, self.times(builtin, role, a, b))))
+        self.eq0(_combine((1, c), (-1, self.times(role, a, b))))
 
     def onehot(self, x: Ref) -> dict[int, Ref]:
         """Indicator of each value of x: its one-hot bit.  The first
@@ -167,7 +166,7 @@ def _label(x: Ref | Lit) -> str:
 # shared pieces
 
 
-def _emit_div(ctx: RewriteContext, builtin: str, n: Ref | Lit, d: Ref | Lit,
+def _emit_div(ctx: RewriteContext, n: Ref | Lit, d: Ref | Lit,
               q: Ref | Lit) -> Ref | Lit | LinExpr:
     """Emit the linearized truncating-division system; returns the
     product p = d*q."""
@@ -184,15 +183,15 @@ def _emit_div(ctx: RewriteContext, builtin: str, n: Ref | Lit, d: Ref | Lit,
     if ctx.options.corrupt_div_big_m:
         m -= 1
 
-    p = ctx.times(builtin, "p", d, q)
+    p = ctx.times("p", d, q)
 
-    alpha = ctx.fresh(builtin, "a", BINARY)
-    beta = ctx.fresh(builtin, "b", BINARY)
-    gamma = ctx.times(builtin, "g", alpha, beta)
+    alpha = ctx.fresh("a", BINARY)
+    beta = ctx.fresh("b", BINARY)
+    gamma = ctx.times("g", alpha, beta)
 
     zeta_active = (0 in nd) and not ctx.options.verbatim_div
     relax = max(m, 1)
-    zeta = ctx.fresh(builtin, "z", BINARY) if zeta_active else None
+    zeta = ctx.fresh("z", BINARY) if zeta_active else None
 
     def ineq(*parts: tuple[int, Ref | Lit | LinExpr], constant: int,
              relaxed: bool) -> None:
@@ -255,28 +254,28 @@ def _rw_element(ctx, item):
         if type(e) is Lit:
             parts.append((e.value, bits[j]))
         else:
-            parts.append((1, ctx.times(item.name, f"z{j}", e, bits[j])))
+            parts.append((1, ctx.times(f"z{j}", e, bits[j])))
     ctx.eq0(_combine(*parts))
 
 
 def _rw_abs(ctx, item):
     x, y = item.args
     ctx.restrict(y, bounds.abs_bounds(ctx.dom(x)))
-    b = ctx.fresh("int_abs", "b", BINARY)
-    z = ctx.times("int_abs", "z", b, x)
+    b = ctx.fresh("b", BINARY)
+    z = ctx.times("z", b, x)
     ctx.eq0(_combine((1, y), (-1, x), (2, z)))
 
 
 def _rw_div(ctx, item):
-    _emit_div(ctx, "int_div", *item.args)
+    _emit_div(ctx, *item.args)
 
 
 def _rw_mod(ctx, item):
     n, d, r = item.args
     nd = ctx.dom(n)
     u = max(abs(nd.lo), abs(nd.hi))
-    q = ctx.fresh("int_mod", "q", Domain(-u, u))
-    p = _emit_div(ctx, "int_mod", n, d, q)
+    q = ctx.fresh("q", Domain(-u, u))
+    p = _emit_div(ctx, n, d, q)
     ctx.eq0(_combine((1, p), (1, r), (-1, n)))
     dd = ctx.dom(d)  # after endpoint-zero pruning
     ud = max(abs(dd.lo), abs(dd.hi))
@@ -388,7 +387,7 @@ def _rw_relation(ctx, item):
         t = Lit(0)
     # s != 0 when t = 0: b = 0 gives s <= -1, b = 1 gives s >= 1
     # (lo <= 0 <= hi here, so hi + 1 and 1 - lo are positive)
-    b = ctx.fresh(item.name, "b", BINARY)
+    b = ctx.fresh("b", BINARY)
     ctx.le0(_combine((1, s), (-(hi + 1), b), (-(hi + 1), t), constant=1))
     ctx.le0(_combine((-1, s), (1 - lo, b), (lo - 1, t), constant=lo))
 
@@ -408,12 +407,10 @@ def _rw_extremum(ctx, item):
         m, xs = item.args[0], item.args[1].items
     if not xs:
         raise EmptyDomain("extremum of an empty array")
-    m_dom, x_doms = bounds.minmax_domain_restrict(
-        ctx.dom(m), [ctx.dom(x) for x in xs], "max" if sign == 1 else "min"
-    )
+    m_dom, x_doms = bounds.minmax_domain_restrict(ctx.dom(m), [ctx.dom(x) for x in xs], sign)
     for x, d in zip((m, *xs), (m_dom, *x_doms)):
         ctx.restrict(x, d)
-    bits = [ctx.fresh(item.name, "b", BINARY) for _ in xs[1:]]
+    bits = [ctx.fresh("b", BINARY) for _ in xs[1:]]
     picked = _combine(*((1, bit) for bit in bits))
     if len(bits) > 1:
         ctx.le0(_combine((1, picked), constant=-1))
@@ -426,7 +423,7 @@ def _rw_extremum(ctx, item):
 
 def _rw_int_times(ctx, item):
     a, b, c = item.args
-    ctx.times_onto(c, "int_times", "p", a, b)
+    ctx.times_onto(c, "p", a, b)
 
 
 def _rw_int_pow(ctx, item):
@@ -442,7 +439,7 @@ def _rw_int_pow(ctx, item):
         ctx.eq0(_combine((1, z), constant=-1))
         return
     if n == 2:
-        ctx.times_onto(z, "int_pow", "e2", x, x)
+        ctx.times_onto(z, "e2", x, x)
         return
 
     def power(k: int) -> Ref | Lit:
@@ -450,8 +447,8 @@ def _rw_int_pow(ctx, item):
             return x
         u = power(k // 2)
         if k % 2 == 0:
-            return ctx.times("int_pow", f"e{k}", u, u)
-        return ctx.times("int_pow", f"e{k}", x, ctx.times("int_pow", f"e{k - 1}", u, u))
+            return ctx.times(f"e{k}", u, u)
+        return ctx.times(f"e{k}", x, ctx.times(f"e{k - 1}", u, u))
 
     ctx.eq0(_combine((1, z), (-1, power(n))))
 
@@ -497,7 +494,7 @@ def _rw_set_in(ctx, item):
         ctx.restrict(x, Domain(segments[0][0], segments[-1][1]))
     bits = [Lit(1)]
     if len(segments) > 1:
-        bits = [ctx.fresh(item.name, "b", BINARY) for _ in segments]
+        bits = [ctx.fresh("b", BINARY) for _ in segments]
         ctx.eq0(_combine(*((1, b) for b in bits), constant=-1))
     if all(lo == hi for lo, hi, _ in segments):
         ctx.eq0(_combine((1, x), *((-lo, b) for (lo, _, _), b in zip(segments, bits))))
@@ -543,12 +540,11 @@ def _drop_decided_rows(problem: QipProblem) -> None:
     auxiliary that no row or product reads (a group's rows read its
     bits, and the objective reads a model variable).
 
-    Two kinds of row stay whatever the bounds say: the ``onehot:<var>``
-    rows, since they are all that the text says of a group, and
-    the first row of a source constraint whose rows all hold, so that
-    every ``builtin#idx`` still ships in ``meta.*_sources``.  The
-    solution set is unchanged: a dropped row holds on every point, and a
-    dropped auxiliary is then free over its nonempty domain.
+    One kind of row stays whatever the bounds say: the first row of a
+    source constraint whose rows all hold, so that every ``builtin#idx``
+    still ships in ``meta.*_sources``.  The solution set is unchanged: a
+    dropped row holds on every point, and a dropped auxiliary is then
+    free over its nonempty domain.
     """
     variables = problem.vars
     lists = ((problem.equalities, problem.equality_sources, True),
@@ -558,8 +554,7 @@ def _drop_decided_rows(problem: QipProblem) -> None:
     for rows, sources, is_equality in lists:
         js = []
         for j, row in enumerate(rows):
-            if sources[j].startswith("onehot:") or not _holds(row, is_equality,
-                                                               variables):
+            if not _holds(row, is_equality, variables):
                 covered.add(sources[j])
             else:
                 js.append(j)
@@ -595,7 +590,7 @@ def compile_model(model: FzModel, options: RewriteOptions | None = None) -> QipP
         prob.add_var(QipVar(decl.name, decl.domain))
     ctx = RewriteContext(prob, options, {name: i for i, name in enumerate(model.vars)})
     for idx, item in enumerate(model.constraints):
-        ctx.source = f"{item.name}#{idx}"
+        ctx.builtin, ctx.source = item.name, f"{item.name}#{idx}"
         try:
             _DISPATCH[item.name](ctx, item)
         except EmptyDomain as exc:

@@ -63,11 +63,11 @@ def test_element_restrict_unsat():
 
 def test_minmax_restrict_reference():
     m_dom, xs = minmax_domain_restrict(
-        Domain(-10, 10), [Domain(0, 3), Domain(1, 2)], "max"
+        Domain(-10, 10), [Domain(0, 3), Domain(1, 2)], 1
     )
     assert m_dom == Domain(1, 3)
     assert xs == [Domain(0, 3), Domain(1, 2)]
-    m_dom, xs = minmax_domain_restrict(Domain(2, 2), [Domain(0, 5)], "min")
+    m_dom, xs = minmax_domain_restrict(Domain(2, 2), [Domain(0, 5)], -1)
     assert m_dom == Domain(2, 2)
     assert xs == [Domain(2, 5)]
 
@@ -126,9 +126,9 @@ def test_abs_bounds_exact(d):
 @given(domains(width=5, lo=-4, hi=4),
        st.lists(domains(width=5, lo=-4, hi=4), min_size=1, max_size=3))
 def test_minmax_restrict_never_loses_solutions(m_dom, xs_doms):
-    for mode, pick in (("max", max), ("min", min)):
+    for sign, pick in ((1, max), (-1, min)):
         try:
-            new_m, new_xs = minmax_domain_restrict(m_dom, xs_doms, mode)
+            new_m, new_xs = minmax_domain_restrict(m_dom, xs_doms, sign)
         except EmptyDomain:
             new_m = None
         feasible = [

@@ -135,6 +135,29 @@ def test_cap_exceeded_exit_3(tmp_path):
     assert run(["check", src, "--cap", "100"]) == 3
 
 
+@pytest.mark.parametrize("n", [65, 20_000])
+def test_check_fixed_chain_past_64_variables(tmp_path, capsys, n):
+    """A fixed variable takes no axis of the source-side decode, so a
+    model with more than 64 of them checks."""
+    src = write(tmp_path, "chain.fzn", "\n".join(
+        [f"var 1..1: x{i};" for i in range(n)]
+        + [f"constraint int_times(x{i}, x{i}, x{i + 1});" for i in range(n - 1)]
+        + ["solve satisfy;", ""]))
+    assert run(["check", src]) == 0
+    assert capsys.readouterr().out == "Equal (1 solutions)\n"
+
+
+def test_space_past_int64_indexing_is_one_line_exit_3(tmp_path, capsys):
+    src = write(tmp_path, "m.fzn",
+                "\n".join(f"var 0..1: x{i};" for i in range(65)) + "\nsolve satisfy;\n")
+    assert run(["check", src, "--cap", "1" + "0" * 30]) == 3
+    out = capsys.readouterr()
+    (line,) = out.err.splitlines()
+    assert out.out == ""
+    assert line.startswith("cap exceeded: state space of ~3.7e19 assignments exceeds "
+                           "2^63 - 1, the int64 index limit")
+
+
 def test_solve_minimize_prints_value(tmp_path, capsys):
     src = write(tmp_path, "m.fzn", "var 2..5: x;\nsolve minimize x;\n")
     assert run(["solve", src]) == 0

@@ -95,6 +95,28 @@ def test_enumerate_fzn_cap():
         "largest free units: v0 (9), v1 (9), v2 (9)")
 
 
+def test_enumerate_fzn_past_int64_indexing_is_a_cap_stop():
+    """2^65 assignments is within the cap asked for but past what an int64
+    flat index addresses: a CapExceeded that names no cap."""
+    m = check("\n".join(f"var 0..1: x{i};" for i in range(65)) + "\nsolve satisfy;\n")
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_fzn(m, cap=10**30)
+    assert exc.value.message == (
+        "state space of ~3.7e19 assignments exceeds 2^63 - 1, the int64 index "
+        "limit; largest free units: x0 (2), x1 (2), x2 (2)")
+
+
+def test_enumerate_fzn_fixed_variables_take_no_decode_axis():
+    """70 fixed variables among 3 that vary: past numpy's 64 axes, yet
+    each assignment of the flat product is decoded, in declaration order."""
+    doms = [(j, j) if j % 20 else (j, j + 1 + j % 3) for j in range(73)]
+    m = check("\n".join(f"var {lo}..{hi}: v{j};" for j, (lo, hi) in enumerate(doms))
+              + "\nsolve satisfy;\n")
+    names, sols = enumerate_fzn(m)
+    assert names == [f"v{j}" for j in range(73)]
+    assert sols == set(itertools.product(*(range(lo, hi + 1) for lo, hi in doms)))
+
+
 def test_enumerate_fzn_without_variables():
     assert enumerate_fzn(check("solve satisfy;\n")) == ([], {()})
     false = check("constraint int_eq(1, 2);\nsolve satisfy;\n")

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from fzn2qip import rewrite
 from fzn2qip.errors import (
     INT_LIMIT,
     CompileUnsat,
@@ -419,6 +420,30 @@ def test_a_group_is_stated_by_its_rows_and_origins():
         for var, bits in groups.items():
             assert {name for name, v in back.vars.items()
                     if v.origin == f"onehot:{var}"} == {bit for bit, _ in bits}
+
+
+def test_no_group_row_holds_by_bounds(corpus_problems):
+    """An element makes a group only when two reachable entries differ,
+    so a group has at least 2 bits, and neither ``sum(bits) - 1 = 0`` nor
+    ``-var + sum(value * bit) = 0`` holds on every point: the pass that
+    leaves out decided rows keeps both rows of every group."""
+    problems = [p for _, p in corpus_problems[1]]
+    for seed in range(400):
+        try:
+            problems.append(compile_model(typecheck(parse_model(_extension_model(seed)))))
+        except CompileUnsat:
+            continue
+    groups = 0
+    for problem in problems:
+        for group in problem.onehot_groups:
+            assert len(group.bits) >= 2
+            rows = [row for row, source in zip(problem.equalities,
+                                                problem.equality_sources)
+                    if source == f"onehot:{group.int_var}"]
+            assert len(rows) == 2
+            assert not any(rewrite._holds(row, True, problem.vars) for row in rows)
+            groups += 1
+    assert groups > 80  # 28 in the corpus, 76 in the extension models
 
 
 def _assert_auxiliaries_stay_local(problem: QipProblem) -> None:

@@ -824,8 +824,9 @@ def test_an_off_by_one_decision_is_a_counterexample(monkeypatch):
     pytest.fail("every corpus model checks Equal under the mutant")
 
 
-def test_onehot_rows_and_one_row_per_source_survive_the_pass(monkeypatch):
-    # as if every row held: each source keeps its first row, x its group
+def test_one_row_per_source_survives_the_pass(monkeypatch):
+    # as if every row held: each source keeps its first row, x's group its
+    # exactly-one row
     monkeypatch.setattr(rewrite, "_holds", lambda row, is_equality, variables: True)
     _, p = compile_src("""
         var 1..4: x;
@@ -836,8 +837,7 @@ def test_onehot_rows_and_one_row_per_source_survive_the_pass(monkeypatch):
         constraint int_max(x, c, m);
         solve satisfy;
     """)
-    assert p.equality_sources == ["set_in#0", "onehot:x", "onehot:x",
-                                  "array_int_element#1"]
+    assert p.equality_sources == ["set_in#0", "onehot:x", "array_int_element#1"]
     assert p.inequality_sources == ["int_max#2"]
     assert [v for v in p.vars if v.startswith("__int_max")] == []
     assert "onehot:x" in enumerate_qip(p).free_names
