@@ -11,9 +11,6 @@ variables, unknown predicates) is rejected with a named diagnostic.
 from __future__ import annotations
 
 import re
-import string
-from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import (
     ArityMismatch,
@@ -23,37 +20,57 @@ from .errors import (
     UndeclaredIdentifier,
     UnsupportedItem,
 )
-from .model import BINARY, Domain
+from .model import BINARY, Domain, Record
 
 # ----------------------------------------------------------------------
 # argument AST (post-parse; typecheck normalizes further)
 
 
-@dataclass(slots=True)
-class Lit:
-    value: int
+class Lit(Record):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __eq__(self, other) -> bool:  # hot: the element rewrite compares entries
+        if other.__class__ is Lit:
+            return self.value == other.value
+        return NotImplemented
 
 
-@dataclass(slots=True)
-class BoolLit:
-    value: bool
+class BoolLit(Record):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: bool):
+        self.value = value
 
 
-@dataclass(slots=True)
-class Ref:
-    name: str
+class Ref(Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other) -> bool:  # hot: the element rewrite compares entries
+        if other.__class__ is Ref:
+            return self.name == other.name
+        return NotImplemented
 
 
-@dataclass(slots=True)
-class Arr:
-    items: tuple
+class Arr(Record):
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items: tuple):
+        self.items = items
 
 
-@dataclass(slots=True)
-class SetVal:
+class SetVal(Record):
     """A set of integers as sorted, disjoint, non-adjacent runs ``(lo, hi)``."""
 
-    runs: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("runs",)
+
+    def __init__(self, runs: tuple[tuple[int, int], ...]):
+        self.runs = runs
 
     @classmethod
     def of(cls, values) -> "SetVal":
@@ -67,36 +84,55 @@ class SetVal:
         return cls(tuple(runs))
 
 
-@dataclass(slots=True)
-class VarDecl:
-    name: str
-    kind: str  # "int" | "bool"
-    domain: Domain
-    is_introduced: bool = False
+class VarDecl(Record):
+    __slots__ = _fields = ("name", "kind", "domain", "is_introduced")
+
+    def __init__(self, name: str, kind: str, domain: Domain, is_introduced: bool = False):
+        self.name = name
+        self.kind = kind  # "int" | "bool"
+        self.domain = domain
+        self.is_introduced = is_introduced
 
 
-@dataclass(slots=True)
-class ConstraintItem:
-    name: str
-    args: tuple
-    tok: int = field(default=0, compare=False)  # index of the name token
+class ConstraintItem(Record):
+    """A constraint; ``tok``, the index of its name token, is not compared."""
+
+    __slots__ = ("name", "args", "tok")
+    _fields = ("name", "args")
+
+    def __init__(self, name: str, args: tuple, tok: int = 0):
+        self.name = name
+        self.args = args
+        self.tok = tok
 
 
-@dataclass(slots=True)
-class SolveItem:
-    kind: str  # "satisfy" | "minimize" | "maximize"
-    var: str | None = None
-    tok: int = field(default=0, compare=False)  # index of the objective token
+class SolveItem(Record):
+    """The solve item; ``tok``, the index of its objective token, is not
+    compared."""
+
+    __slots__ = ("kind", "var", "tok")
+    _fields = ("kind", "var")
+
+    def __init__(self, kind: str, var: str | None = None, tok: int = 0):
+        self.kind = kind  # "satisfy" | "minimize" | "maximize"
+        self.var = var
+        self.tok = tok
 
 
-@dataclass
-class FzModel:
-    params: dict = field(default_factory=dict)
-    arrays: dict = field(default_factory=dict)  # var alias arrays, name -> Arr
-    vars: dict = field(default_factory=dict)  # name -> VarDecl, ordered
-    constraints: list = field(default_factory=list)
-    solve: SolveItem = field(default_factory=lambda: SolveItem("satisfy"))
-    source: str = field(default="", compare=False, repr=False)  # for positions
+class FzModel(Record):
+    """A model; ``source``, its text (for positions), is not compared."""
+
+    _fields = ("params", "arrays", "vars", "constraints", "solve")
+
+    def __init__(self, params: dict | None = None, arrays: dict | None = None,
+                 vars: dict | None = None, constraints: list | None = None,
+                 solve: SolveItem | None = None, source: str = ""):
+        self.params = {} if params is None else params
+        self.arrays = {} if arrays is None else arrays  # var alias arrays, name -> Arr
+        self.vars = {} if vars is None else vars  # name -> VarDecl, ordered
+        self.constraints = [] if constraints is None else constraints
+        self.solve = SolveItem("satisfy") if solve is None else solve
+        self.source = source
 
 
 # ----------------------------------------------------------------------
@@ -179,15 +215,25 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.ASCII,
 )
 
-_DIGITS = frozenset(string.digits)
+_DIGITS = frozenset("0123456789")
 # the tokens of length 1 that a rule other than the last accepts
-_ONE_CHAR_TOKENS = frozenset(string.ascii_letters + string.digits + "_()[]{},;:=-+%")
+_ONE_CHAR_TOKENS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                             "0123456789_()[]{},;:=-+%")
 
 
-class Token(NamedTuple):
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    """A token's text and its 1-based line and column; unpacks as the
+    triple ``text, line, col``."""
+
+    __slots__ = _fields = ("text", "line", "col")
+
+    def __init__(self, text: str, line: int, col: int):
+        self.text = text
+        self.line = line
+        self.col = col
+
+    def __iter__(self):
+        return iter((self.text, self.line, self.col))
 
 
 def tokenize(source: str) -> list[Token]:

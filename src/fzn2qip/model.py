@@ -30,7 +30,6 @@ it; a mismatch is a SchemaError that names its path from the root
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .errors import (
     INT_LIMIT,
@@ -40,17 +39,40 @@ from .errors import (
 )
 
 
-@dataclass(slots=True)
-class Domain:
-    """Nonempty closed integer interval [lo, hi].
+class Record:
+    """Base of the package's records: value equality and a repr over
+    ``_fields``, the attributes that make a record's value.
 
-    Slotted, not frozen, as are the other records of the compiler: a
-    frozen dataclass costs about twice as much to build.  No code assigns
-    to a domain's fields; a restriction replaces the domain.
+    Each record writes its own ``__init__``, a plain assignment of its
+    fields, and a record compared on a hot path its own ``__eq__``.  A
+    record with equality is unhashable.
     """
 
-    lo: int
-    hi: int
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__name__}({shown})"
+
+
+class Domain(Record):
+    """Nonempty closed integer interval [lo, hi].
+
+    A slotted record, mutable as the others are: building one is a range
+    check and two stores.  No code assigns to a domain's fields; a
+    restriction replaces the domain.
+    """
+
+    __slots__ = _fields = ("lo", "hi")
 
     def __init__(self, lo: int, hi: int):
         if lo > hi:
@@ -60,6 +82,11 @@ class Domain:
             checked_int(hi)
         self.lo = lo
         self.hi = hi
+
+    def __eq__(self, other) -> bool:  # hot: typecheck compares each bool's domain
+        if other.__class__ is Domain:
+            return self.lo == other.lo and self.hi == other.hi
+        return NotImplemented
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
@@ -77,14 +104,11 @@ class Domain:
 BINARY = Domain(0, 1)
 
 
-@dataclass(slots=True)
-class QipVar:
-    """A problem variable; ``declared`` keeps the pre-restriction domain."""
+class QipVar(Record):
+    """A problem variable; ``declared`` keeps the pre-restriction domain.
+    ``origin`` is its provenance tag; None means a model variable."""
 
-    name: str
-    domain: Domain
-    origin: str | None  # provenance tag; None means a model variable
-    declared: Domain
+    __slots__ = _fields = ("name", "domain", "origin", "declared")
 
     def __init__(self, name: str, domain: Domain, origin: str | None = None,
                  declared: Domain | None = None):
@@ -145,21 +169,26 @@ class LinExpr:
         return " ".join(parts)
 
 
-@dataclass(slots=True)
-class ProductConstraint:
+class ProductConstraint(Record):
     """result = left * right."""
 
-    result: str
-    left: str
-    right: str
+    __slots__ = _fields = ("result", "left", "right")
+
+    def __init__(self, result: str, left: str, right: str):
+        self.result = result
+        self.left = left
+        self.right = right
 
 
-@dataclass
-class OneHotGroup:
-    """Binding of an integer variable to its indicator bits (in memory)."""
+class OneHotGroup(Record):
+    """Binding of an integer variable to its indicator bits (in memory):
+    ``bits`` holds (bit name, value) pairs."""
 
-    int_var: str
-    bits: list[tuple[str, int]] = field(default_factory=list)
+    _fields = ("int_var", "bits")
+
+    def __init__(self, int_var: str, bits: list[tuple[str, int]] | None = None):
+        self.int_var = int_var
+        self.bits = [] if bits is None else bits
 
 
 class QipProblem:
@@ -386,10 +415,19 @@ def deserialize(text: str) -> QipProblem:
     path of the first mismatch or the first violation.
     """
     try:
-        doc = json.loads(text, object_pairs_hook=_object)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
-    _check(doc, _SCHEMA)
+    try:
+        keys = _check(doc, _SCHEMA)
+    except SchemaError:
+        keys = -1  # the mismatch may be a key written twice
+    # Each key written is followed by a colon, so the text has at least as
+    # many colons as keys; one more than the objects hold is a key written
+    # twice, or a colon in a string.  Only then are the pairs looked at.
+    if keys < text.count(":"):
+        doc = json.loads(text, object_pairs_hook=_object)
+        _check(doc, _SCHEMA)
     prob = QipProblem()
     for i, v in enumerate(doc["variables"]):
         try:
@@ -433,8 +471,9 @@ def _object(pairs: list[tuple[str, object]]) -> dict | _Repeated:
     return record
 
 
-def _check(value, schema: dict, path: tuple = ()) -> None:
-    """Raise SchemaError unless ``value`` is an object of ``schema``.
+def _check(value, schema: dict, path: tuple = ()) -> int:
+    """Raise SchemaError unless ``value`` is an object of ``schema``; else
+    return the number of keys of the objects in ``value``, its own too.
 
     ``path`` holds the keys and (item name, index) pairs from the root to
     ``value``; it is spelled out only in a message.  A leaf's type test is
@@ -444,8 +483,9 @@ def _check(value, schema: dict, path: tuple = ()) -> None:
         if type(value) is _Repeated:
             raise SchemaError(f"{_where(path)}: duplicate key '{value.key}'")
         raise SchemaError(f"{_where(path)} is not an object")
+    keys = len(schema)
     try:
-        if len(value) != len(schema):  # a key unknown; a missing one is a KeyError
+        if len(value) != keys:  # a key unknown; a missing one is a KeyError
             raise KeyError
         for key, sub in schema.items():
             v = value[key]
@@ -453,14 +493,14 @@ def _check(value, schema: dict, path: tuple = ()) -> None:
                 if sub is int and not _INT_MIN <= v <= INT_LIMIT:
                     raise SchemaError(_where((*path, key)) + _misfit(v, sub))
             elif type(sub) is dict:
-                _check(v, sub, (*path, key))
+                keys += _check(v, sub, (*path, key))
             elif type(sub) is not tuple or type(v) is not list:
                 raise SchemaError(_where((*path, key)) + _misfit(v, sub))
             else:
                 name, sub = sub
                 for k, item in enumerate(v):
                     if type(sub) is dict:
-                        _check(item, sub, (*path, (name, k)))
+                        keys += _check(item, sub, (*path, (name, k)))
                     elif type(item) is not sub or sub is int and not (
                             _INT_MIN <= item <= INT_LIMIT):
                         raise SchemaError(_where((*path, (name, k))) + _misfit(item, sub))
@@ -469,6 +509,7 @@ def _check(value, schema: dict, path: tuple = ()) -> None:
         key = missing[0] if missing else next(k for k in value if k not in schema)
         raise SchemaError(f"{_where(path)}: {'missing' if missing else 'unknown'} "
                           f"key '{key}'") from None
+    return keys
 
 
 def _where(path: tuple) -> str:

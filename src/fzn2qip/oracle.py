@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
@@ -35,7 +34,7 @@ import numpy as np
 from . import kernels
 from .errors import DEFAULT_CAP, CapExceeded
 from .frontend import Arr, FzModel, Lit, Ref, SetVal
-from .model import Domain, QipProblem
+from .model import Domain, QipProblem, Record
 
 _CHUNK = 1 << 16  # rows per enumeration table
 _CELLS = 1 << 20  # values per enumeration table, for wide problems
@@ -411,17 +410,20 @@ def enumerate_fzn(model: FzModel, cap: int = DEFAULT_CAP) -> tuple[list[str], se
 # compiled-problem enumeration
 
 
-@dataclass(slots=True)
-class _Step:
+class _Step(Record):
     """One substitution computing a variable from earlier columns."""
 
-    kind: str  # "product" | "equality"
-    row: int  # index of the product or equality it solves, which then holds
-    target: int
-    inputs: list[int] | tuple[int, int]
-    coefs: list[int] | tuple = ()  # equality only
-    constant: int = 0
-    sign: int = 1  # coefficient of the target in the equality (+-1)
+    __slots__ = _fields = ("kind", "row", "target", "inputs", "coefs", "constant", "sign")
+
+    def __init__(self, kind: str, row: int, target: int, inputs: list[int] | tuple[int, int],
+                 coefs: list[int] | tuple = (), constant: int = 0, sign: int = 1):
+        self.kind = kind  # "product" | "equality"
+        self.row = row  # index of the product or equality it solves, which then holds
+        self.target = target
+        self.inputs = inputs
+        self.coefs = coefs  # equality only
+        self.constant = constant
+        self.sign = sign  # coefficient of the target in the equality (+-1)
 
 
 def _acyclic(target: int, inputs: list[int], defs: dict, readers: dict) -> bool:
@@ -537,21 +539,25 @@ def _build_substitution(eqs: list, prods: list, aux: set[int],
     return ordered
 
 
-@dataclass(slots=True)
-class _Unit:
+class _Unit(Record):
     """One enumeration unit: a free variable, whose choice p sets it to
     ``lo + p``, or the bits of an exactly-one row, whose choice p sets its
     p-th bit to 1 and leaves the others 0.  A row unit also sets each of
     ``targets``, the variables that steps compute from its bits alone, to
     its value for choice p: column p of ``lookup``."""
 
-    name: str
-    cols: list[int]
-    size: int
-    lo: int = 0  # value of choice 0 of a variable
-    row: int | None = None  # the sum(bits) - 1 = 0 equality of a row unit
-    targets: list[int] | tuple = ()
-    lookup: np.ndarray | None = None  # (len(targets), size)
+    __slots__ = _fields = ("name", "cols", "size", "lo", "row", "targets", "lookup")
+
+    def __init__(self, name: str, cols: list[int], size: int, lo: int = 0,
+                 row: int | None = None, targets: list[int] | tuple = (),
+                 lookup: np.ndarray | None = None):
+        self.name = name
+        self.cols = cols
+        self.size = size
+        self.lo = lo  # value of choice 0 of a variable
+        self.row = row  # the sum(bits) - 1 = 0 equality of a row unit
+        self.targets = targets
+        self.lookup = lookup  # (len(targets), size)
 
     def write(self, view: np.ndarray, r0: int) -> None:
         """Write choice ``r0 + p`` into each ``view[:, j, p]``, whose rows
@@ -642,15 +648,20 @@ def _advance(table: np.ndarray, steps: list[_Step], checks: tuple | None) -> np.
     return table
 
 
-@dataclass
-class QipEnumeration:
-    names: list[str]  # all problem variables, declaration order
-    model_names: list[str]
-    solutions: set  # tuples over model_names
-    free_names: list[str]  # enumeration units; an exactly-one row's is its tag
-    space_size: int
-    best_value: int | None = None  # optimal objective value, in the source's sense
-    full_solutions: set | None = None  # tuples over names, if requested
+class QipEnumeration(Record):
+    _fields = ("names", "model_names", "solutions", "free_names", "space_size",
+               "best_value", "full_solutions")
+
+    def __init__(self, names: list[str], model_names: list[str], solutions: set,
+                 free_names: list[str], space_size: int, best_value: int | None = None,
+                 full_solutions: set | None = None):
+        self.names = names  # all problem variables, declaration order
+        self.model_names = model_names
+        self.solutions = solutions  # tuples over model_names
+        self.free_names = free_names  # enumeration units; an exactly-one row's is its tag
+        self.space_size = space_size
+        self.best_value = best_value  # optimal objective value, in the source's sense
+        self.full_solutions = full_solutions  # tuples over names, if requested
 
 
 def enumerate_qip(
@@ -855,13 +866,16 @@ def enumerate_qip(
 # differential comparison
 
 
-@dataclass
-class EquivalenceResult:
-    equal: bool
-    fzn_count: int
-    qip_count: int
-    direction: str = ""  # "fzn-only" | "qip-only"
-    witness: dict[str, int] | None = None
+class EquivalenceResult(Record):
+    _fields = ("equal", "fzn_count", "qip_count", "direction", "witness")
+
+    def __init__(self, equal: bool, fzn_count: int, qip_count: int, direction: str = "",
+                 witness: dict[str, int] | None = None):
+        self.equal = equal
+        self.fzn_count = fzn_count
+        self.qip_count = qip_count
+        self.direction = direction  # "fzn-only" | "qip-only"
+        self.witness = witness
 
     def describe(self) -> str:
         if self.equal:
@@ -902,12 +916,15 @@ def check_equivalence(
     return EquivalenceResult(True, *counts)
 
 
-@dataclass
-class OptimumResult:
-    fzn_status: str  # "optimal" | "unsat"
-    fzn_value: int | None
-    qip_status: str
-    qip_value: int | None
+class OptimumResult(Record):
+    _fields = ("fzn_status", "fzn_value", "qip_status", "qip_value")
+
+    def __init__(self, fzn_status: str, fzn_value: int | None, qip_status: str,
+                 qip_value: int | None):
+        self.fzn_status = fzn_status  # "optimal" | "unsat"
+        self.fzn_value = fzn_value
+        self.qip_status = qip_status
+        self.qip_value = qip_value
 
     @property
     def agrees(self) -> bool:

@@ -42,8 +42,6 @@ constraint, and the auxiliaries only they read (``_drop_decided_rows``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import bounds
 from .errors import (
     CompileUnsat,
@@ -52,16 +50,19 @@ from .errors import (
     checked_int,
 )
 from .frontend import FzModel, Lit, Ref
-from .model import BINARY, Domain, LinExpr, QipProblem, QipVar
+from .model import BINARY, Domain, LinExpr, QipProblem, QipVar, Record
 
 
-@dataclass
-class RewriteOptions:
-    # emit the division system without the zero-numerator indicator
-    verbatim_div: bool = False
-    # negative-control knobs for the differential-testing suite
-    corrupt_div_big_m: bool = False
-    corrupt_bool_and: bool = False
+class RewriteOptions(Record):
+    _fields = ("verbatim_div", "corrupt_div_big_m", "corrupt_bool_and")
+
+    def __init__(self, verbatim_div: bool = False, corrupt_div_big_m: bool = False,
+                 corrupt_bool_and: bool = False):
+        # emit the division system without the zero-numerator indicator
+        self.verbatim_div = verbatim_div
+        # negative-control knobs for the differential-testing suite
+        self.corrupt_div_big_m = corrupt_div_big_m
+        self.corrupt_bool_and = corrupt_bool_and
 
 
 class RewriteContext:

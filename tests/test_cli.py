@@ -569,6 +569,25 @@ def test_import_loads_no_numpy_until_a_proof_name_is_read():
     assert out.stdout.decode().splitlines() == ["[]", "True True"]
 
 
+def test_import_and_first_proof_name_load_no_dataclasses_inspect_typing_or_string():
+    """Neither ``import fzn2qip`` nor the first read of a proof name adds
+    one of these modules; each step is compared with ``sys.modules`` just
+    before it, and numpy, which loads ``inspect`` itself, is imported
+    first."""
+    out = _fresh_python(
+        "import sys\n"
+        "heavy = {'dataclasses', 'inspect', 'typing', 'string'}\n"
+        "before = set(sys.modules)\n"
+        "import fzn2qip\n"
+        "print(sorted(heavy & (set(sys.modules) - before)))\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "fzn2qip.enumerate_qip\n"
+        "print(sorted(heavy & (set(sys.modules) - before)), 'fzn2qip.oracle' in sys.modules)\n")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.decode().splitlines() == ["[]", "[] True"]
+
+
 @pytest.mark.parametrize("argv", [
     ["compile", "m.fzn"],
     ["compile", "m.fzn", "-o", "m.qip"],

@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+import pickle
 import random
 
 import pytest
 
-from fzn2qip import rewrite
+from fzn2qip import frontend, model, oracle, rewrite
 from fzn2qip.errors import (
     INT_LIMIT,
     CompileUnsat,
@@ -19,6 +20,8 @@ from fzn2qip.model import (
     BINARY,
     Domain,
     LinExpr,
+    OneHotGroup,
+    ProductConstraint,
     QipProblem,
     QipVar,
     deserialize,
@@ -268,6 +271,125 @@ def test_deserialize_rejects_each_violation(edit, message):
     with pytest.raises(SchemaError) as exc:
         deserialize(json.dumps(edit(doc)))
     assert exc.value.message == message
+
+
+def _repeated_coef(doc):
+    terms = doc["equalities"][0]["terms"]
+    terms[0] = _Repeated(terms[0], "coef", terms[0]["coef"])  # the same value twice
+    return doc
+
+
+def _repeated_var(doc):
+    terms = doc["equalities"][0]["terms"]
+    terms[0] = _Repeated({"var": terms[0]["var"]}, "var", "y")  # no "coef"
+    return doc
+
+
+# A repeated key that leaves its object one key short fails the schema
+# before the keys are counted; the others pass it.
+@pytest.mark.parametrize("edit, colon, message", [
+    (lambda doc: _Repeated(doc, "meta", doc["meta"]), ": ",
+     "top level: duplicate key 'meta'"),
+    (_repeated_coef, ": ", "equality[0].terms[0]: duplicate key 'coef'"),
+    (_repeated_var, ": ", "equality[0].terms[0]: duplicate key 'var'"),
+    (_repeated_lo, " : ", "variable[0]: duplicate key 'lo'"),
+], ids=["top-level", "nested-term", "nested-short", "spaced-colon"])
+def test_deserialize_rejects_a_key_written_twice(edit, colon, message):
+    text = json.dumps(edit(_valid_document()), separators=(", ", colon))
+    with pytest.raises(SchemaError) as exc:
+        deserialize(text)
+    assert exc.value.message == message
+
+
+def test_deserialize_reads_the_pairs_only_when_a_key_may_repeat(monkeypatch):
+    """A text with a colon per key loads without the duplicate-key hook,
+    also with spaces before each colon; a colon in a string sends it
+    through the hook, and it still loads."""
+    calls = []
+    hook = model._object
+    monkeypatch.setattr(model, "_object", lambda pairs: calls.append(pairs) or hook(pairs))
+    p = QipProblem()
+    p.add_var(QipVar("x", Domain(1, 3)))
+    p.add_var(QipVar("y", Domain(0, 2)))
+    p.add_inequality(LinExpr({"x": 1, "y": -1}), "int_le#0")
+    doc = json.loads(p.serialize())
+    for colon in (": ", " : ", "\n :"):
+        deserialize(json.dumps(doc, separators=(", ", colon)))
+    assert calls == []
+    doc["meta"]["inequality_sources"] = ['int_le#0 ":"']
+    back = deserialize(json.dumps(doc))
+    assert calls
+    assert back.inequality_sources == ['int_le#0 ":"']
+
+
+# ----------------------------------------------------------------------
+# records: value equality, unhashable, readable repr
+
+RECORDS = [  # (make, other): make() twice gives equal records, other a third
+    (lambda: Domain(0, 1), lambda: Domain(0, 2)),
+    (lambda: QipVar("x", Domain(0, 3)), lambda: QipVar("x", Domain(0, 3), "int_eq#0")),
+    (lambda: ProductConstraint("r", "a", "b"), lambda: ProductConstraint("r", "b", "a")),
+    (lambda: OneHotGroup("x", [("b1", 1)]), lambda: OneHotGroup("x")),
+    (lambda: frontend.Lit(3), lambda: frontend.Lit(4)),
+    (lambda: frontend.BoolLit(True), lambda: frontend.BoolLit(False)),
+    (lambda: frontend.Ref("x"), lambda: frontend.Ref("y")),
+    (lambda: frontend.Arr((frontend.Lit(1), frontend.Ref("x"))),
+     lambda: frontend.Arr((frontend.Lit(1), frontend.Ref("y")))),
+    (lambda: frontend.SetVal.of([1, 2, 5]), lambda: frontend.SetVal.of([1, 2])),
+    (lambda: frontend.VarDecl("x", "int", Domain(0, 3)),
+     lambda: frontend.VarDecl("x", "int", Domain(0, 3), True)),
+    (lambda: frontend.ConstraintItem("int_le", (frontend.Ref("x"), frontend.Lit(1))),
+     lambda: frontend.ConstraintItem("int_lt", (frontend.Ref("x"), frontend.Lit(1)))),
+    (lambda: frontend.SolveItem("minimize", "x"), lambda: frontend.SolveItem("maximize", "x")),
+    (lambda: frontend.FzModel(vars={"x": frontend.VarDecl("x", "bool", BINARY)}),
+     lambda: frontend.FzModel()),
+    (lambda: frontend.Token("x", 1, 5), lambda: frontend.Token("x", 2, 5)),
+    (lambda: RewriteOptions(), lambda: RewriteOptions(verbatim_div=True)),
+    (lambda: oracle._Step("product", 0, 2, (0, 1)), lambda: oracle._Step("product", 1, 2, (0, 1))),
+    (lambda: oracle._Unit("x", [0], 3), lambda: oracle._Unit("x", [0], 3, lo=1)),
+    (lambda: oracle.QipEnumeration(["x"], ["x"], {(0,)}, ["x"], 2),
+     lambda: oracle.QipEnumeration(["x"], ["x"], {(1,)}, ["x"], 2)),
+    (lambda: oracle.EquivalenceResult(True, 2, 2),
+     lambda: oracle.EquivalenceResult(False, 2, 3, "qip-only", {"x": 1})),
+    (lambda: oracle.OptimumResult("optimal", 1, "optimal", 1),
+     lambda: oracle.OptimumResult("optimal", 1, "optimal", 2)),
+]
+SLOTTED = {"Domain", "QipVar", "ProductConstraint", "Lit", "BoolLit", "Ref", "Arr", "SetVal",
+           "VarDecl", "ConstraintItem", "SolveItem", "Token", "_Step", "_Unit"}
+
+
+@pytest.mark.parametrize("make, other", RECORDS,
+                         ids=[type(make()).__name__ for make, _ in RECORDS])
+def test_record_value_equality(make, other):
+    a, b, c = make(), make(), other()
+    assert a is not b and a == b and not a != b
+    assert a != c and not a == c
+    assert a != frontend.Ref("x") or type(a) is frontend.Ref
+    with pytest.raises(TypeError):
+        hash(a)
+    assert hasattr(a, "__dict__") is (type(a).__name__ not in SLOTTED)
+
+
+def test_records_compare_no_positions_nor_source():
+    args = (frontend.Ref("x"), frontend.Lit(1))
+    assert frontend.ConstraintItem("int_le", args, 3) == frontend.ConstraintItem("int_le", args, 9)
+    assert frontend.SolveItem("minimize", "x", 3) == frontend.SolveItem("minimize", "x", 8)
+    assert frontend.FzModel(source="a") == frontend.FzModel(source="b")
+    assert frontend.Lit(1) != frontend.Ref("x") and frontend.Lit(1) != 1
+
+
+def test_record_reprs_name_their_fields():
+    assert repr(frontend.Ref("x")) == "Ref(name='x')"
+    assert repr(Domain(0, 1)) == "Domain(lo=0, hi=1)"
+    assert tuple(frontend.Token("x", 1, 5)) == ("x", 1, 5)
+
+
+@pytest.mark.parametrize("flag", ["verbatim_div", "corrupt_div_big_m", "corrupt_bool_and"])
+def test_rewrite_options_round_trip_through_pickle(flag):
+    options = RewriteOptions(**{flag: True})
+    back = pickle.loads(pickle.dumps(options))
+    assert back == options != RewriteOptions()
+    assert getattr(back, flag) is True
 
 # ----------------------------------------------------------------------
 # serialized text: canonical json.dumps(indent=1) output, byte for byte
