@@ -17,6 +17,7 @@ at compile time.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import fuzz
@@ -178,6 +179,20 @@ def _cmd_fuzz(ns) -> int:
 
 
 def run(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.  The cyclic garbage
+    collector is paused meanwhile: a model holds no garbage cycle, yet
+    the collector would rescan it as it grows.  The caller's collector
+    state is restored on every exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     handlers = {
         "compile": _cmd_compile,
         "check": _cmd_check,

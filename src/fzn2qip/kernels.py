@@ -13,9 +13,10 @@ not in the width of the table.  The enumerator passes C-ordered tables
 reads is contiguous.  The bounds and the products are each
 checked once over the rows they gather.
 
-Tables are int64, or object arrays of Python ints when the enumerator
-has found that int64 arithmetic could wrap; the same numpy code serves
-both.
+Tables are int32 or int64, the narrower whenever the enumerator's
+magnitude bound fits it, or object arrays of Python ints when that bound
+shows that int64 arithmetic could wrap; the same numpy code serves all
+three.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ Two independent enumerations are compared:
 
 * the source model, evaluated with direct builtin semantics over the
   declared variable domains: the flat product of the domains is
-  enumerated in chunks, one numpy array per variable, and each builtin
-  is evaluated column-wise over a whole chunk, in exact Python integers
-  when an interval bound shows that int64 could wrap
+  enumerated in tables filled by broadcasting (``_source_tables``), one
+  numpy row per variable, and each builtin is evaluated column-wise
+  over a whole table, in int32, int64 or exact Python integers, the
+  narrowest that an interval bound shows to hold every value
   (``_COLUMNWISE``; ``eval_builtin`` is the scalar reference it is
   tested against), and
 * the compiled problem, enumerated unit by unit (free variables and
@@ -38,6 +39,7 @@ from .model import Domain, QipProblem, Record
 
 _CHUNK = 1 << 16  # rows per enumeration table
 _CELLS = 1 << 20  # values per enumeration table, for wide problems
+_INT32_MAX = 2**31 - 1
 _INT64_MAX = 2**63 - 1
 
 
@@ -281,23 +283,23 @@ def _pow_bound(base: int, exp: int) -> int:
     return base**exp
 
 
-def _worst_value(name: str, v: list) -> int:
-    """Largest magnitude of an intermediate that ``_COLUMNWISE`` computes
-    for one constraint, from the magnitudes ``v`` of its arguments (a
-    list for an array); 0 if it computes none beyond its arguments.
-    ``int_div``/``int_mod`` compute none: ``|q|``, ``|q*d|`` and
-    ``|n - q*d|`` are at most ``|n|``."""
-    if name == "int_plus":
-        return v[0] + v[1]
-    if name == "int_times":
-        return v[0] * v[1]
-    if name == "int_pow":
-        return _pow_bound(v[0], v[1])
-    if name.startswith(("int_lin_", "bool_lin_")):
-        return sum(c * x for c, x in zip(v[0], v[1]))
-    if name == "array_bool_xor":
-        return sum(v[0])
-    return 0
+def _lin_bound(v: list) -> int:
+    return sum(c * x for c, x in zip(v[0], v[1]))
+
+
+# the largest magnitude of an intermediate that ``_COLUMNWISE`` computes
+# for a constraint, from the magnitudes ``v`` of its arguments (a list for
+# an array); a builtin not named computes none beyond its arguments.
+# ``int_div``/``int_mod`` compute none: ``|q|``, ``|q*d|`` and ``|n - q*d|``
+# are at most ``|n|``.
+_INTERMEDIATE = {
+    "int_plus": lambda v: v[0] + v[1],
+    "int_times": lambda v: v[0] * v[1],
+    "int_pow": lambda v: _pow_bound(v[0], v[1]),
+    "array_bool_xor": lambda v: sum(v[0]),
+    **dict.fromkeys([n for n in _COLUMNWISE if n.startswith(("int_lin_", "bool_lin_"))],
+                    _lin_bound),
+}
 
 
 def _magnitude(arg, mag: dict[str, int], worst: list[int]):
@@ -314,13 +316,21 @@ def _magnitude(arg, mag: dict[str, int], worst: list[int]):
 
 
 def _source_dtype(model: FzModel):
-    """int64, or object (exact Python ints) if a value or intermediate of
-    some constraint can leave the int64 range over the domains."""
-    mag = {n: max(-d.domain.lo, d.domain.hi) for n, d in model.vars.items()}
-    worst = []  # no domain value: Domain bounds them by 2^62
+    """int32, int64 or object (exact Python ints): the narrowest that
+    holds every domain value, literal and intermediate of every
+    constraint over the domains, so the source side never wraps."""
+    mag = {}
+    for name, decl in model.vars.items():
+        d = decl.domain
+        mag[name] = -d.lo if -d.lo > d.hi else d.hi  # max(|lo|, |hi|), as lo <= hi
+    worst = [max(mag.values(), default=0)]
     for c in model.constraints:
-        worst.append(_worst_value(c.name, [_magnitude(a, mag, worst) for a in c.args]))
-    return object if max(worst, default=0) > _INT64_MAX else np.int64
+        v = [_magnitude(a, mag, worst) for a in c.args]
+        bound = _INTERMEDIATE.get(c.name)
+        if bound is not None:
+            worst.append(bound(v))
+    worst = max(worst)
+    return np.int32 if worst <= _INT32_MAX else np.int64 if worst <= _INT64_MAX else object
 
 
 def _cv(arg, table: np.ndarray, index: dict[str, int]):
@@ -344,19 +354,54 @@ def _holds(name: str, args: tuple, table: np.ndarray, index: dict[str, int]):
     return _COLUMNWISE[name]([_cv(a, table, index) for a in args])
 
 
-def _source_table(radix: list[int], lows: np.ndarray, start: int, stop: int,
-                  dtype) -> np.ndarray:
-    """Assignments ``start..stop-1`` of the flat product of the domains,
-    decoded by mixed radix (the last variable fastest), one per column.
-    Row ``j`` holds the values of variable ``j``, so each variable's
-    values are contiguous; ``lows`` holds the domain minima, shape (n, 1),
-    added in the same call that makes the table.  A fixed variable takes
-    no axis and has digit 0 (all fixed: one axis of size 1 gives the 0s)."""
-    digits = np.unravel_index(np.arange(start, stop), [r for r in radix if r > 1] or [1])
-    if len(digits) < len(radix):
-        vary, zero = iter(digits), np.zeros(stop - start, dtype=np.intp)
-        digits = [next(vary) if r > 1 else zero for r in radix]
-    return np.add(digits, lows, dtype=dtype)
+def _filled(table: np.ndarray, fills: list) -> np.ndarray:
+    """``table`` with row ``j`` set to ``value`` for each ``(j, None,
+    value)`` of ``fills``, and for each ``(j, shape, values)`` viewed as
+    ``shape`` and set to ``values`` by broadcasting."""
+    for j, shape, value in fills:
+        if shape is None:
+            table[j] = value
+        else:
+            table[j].reshape(shape)[...] = value
+    return table
+
+
+def _source_tables(radix: list[int], lows: list[int], width: int, dtype):
+    """The flat product of the domains (sizes ``radix``, minima ``lows``)
+    in order, the last variable fastest, as tables of at most ``width``
+    assignments, one per column.  Row ``j`` holds the values of variable
+    ``j``, so each variable's values are contiguous.
+
+    The trailing variables whose product fits in ``width`` take all their
+    values in every table, the variable before them a run of its values,
+    and each earlier one a single value.  A row is filled by broadcasting
+    one range into a view of it as (outer, values, repeats), so no
+    assignment is decoded by division.  A fixed variable takes no axis:
+    its row is its value, so a model may fix any number of variables.
+    """
+    n = len(radix)
+    t, inner, fills = n, 1, []  # variables t.. take all their values in every table
+    while t and inner * radix[t - 1] <= width:
+        t -= 1
+        r, lo = radix[t], lows[t]
+        fills.append((t, None, lo) if r == 1 else
+                     (t, (-1, r, inner), np.arange(lo, lo + r, dtype=dtype)[:, None]))
+        inner *= r
+    if not t:
+        yield _filled(np.empty((n, inner), dtype=dtype), fills)
+        return
+    k = t - 1  # takes runs of its values, and each variable before it one value
+    r, lo, step = radix[k], lows[k], width // inner
+    for b in range(math.prod(radix[:k])):
+        heads = []
+        for j in range(k - 1, -1, -1):  # b in the leading variables' mixed radix
+            b, d = divmod(b, radix[j])
+            heads.append((j, None, lows[j] + d))
+        for a in range(0, r, step):
+            m = min(step, r - a)
+            run = np.arange(lo + a, lo + a + m, dtype=dtype)[:, None]
+            yield _filled(np.empty((n, m * inner), dtype=dtype),
+                          [*heads, (k, (m, inner), run), *fills])
 
 
 # ----------------------------------------------------------------------
@@ -377,12 +422,13 @@ def _table_width(n: int) -> int:
 def enumerate_fzn(model: FzModel, cap: int = DEFAULT_CAP) -> tuple[list[str], set]:
     """All satisfying assignments of the model, as (names, set of tuples).
 
-    The flat product of the domains is enumerated in tables of
-    ``_table_width`` assignments, and every constraint is evaluated over
-    a whole table by its ``_COLUMNWISE`` entry.  The mask
-    is the conjunction of their results, with no all-true start.  On the
-    corpus a call costs about 48 us after its model's compile, as in a
-    ``corpus`` op, and 20 us in a tight loop (2-core shared host).
+    The flat product of the domains is enumerated in tables of at most
+    ``_table_width`` assignments (``_source_tables``), and every
+    constraint is evaluated over a whole table by its ``_COLUMNWISE``
+    entry.  The mask is the conjunction of their results, with no
+    all-true start.  On the corpus a call costs about 27 us after its
+    model's compile, as in a ``corpus`` op, and 18 us in a tight loop
+    (2-core shared host).
     """
     index, radix, lows = {}, [], []
     for j, (name, decl) in enumerate(model.vars.items()):
@@ -391,14 +437,10 @@ def enumerate_fzn(model: FzModel, cap: int = DEFAULT_CAP) -> tuple[list[str], se
         lows.append(decl.domain.lo)
     names = list(index)
     size = math.prod(radix)
-    if size > cap or size > _INT64_MAX:  # past what an int64 flat index addresses
+    if size > cap or size > _INT64_MAX:  # no proof enumerates 2^63 assignments
         raise CapExceeded(size, cap if size > cap else None, list(zip(names, radix)))
-    dtype = _source_dtype(model)
-    lows = np.array(lows, dtype=dtype).reshape(-1, 1)
-    chunk = _table_width(len(names))
     solutions = set()
-    for start in range(0, size, chunk):
-        table = _source_table(radix, lows, start, min(start + chunk, size), dtype)
+    for table in _source_tables(radix, lows, _table_width(len(names)), _source_dtype(model)):
         mask = _all(_holds(c.name, c.args, table, index) for c in model.constraints)
         if np.ndim(mask) == 0:  # no constraint reads a variable
             mask = np.full(table.shape[1], bool(mask))
@@ -564,7 +606,7 @@ class _Unit(Record):
         ``cols`` hold 0 (no earlier stage writes them)."""
         m = view.shape[2]
         if self.row is None:  # a variable
-            view[self.cols[0]] = np.arange(self.lo + r0, self.lo + r0 + m)
+            view[self.cols[0]] = np.arange(self.lo + r0, self.lo + r0 + m, dtype=view.dtype)
             return
         view[self.cols[r0:r0 + m], :, np.arange(m)] = 1
         if self.targets:
@@ -617,18 +659,20 @@ def _lookup(unit: _Unit, steps: list[_Step], dtype) -> np.ndarray:
 
 
 def _table_dtype(worst: int):
-    """int64, or object (exact Python ints) if ``worst``, the largest
-    magnitude bound over the domains of a row (a linear form's ``sum(|c|
-    * |x|) + |constant|``, a product's ``|left| * |right|``), leaves the
-    int64 range.  A step computes its equality without the +-1 target
-    term, so no step needs a bound of its own.
+    """int32, int64 or object (exact Python ints): the narrowest that
+    holds ``worst``, the largest magnitude bound over the domains of a
+    variable or a row (a linear form's ``sum(|c| * |x|) + |constant|``, a
+    product's ``|left| * |right|``), with ``|x|`` at least 1 so that the
+    bound covers every coefficient too.  A step computes its equality
+    without the +-1 target term, so no step needs a bound of its own.
 
     An assignment holding a value outside its domain may compute garbage,
-    but the earliest such value (in step order) is exact and fails its
-    own domain check in the same stage, so the assignment is dropped
-    anyway.
+    wrapped modulo 2^32 or 2^64, but the earliest such value (in step
+    order) is computed from values in their domains, so it is exact and
+    fails its own domain check in the same stage, and the assignment is
+    dropped anyway.
     """
-    return object if worst > _INT64_MAX else np.int64
+    return np.int32 if worst <= _INT32_MAX else np.int64 if worst <= _INT64_MAX else object
 
 
 def _advance(table: np.ndarray, steps: list[_Step], checks: tuple | None) -> np.ndarray:
@@ -689,9 +733,11 @@ def enumerate_qip(
 
     Every domain is checked on every assignment, and so is every row
     except those that hold by construction: the equality or product a
-    step solves, and an exactly-one unit's ``sum(bits) - 1 = 0``.  int64
-    arithmetic is exact modulo 2^64 and ``sign**2 = 1``, so a step's
-    equality ``sign * (-sign * S) + S`` is 0 even when a value wraps; a
+    step solves, and an exactly-one unit's ``sum(bits) - 1 = 0``.  The
+    tables are int32, int64 or exact, as ``_table_dtype`` picks from the
+    largest bound.  int32 and int64 arithmetic is exact modulo 2^32 and
+    2^64 and ``sign**2 = 1``, so a step's equality ``sign * (-sign * S) +
+    S`` is 0 even when a value wraps (the wrap shows in a domain check); a
     product check would recompute the step's own product; a choice sets
     exactly one bit of its unit to 1; and a lookup value is the step's
     own result.  A dropped check would pass on every column.
@@ -700,9 +746,9 @@ def enumerate_qip(
     then places each step, row and non-free domain once; a stage
     that checks nothing gets no ``feasible_mask`` arguments.  Its cost is
     in proportion to the problem in any declaration order (``_plan``).
-    On the compiled corpus a call costs about 55 us after its model's
-    compile and 48 us in a tight loop, and on a 300-link ``int_times``
-    chain about 1.0 ms (2-core shared host).
+    On the compiled corpus a call costs about 56 us after its model's
+    compile and read-back and 45 us in a tight loop, and on a 300-link
+    ``int_times`` chain about 0.85 ms (2-core shared host).
 
     Tables hold ``_table_width`` assignments and are expanded depth
     first, one table per unit of size >= 2 at a time, so at most
@@ -715,7 +761,7 @@ def enumerate_qip(
         index[name] = i
         d = v.domain
         doms.append(d)
-        mag.append(-d.lo if -d.lo > d.hi else d.hi)  # max(|lo|, |hi|), as lo <= hi
+        mag.append((-d.lo if -d.lo > d.hi else d.hi) or 1)  # max(|lo|, |hi|, 1), as lo <= hi
         if v.origin is None:
             model_cols.append(i)
         else:
@@ -724,8 +770,8 @@ def enumerate_qip(
             fixed.add(i)
 
     # the rows as (terms over columns, constant); the largest magnitude
-    # bound of a row picks the table dtype
-    forms, worst = [], 0
+    # bound of a variable or a row picks the table dtype
+    forms, worst = [], max(mag, default=0)
     for exprs in (problem.equalities, problem.inequalities, (problem.objective,)):
         rows = []
         for e in exprs:

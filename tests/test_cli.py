@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and output determinism."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fzn2qip
+from fzn2qip import cli
 from fzn2qip.cli import run
 from fzn2qip.frontend import SIGNATURES
 from fzn2qip.fuzz import generate
@@ -135,9 +137,37 @@ def test_cap_exceeded_exit_3(tmp_path):
     assert run(["check", src, "--cap", "100"]) == 3
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_run_pauses_the_collector_and_restores_it(tmp_path, capsys, monkeypatch, enabled):
+    """A command runs with the cyclic collector paused, and ``run`` leaves
+    it as the caller had it after success, a diagnostic and a cap stop."""
+    during = []
+
+    def compile_command(ns):
+        during.append(gc.isenabled())
+        return real(ns)
+
+    real = cli._cmd_compile
+    monkeypatch.setattr(cli, "_cmd_compile", compile_command)
+    good = write(tmp_path, "m.fzn", GOOD)
+    bad = write(tmp_path, "bad.fzn", "var float: x;\nsolve satisfy;\n")
+    wide = write(tmp_path, "wide.fzn",
+                 "\n".join(f"var -4..4: v{i};" for i in range(8)) + "\nsolve satisfy;\n")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in ((["compile", good], 0), (["check", good], 0),
+                           (["compile", bad], 1), (["check", wide, "--cap", "100"], 3)):
+            assert (run(argv), gc.isenabled()) == (code, enabled), argv
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert during == [False, False]
+
+
 @pytest.mark.parametrize("n", [65, 20_000])
 def test_check_fixed_chain_past_64_variables(tmp_path, capsys, n):
-    """A fixed variable takes no axis of the source-side decode, so a
+    """A fixed variable takes no axis of the source tables, so a
     model with more than 64 of them checks."""
     src = write(tmp_path, "chain.fzn", "\n".join(
         [f"var 1..1: x{i};" for i in range(n)]

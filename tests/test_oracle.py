@@ -108,7 +108,8 @@ def test_enumerate_fzn_past_int64_indexing_is_a_cap_stop():
 
 def test_enumerate_fzn_fixed_variables_take_no_decode_axis():
     """70 fixed variables among 3 that vary: past numpy's 64 axes, yet
-    each assignment of the flat product is decoded, in declaration order."""
+    every assignment of the flat product is made, each row in
+    declaration order."""
     doms = [(j, j) if j % 20 else (j, j + 1 + j % 3) for j in range(73)]
     m = check("\n".join(f"var {lo}..{hi}: v{j};" for j, (lo, hi) in enumerate(doms))
               + "\nsolve satisfy;\n")
@@ -150,11 +151,11 @@ def _assert_columnwise_matches_reference(m):
     names = list(m.vars)
     radix = [oracle._size(d.domain) for d in m.vars.values()]
     size = math.prod(radix)
-    dtype = oracle._source_dtype(m)
-    lows = np.array([d.domain.lo for d in m.vars.values()], dtype=dtype).reshape(-1, 1)
-    table = oracle._source_table(radix, lows, 0, size, dtype)
+    lows = [d.domain.lo for d in m.vars.values()]
+    table = np.concatenate(list(oracle._source_tables(
+        radix, lows, oracle._table_width(len(names)), oracle._source_dtype(m))), axis=1)
     rows = table.T.tolist()
-    assert sorted(map(tuple, rows)) == sorted(
+    assert list(map(tuple, rows)) == list(
         itertools.product(*(d.domain.values() for d in m.vars.values())))
     index = {n: j for j, n in enumerate(names)}
     assignments = [dict(zip(names, r)) for r in rows]
@@ -231,6 +232,40 @@ HAND_CASES = {
         var 2..3: x; var 0..9: z;
         constraint int_pow(x, 40, z); constraint int_pow(x, 2, z);
         solve satisfy;""",
+    # just inside and just outside int32 (2^31 - 1 = 2147483647; 46340^2 =
+    # 2147395600, 46341^2 = 2147488281): a product, a linear sum, domains
+    "int_times at int32": """
+        var -46340..-46339: a; var 46339..46340: b; var -2147395601..-2147395599: z;
+        constraint int_times(a, b, z);
+        solve satisfy;""",
+    "int_times past int32": """
+        var 46340..46341: a; var 46341..46341: b; var 2147441939..2147441941: z;
+        constraint int_times(a, b, z);
+        solve satisfy;""",
+    "int_lin_eq at int32": """
+        var 0..1: a; var 0..1: b; var 0..1: c; var 0..1: d;
+        constraint int_lin_eq([536870912, 536870912, 536870912, 536870911], [a, b, c, d], 0);
+        solve satisfy;""",
+    "int_lin_eq past int32": """
+        var 0..1: a; var 0..1: b; var 0..1: c; var 0..1: d;
+        constraint int_lin_eq([1073741824, 1073741824, 1073741824, 1073741824],
+                              [a, b, c, d], 0);
+        solve satisfy;""",
+    "domains at int32": """
+        var -2147483647..-2147483646: x; var 2147483646..2147483647: y;
+        constraint int_le(x, y);
+        solve satisfy;""",
+    "domains past int32": """
+        var -2147483647..-2147483646: x; var 2147483647..2147483648: y;
+        constraint int_le(x, y);
+        solve satisfy;""",
+    "free variable at int32": "var -2147483647..-2147483645: x;\nsolve satisfy;",
+    "free variable past int32": "var 2147483646..2147483648: x;\nsolve satisfy;",
+    # the row keeps the coefficient of the 0..0 variable
+    "coefficient past int32": """
+        var 0..0: z; var 0..1: x; var 0..1: y;
+        constraint int_lin_le([3000000000, 1, 1], [z, x, y], 1);
+        solve satisfy;""",
     # a set is its runs: adjacent values merge, a range may be empty or
     # wider than the domain
     "set runs": """
@@ -271,14 +306,80 @@ HAND_CASES = {
     "no variables, true": "constraint int_le(1, 2); constraint set_in(3, {3});\nsolve satisfy;",
     "no variables, false": "constraint int_le(1, 2); constraint int_ne(3, 3);\nsolve satisfy;",
 }
-EXACT_CASES = {"2^62 domains", "int_times beyond int64", "int_pow beyond int64"}
+# the source tables' dtype of each case: int32 unless named here
+SOURCE_DTYPES = {
+    "2^62 domains": object, "int_times beyond int64": object,
+    "int_pow beyond int64": object, "int_times past int32": np.int64,
+    "int_lin_eq past int32": np.int64, "domains past int32": np.int64,
+    "free variable past int32": np.int64, "coefficient past int32": np.int64,
+}
 
 
 @pytest.mark.parametrize("case", sorted(HAND_CASES))
 def test_columnwise_matches_eval_builtin_by_hand(case):
     m = check(HAND_CASES[case])
-    assert (oracle._source_dtype(m) is object) == (case in EXACT_CASES)
+    assert oracle._source_dtype(m) is SOURCE_DTYPES.get(case, np.int32)
     _assert_columnwise_matches_reference(m)
+
+
+# (source dtype, compiled dtype, solutions) of the cases at the int32
+# edge; the compiled side bounds the row x - y <= 0 of "domains", which
+# reaches 2^32 - 3, a free variable by its domain alone, and a
+# coefficient of a variable fixed at 0 by itself
+INT32_EDGES = {
+    "int_times at int32": (np.int32, np.int32, 1),
+    "int_times past int32": (np.int64, np.int64, 1),
+    "int_lin_eq at int32": (np.int32, np.int32, 1),
+    "int_lin_eq past int32": (np.int64, np.int64, 1),
+    "domains at int32": (np.int32, np.int64, 4),
+    "domains past int32": (np.int64, np.int64, 4),
+    "free variable at int32": (np.int32, np.int32, 3),
+    "free variable past int32": (np.int64, np.int64, 3),
+    "coefficient past int32": (np.int64, np.int64, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INT32_EDGES))
+def test_table_dtypes_at_the_int32_edge(case, monkeypatch):
+    """Each side picks its own dtype from its own bound, and the proof
+    counts the solutions that direct semantics count."""
+    source, compiled, count = INT32_EDGES[case]
+    m = check(HAND_CASES[case])
+    picked, real = [], oracle._table_dtype
+    monkeypatch.setattr(oracle, "_table_dtype", lambda worst: picked.append(real(worst)) or picked[-1])
+    assert oracle.check_equivalence(m, compile_model(m)).describe() == f"Equal ({count} solutions)"
+    assert (oracle._source_dtype(m), picked) == (source, [compiled])
+
+
+def test_int32_on_both_sides_would_agree_on_a_wrapped_solution(monkeypatch):
+    """The bound is what keeps 4 * 2^30 out of int32: forced there, both
+    sides wrap it to 0 and agree on the false solution a = b = c = d = 1."""
+    m = check(HAND_CASES["int_lin_eq past int32"])
+    monkeypatch.setattr(oracle, "_source_dtype", lambda model: np.int32)
+    monkeypatch.setattr(oracle, "_table_dtype", lambda worst: np.int32)
+    assert oracle.check_equivalence(m, compile_model(m)).describe() == "Equal (2 solutions)"
+
+
+def test_source_tables_are_the_flat_product_in_order():
+    """For random sizes (1s among them: fixed variables), minima and
+    widths (1 among them), the tables' columns, concatenated, are the
+    flat product with the last variable fastest, and no table is wider
+    than the width."""
+    rng = random.Random(27)
+    cases = [([], [], 1), ([1] * 70 + [3], [5] * 71, 2), ([2, 1, 3], [0, 9, -4], 1)]
+    while len(cases) < 300:
+        n = rng.randint(0, 6)
+        radix = [rng.choice([1, 1, 2, 3, 4, 7]) for _ in range(n)]
+        cases.append((radix, [rng.randint(-50, 50) for _ in range(n)],
+                      rng.choice([1, 2, 3, 5, 8, 13, 64, 1000])))
+    for radix, lows, width in cases:
+        for dtype in (np.int32, np.int64, object):
+            tables = list(oracle._source_tables(radix, lows, width, dtype))
+            assert all(t.shape[0] == len(radix) and 0 < t.shape[1] <= width
+                       and t.dtype == dtype for t in tables)
+            columns = [tuple(c) for t in tables for c in t.T.tolist()]
+            assert columns == list(itertools.product(
+                *(range(lo, lo + r) for r, lo in zip(radix, lows)))), (radix, lows, width)
 
 
 def test_enumerate_qip_single_inequality():
@@ -472,7 +573,7 @@ def test_feasible_mask_matches_row_reference():
                     and lin_ok(r, ineq_coef, ineq_const, lambda v: v <= 0)
                     and prod_ok(r, prod_idx))),
     ]
-    for dtype in (np.int64, object):  # object: the exact Python-int tables
+    for dtype in (np.int32, np.int64, object):  # object: the exact Python-int tables
         values = table.astype(dtype)
         for args, reference in blocks:
             want = [reference(r) for r in rows]
@@ -809,15 +910,16 @@ SEED_STAGE_SRCS = [
 ]
 
 
-@pytest.mark.parametrize("chunk, exact", [
-    pytest.param(None, False, id="None"), pytest.param(3, False, id="3"),
-    pytest.param(None, True, id="None-exact"), pytest.param(3, True, id="3-exact"),
+@pytest.mark.parametrize("chunk, dtype", [
+    pytest.param(None, None, id="None"), pytest.param(3, None, id="3"),
+    pytest.param(None, np.int64, id="None-int64"), pytest.param(3, np.int64, id="3-int64"),
+    pytest.param(None, object, id="None-exact"), pytest.param(3, object, id="3-exact"),
 ])
-def test_enumerate_qip_matches_flat_enumeration(chunk, exact, monkeypatch):
+def test_enumerate_qip_matches_flat_enumeration(chunk, dtype, monkeypatch):
     if chunk is not None:  # split every table into many small ones
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
-    if exact:  # the Python-int tables that a wrapping bound selects
-        monkeypatch.setattr(oracle, "_table_dtype", lambda *args: object)
+    if dtype is not None:  # the tables that a wider bound selects, or exact ones
+        monkeypatch.setattr(oracle, "_table_dtype", lambda *args: dtype)
     rng = random.Random(2024)
     compared = with_solutions = 0
     while compared < 60:
@@ -845,11 +947,12 @@ solve satisfy;
 """
 
 
-@pytest.mark.parametrize("chunk, exact", [
-    pytest.param(None, False, id="None"), pytest.param(3, False, id="3"),
-    pytest.param(None, True, id="None-exact"), pytest.param(3, True, id="3-exact"),
+@pytest.mark.parametrize("chunk, dtype", [
+    pytest.param(None, None, id="None"), pytest.param(3, None, id="3"),
+    pytest.param(None, np.int64, id="None-int64"), pytest.param(3, np.int64, id="3-int64"),
+    pytest.param(None, object, id="None-exact"), pytest.param(3, object, id="3-exact"),
 ])
-def test_enumerate_qip_tables_are_row_contiguous(chunk, exact, monkeypatch):
+def test_enumerate_qip_tables_are_row_contiguous(chunk, dtype, monkeypatch):
     """Every table the kernel reads is C-ordered, so each of its rows is
     contiguous: tables grow by np.repeat and shrink by compress."""
     real = kernels.feasible_mask
@@ -861,8 +964,8 @@ def test_enumerate_qip_tables_are_row_contiguous(chunk, exact, monkeypatch):
     monkeypatch.setattr(kernels, "feasible_mask", contiguous_only)
     if chunk is not None:
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
-    if exact:
-        monkeypatch.setattr(oracle, "_table_dtype", lambda *args: object)
+    if dtype is not None:
+        monkeypatch.setattr(oracle, "_table_dtype", lambda *args: dtype)
     rng = random.Random(2024)
     for _ in range(60):
         p = _random_problem(rng)
@@ -928,8 +1031,8 @@ def _element_src(n: int) -> str:
             f"constraint array_int_element(i, {values}, c);\nsolve satisfy;\n")
 
 
-@pytest.mark.parametrize("exact", [False, True], ids=["int64", "exact"])
-def test_dropped_checks_would_have_passed(exact, monkeypatch):
+@pytest.mark.parametrize("dtype", [None, np.int64, object], ids=["narrowest", "int64", "exact"])
+def test_dropped_checks_would_have_passed(dtype, monkeypatch):
     """Each row that no stage checks (the equality or product a step
     solves, an exactly-one unit's sum row) is 0 on every column of the table
     of the stage that would have checked it: the stage that bounds the
@@ -968,8 +1071,8 @@ def test_dropped_checks_would_have_passed(exact, monkeypatch):
     monkeypatch.setattr(oracle, "_build_substitution", steps)
     monkeypatch.setattr(oracle, "_exactly_one_units", units)
     monkeypatch.setattr(kernels, "feasible_mask", mask)
-    if exact:
-        monkeypatch.setattr(oracle, "_table_dtype", lambda *args: object)
+    if dtype is not None:
+        monkeypatch.setattr(oracle, "_table_dtype", lambda *args: dtype)
     problems = _small_random_problems()
     problems += [compile_model(check(src)) for src in (DIV_SRC, _element_src(12))]
     for p in problems:
@@ -1058,11 +1161,11 @@ def test_a_step_bound_is_its_row_bound_less_its_target(compiled_corpus, monkeypa
     assert checked > 300
 
 
-@pytest.mark.parametrize("k, exact", [
-    pytest.param(20_001, False, id="int64-20001"),
-    pytest.param(5_001, True, id="exact-5001"),
+@pytest.mark.parametrize("k, dtype", [
+    pytest.param(20_001, np.int64, id="int64-20001"),
+    pytest.param(5_001, object, id="exact-5001"),
 ])
-def test_a_wide_group_costs_linear_memory(k, exact, monkeypatch):
+def test_a_wide_group_costs_linear_memory(k, dtype, monkeypatch):
     """The lookup of a k-bit one-hot group holds O(k) values, and a
     table at most ``_CELLS``: the value step ``x = sum v*bit_v`` reads
     every bit, so one length-k vector per bit would hold 8*k**2 bytes
@@ -1073,8 +1176,7 @@ def test_a_wide_group_costs_linear_memory(k, exact, monkeypatch):
         f"var 1..{k}: x; var 0..{k}: c;\n"
         f"constraint array_int_element(x, {list(range(k))}, c);\nsolve satisfy;\n"))
     assert len(p.onehot_groups[0].bits) == k
-    if exact:
-        monkeypatch.setattr(oracle, "_table_dtype", lambda *args: object)
+    monkeypatch.setattr(oracle, "_table_dtype", lambda *args: dtype)
     tracemalloc.start()
     try:
         enum = enumerate_qip(p)
