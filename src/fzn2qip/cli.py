@@ -17,7 +17,6 @@ at compile time.
 from __future__ import annotations
 
 import argparse
-import gc
 import sys
 
 from . import fuzz
@@ -31,7 +30,7 @@ from .errors import (
     UsageError,
 )
 from .frontend import parse_model, typecheck
-from .model import deserialize
+from .model import collector_paused, deserialize
 from .rewrite import RewriteOptions, compile_model
 
 EXIT_OK = 0
@@ -178,21 +177,11 @@ def _cmd_fuzz(ns) -> int:
     return EXIT_OK
 
 
+@collector_paused
 def run(argv: list[str] | None = None) -> int:
-    """Run one command and return its exit code.  The cyclic garbage
-    collector is paused meanwhile: a model holds no garbage cycle, yet
-    the collector would rescan it as it grows.  The caller's collector
-    state is restored on every exit."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _run(argv)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _run(argv: list[str] | None) -> int:
+    """Run one command and return its exit code, with the cyclic garbage
+    collector paused as in every library entry point
+    (``model.collector_paused``)."""
     handlers = {
         "compile": _cmd_compile,
         "check": _cmd_check,

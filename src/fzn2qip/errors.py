@@ -125,6 +125,9 @@ class SchemaError(Fzn2QipError):
 
 # Largest enumeration state space a proof takes on by default (``--cap``).
 DEFAULT_CAP = 2_000_000
+# Largest state space a proof takes on at any cap: no enumeration of 2^63
+# assignments would finish.
+SPACE_LIMIT = 2**63 - 1
 
 
 class CapExceeded(Fzn2QipError):
@@ -134,13 +137,13 @@ class CapExceeded(Fzn2QipError):
 
     def __init__(self, size: int, cap: int | None, units: list[tuple[str, int]]):
         """``units``: the enumeration units as (name, size); the message
-        names the three largest.  ``cap`` None: past int64 indexing."""
+        names the three largest.  ``cap`` None: past ``SPACE_LIMIT``."""
         from decimal import Decimal  # formats any size; imported only here
 
         magnitude = f"{Decimal(size):.1e}".replace("+", "")
         largest = ", ".join(f"{name} ({n})" for name, n
                             in sorted(units, key=lambda nv: -nv[1])[:3])
-        limit = f"cap {cap}" if cap is not None else "2^63 - 1, the int64 index limit"
+        limit = f"cap {cap}" if cap is not None else "2^63 - 1, the most a proof enumerates"
         super().__init__(
             f"state space of ~{magnitude} assignments exceeds {limit}"
             + (f"; largest free units: {largest}" if largest else "")

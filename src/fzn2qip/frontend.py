@@ -11,6 +11,7 @@ variables, unknown predicates) is rejected with a named diagnostic.
 from __future__ import annotations
 
 import re
+from operator import is_
 
 from .errors import (
     ArityMismatch,
@@ -20,7 +21,7 @@ from .errors import (
     UndeclaredIdentifier,
     UnsupportedItem,
 )
-from .model import BINARY, Domain, Record
+from .model import BINARY, Domain, Record, collector_paused
 
 # ----------------------------------------------------------------------
 # argument AST (post-parse; typecheck normalizes further)
@@ -272,6 +273,9 @@ def _position(source: str, k: int) -> tuple[int, int]:
 # parser
 
 
+_LITERAL_NAMES = {"true": BoolLit(True), "false": BoolLit(False)}
+
+
 class _Parser:
     """Recursive descent over the token strings; ``toks[-1]`` is "" (eof).
 
@@ -279,11 +283,17 @@ class _Parser:
     after what it parsed.  An index moves on only over a token checked
     not to be eof.  Every token but a string is ASCII once the scan is
     checked, so ``str.isdigit`` and ``str.isidentifier`` classify them.
+
+    ``names`` maps each identifier read as an expression to its one node
+    in this parse: ``true`` and ``false`` to their ``BoolLit``, any other
+    name to its ``Ref``, made when the name is first declared or read.
+    ``seq`` reads a name it holds without a call.
     """
 
     def __init__(self, source: str, toks: list[str]):
         self.source = source
         self.toks = toks
+        self.names = _LITERAL_NAMES.copy()
 
     def error(self, cls, k: int, *args):
         return cls(*args, *_position(self.source, k))
@@ -321,20 +331,33 @@ class _Parser:
 
     def bounds(self, i: int) -> tuple[int, int, int]:
         """``lo..hi`` at ``i``: lo, hi and the index after."""
+        toks = self.toks
+        lo = toks[i]
+        # two unsigned integers read inline; anything else by ``integer``
+        if lo.isdigit() and toks[i + 1] == ".." and toks[i + 2].isdigit():
+            try:
+                return int(lo), int(toks[i + 2]), i + 3
+            except ValueError:  # more digits than int() converts
+                pass
         lo, i = self.integer(i)
         if self.toks[i] != "..":
             raise self.expected(i, "'..'")
         hi, i = self.integer(i + 1)
         return lo, hi, i
 
-    def seq(self, i: int, item, close: str) -> tuple[list, int]:
-        """Comma-separated ``item``s from ``i`` up to and past ``close``."""
+    def seq(self, i: int, item, close: str, names: dict) -> tuple[list, int]:
+        """Comma-separated ``item``s from ``i`` up to and past ``close``; a
+        token in ``names`` is read as its node there."""
         toks = self.toks
         items = []
         if toks[i] == close:
             return items, i + 1
         while True:
-            value, i = item(i)
+            value = names.get(toks[i])
+            if value is None:
+                value, i = item(i)
+            else:
+                i += 1
             items.append(value)
             t = toks[i]
             if t == ",":
@@ -363,9 +386,10 @@ class _Parser:
     def expr(self, i: int):
         t = self.toks[i]
         if t.isidentifier():
-            if t == "true" or t == "false":
-                return BoolLit(t == "true"), i + 1
-            return Ref(t), i + 1
+            node = self.names.get(t)
+            if node is None:
+                node = self.names[t] = Ref(t)
+            return node, i + 1
         if t == "-" or t[:1] in _DIGITS:
             lo, i = self.integer(i)
             if self.toks[i] != "..":
@@ -373,10 +397,10 @@ class _Parser:
             hi, i = self.integer(i + 1)
             return SetVal(((lo, hi),) if lo <= hi else ()), i
         if t == "[":
-            items, i = self.seq(i + 1, self.element, "]")
+            items, i = self.seq(i + 1, self.element, "]", self.names)
             return Arr(tuple(items)), i
         if t == "{":
-            values, i = self.seq(i + 1, self.integer, "}")
+            values, i = self.seq(i + 1, self.integer, "}", {})
             return SetVal.of(values), i
         raise self.error(FznSyntaxError, i, f"unexpected token {t!r}")
 
@@ -452,7 +476,8 @@ class _Parser:
         return i
 
     def var_decl(self, model: FzModel, i: int) -> int:
-        t = self.toks[i]
+        toks = self.toks
+        t = toks[i]
         if t == "bool":
             kind, lo, hi, i = "bool", 0, 1, i + 1
         elif t == "int":
@@ -467,9 +492,9 @@ class _Parser:
         at = i + 1
         anns, i = self.head(i, "variable name")
         assigned = None
-        if self.toks[i] == "=":
+        if toks[i] == "=":
             assigned, i = self.expr(i + 1)
-        if self.toks[i] != ";":
+        if toks[i] != ";":
             raise self.expected(i, "';'")
         i += 1
         name = self.declared(model, at)
@@ -477,9 +502,14 @@ class _Parser:
             raise self.error(EmptyDeclaredDomain, at,
                              f"variable '{name}' has the empty domain {lo}..{hi}")
         model.vars[name] = VarDecl(name, kind, Domain(lo, hi), "var_is_introduced" in anns)
+        ref = self.names.get(name)
+        if ref is None:
+            ref = self.names[name] = Ref(name)
         if assigned is not None:
+            if type(ref) is not Ref:  # a variable named true or false, read as a literal
+                ref = Ref(name)
             builtin = "bool_eq" if kind == "bool" else "int_eq"
-            model.constraints.append(ConstraintItem(builtin, (Ref(name), assigned), at))
+            model.constraints.append(ConstraintItem(builtin, (ref, assigned), at))
         return i
 
     def array_decl(self, model: FzModel, i: int) -> int:
@@ -532,7 +562,7 @@ class _Parser:
             raise self.error(UnsupportedItem, i, f"predicate '{name}'")
         if toks[i + 1] != "(":
             raise self.expected(i + 1, "'('")
-        args, j = self.seq(i + 2, self.expr, ")")
+        args, j = self.seq(i + 2, self.expr, ")", self.names)
         if toks[j] == "::":
             _, j = self.annotations(j)
         model.constraints.append(ConstraintItem(name, tuple(args), i))
@@ -552,6 +582,7 @@ class _Parser:
         raise self.error(FznSyntaxError, i, f"expected solve kind, found {kind!r}")
 
 
+@collector_paused
 def parse_model(source: str) -> FzModel:
     """Parse FlatZinc source text into an (unchecked) model."""
     toks = _TOKEN_RE.findall(source)
@@ -578,7 +609,8 @@ _LINEAR = frozenset(name for name in SIGNATURES if name.startswith(("int_lin_", 
 
 
 def _fold(arg, model: FzModel, item: ConstraintItem):
-    """Resolve parameter references and bool literals inside an argument."""
+    """Resolve parameter references and bool literals inside an argument;
+    ``arg`` itself if that changes nothing and its items are a tuple."""
     kind = type(arg)
     if kind is Ref:
         name = arg.name
@@ -593,7 +625,11 @@ def _fold(arg, model: FzModel, item: ConstraintItem):
     if kind is BoolLit:
         return Lit(1 if arg.value else 0)
     if kind is Arr:
-        return Arr(tuple(_fold(x, model, item) for x in arg.items))
+        items = arg.items
+        folded = tuple([_fold(x, model, item) for x in items])
+        if type(items) is tuple and all(map(is_, folded, items)):
+            return arg
+        return Arr(folded)
     return arg
 
 
@@ -634,7 +670,9 @@ def _check_arg(arg, kind: str, model: FzModel, item: ConstraintItem):
                 return arg
     elif kind == "iva" or kind == "bva":
         if arg_type is Arr:
-            return Arr(tuple([_check_arg(x, kind[:2], model, item) for x in arg.items]))
+            for x in arg.items:  # an item that fits is returned as it is
+                _check_arg(x, kind[:2], model, item)
+            return arg
         msg = "expected an array of variables"
     elif kind == "set":
         if arg_type is SetVal:
@@ -645,11 +683,14 @@ def _check_arg(arg, kind: str, model: FzModel, item: ConstraintItem):
     raise _located(KindMismatch, model, item, f"{item.name}: {msg}")
 
 
+@collector_paused
 def typecheck(model: FzModel) -> FzModel:
     """Return a checked model: identifiers resolved, literals folded.
 
     Parameters and alias arrays are folded into the constraints and
-    cleared, so the result is self-contained.
+    cleared, so the result is self-contained.  A constraint that folding
+    and checking leave as it is, its arguments a tuple, is the parsed
+    item itself; the parsed model is not changed.
     """
     variables = model.vars
     checked = FzModel(vars=dict(variables), solve=model.solve, source=model.source)
@@ -665,19 +706,26 @@ def typecheck(model: FzModel) -> FzModel:
             raise _located(ArityMismatch, model, item,
                            f"{name} takes {arities} arguments, got {len(args)}")
         # every argument is folded before any is checked, so an undeclared
-        # name is reported first; a variable folds to itself
-        folded = []
-        for a in args:
-            folded.append(a if type(a) is Ref and a.name in variables
-                          else _fold(a, model, item))
-        args = []
-        for a, kind in zip(folded, sig):
-            args.append(_check_arg(a, kind, model, item))
-        args = tuple(args)
-        if name in _LINEAR and len(args[0].items) != len(args[1].items):
+        # name is reported first.  A variable folds to itself and fits "iv"
+        # as it is, so a constraint on int variables alone skips both.
+        fit = args
+        for a, kind in zip(args, sig):
+            if type(a) is not Ref or kind != "iv" or a.name not in variables:
+                folded = []
+                for x in args:
+                    folded.append(x if type(x) is Ref and x.name in variables
+                                  else _fold(x, model, item))
+                fit = []
+                for x, kind in zip(folded, sig):
+                    fit.append(_check_arg(x, kind, model, item))
+                break
+        if name in _LINEAR and len(fit[0].items) != len(fit[1].items):
             raise _located(ArityMismatch, model, item,
                            f"{name}: coefficient and variable arrays differ in length")
-        constraints.append(ConstraintItem(name, args, item.tok))
+        if type(args) is tuple and (fit is args or all(map(is_, fit, args))):
+            constraints.append(item)
+        else:
+            constraints.append(ConstraintItem(name, tuple(fit), item.tok))
     solve = model.solve
     if solve.var is not None and solve.var not in model.vars:
         if solve.var in model.params or solve.var in model.arrays:

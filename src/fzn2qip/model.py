@@ -29,6 +29,8 @@ it; a mismatch is a SchemaError that names its path from the root
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 
 from .errors import (
@@ -62,6 +64,30 @@ class Record:
     def __repr__(self) -> str:
         shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
         return f"{type(self).__name__}({shown})"
+
+
+def collector_paused(fn):
+    """``fn`` run with the cyclic garbage collector paused, and the
+    caller's collector state restored on every exit.
+
+    A model holds no garbage cycle, yet the collector would rescan it as
+    it grows.  A call made while the collector is off, a nested call of
+    the library among them, leaves it off: only the outermost call turns
+    it back on.  ``gc.freeze`` is not used, as it would move the caller's
+    objects too.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class Domain(Record):
@@ -405,6 +431,7 @@ def _expr(e: LinExpr) -> str:
     )
 
 
+@collector_paused
 def deserialize(text: str) -> QipProblem:
     """Parse and validate serialized problem text.
 

@@ -33,9 +33,9 @@ from operator import attrgetter
 import numpy as np
 
 from . import kernels
-from .errors import DEFAULT_CAP, CapExceeded
+from .errors import DEFAULT_CAP, SPACE_LIMIT, CapExceeded
 from .frontend import Arr, FzModel, Lit, Ref, SetVal
-from .model import Domain, QipProblem, Record
+from .model import Domain, QipProblem, Record, collector_paused
 
 _CHUNK = 1 << 16  # rows per enumeration table
 _CELLS = 1 << 20  # values per enumeration table, for wide problems
@@ -189,6 +189,8 @@ def _mod(v):
 
 def _pow(v):
     x, y, z = v
+    if type(y) is int:  # a literal: a Python int keeps the table's dtype
+        return x ** y == z if y >= 0 else False
     ok = y >= 0
     return ok & (x ** np.where(ok, y, 0) == z)
 
@@ -419,6 +421,7 @@ def _table_width(n: int) -> int:
     return max(1, min(_CHUNK, _CELLS // max(1, n)))
 
 
+@collector_paused
 def enumerate_fzn(model: FzModel, cap: int = DEFAULT_CAP) -> tuple[list[str], set]:
     """All satisfying assignments of the model, as (names, set of tuples).
 
@@ -437,7 +440,7 @@ def enumerate_fzn(model: FzModel, cap: int = DEFAULT_CAP) -> tuple[list[str], se
         lows.append(decl.domain.lo)
     names = list(index)
     size = math.prod(radix)
-    if size > cap or size > _INT64_MAX:  # no proof enumerates 2^63 assignments
+    if size > cap or size > SPACE_LIMIT:
         raise CapExceeded(size, cap if size > cap else None, list(zip(names, radix)))
     solutions = set()
     for table in _source_tables(radix, lows, _table_width(len(names)), _source_dtype(model)):
@@ -530,17 +533,24 @@ def _build_substitution(eqs: list, prods: list, aux: set[int],
     it would make the computation cyclic (``_plan``).  The sweeps
     repeat while one plans a step, each over the equalities that still
     have an undetermined term: a product skipped as cyclic stays so, as
-    steps only add dependencies.  Returns the steps with inputs before
-    targets.
+    steps only add dependencies.
+
+    Returns the steps with inputs before targets.  That is the planning
+    order unless a step targets a column that an earlier step already
+    reads (a chain declared result first, say), and only then are the
+    steps sorted topologically.
     """
     if not (eqs or prods):
         return []
     defs: dict[int, _Step] = {}
     readers: dict[int, list[int]] = {}  # column -> targets of steps reading it
     done = set(known)  # the columns fixed or computed so far
+    # whether a planned step targets a column an earlier step reads; its
+    # own inputs exclude its target, so readers tells after planning too
+    late = False
     for j, (t, left, right) in enumerate(prods):
-        if t not in done:
-            _plan(_Step("product", j, t, (left, right)), defs, readers, done)
+        if t not in done and _plan(_Step("product", j, t, (left, right)), defs, readers, done):
+            late = late or t in readers
     pending = list(enumerate(eqs))
     changed = True
     while changed:
@@ -555,10 +565,14 @@ def _build_substitution(eqs: list, prods: list, aux: set[int],
             if len(undet) != 1 or abs(undet[0][1]) != 1:
                 continue
             t, sign = undet[0]
-            changed |= _plan(_Step("equality", j, t, [i for i, _ in terms if i != t],
-                                   [c for i, c in terms if i != t], constant, sign),
-                             defs, readers, done)
+            if _plan(_Step("equality", j, t, [i for i, _ in terms if i != t],
+                           [c for i, c in terms if i != t], constant, sign),
+                     defs, readers, done):
+                changed = True
+                late = late or t in readers
         pending = rest
+    if not late:
+        return list(defs.values())
 
     # topological order (iterative post-order): inputs before targets
     ordered: list[_Step] = []
@@ -675,16 +689,20 @@ def _table_dtype(worst: int):
     return np.int32 if worst <= _INT32_MAX else np.int64 if worst <= _INT64_MAX else object
 
 
-def _advance(table: np.ndarray, steps: list[_Step], checks: tuple | None) -> np.ndarray:
+def _advance(table: np.ndarray, steps: list[_Step], cols: set[int],
+             checks: tuple | None) -> np.ndarray:
     """Compute a stage's steps on ``table``, one row per variable and one
-    column per partial assignment, and keep the columns passing the
-    stage's ``feasible_mask`` arguments ``checks``, if it has any."""
-    for s in steps:
-        if s.kind == "product":
-            np.multiply(table[s.inputs[0]], table[s.inputs[1]], out=table[s.target])
-        else:
-            acc = kernels.linear_form(table, zip(s.inputs, s.coefs), s.constant)
-            np.multiply(acc, -s.sign, out=table[s.target])
+    column per partial assignment, viewing once each row of ``cols``, those
+    the steps read or write; then keep the columns passing the stage's
+    ``feasible_mask`` arguments ``checks``, if it has any."""
+    if steps:
+        row = {c: table[c] for c in cols}
+        for s in steps:
+            if s.kind == "product":
+                np.multiply(row[s.inputs[0]], row[s.inputs[1]], out=row[s.target])
+            else:
+                acc = kernels.linear_form(row, zip(s.inputs, s.coefs), s.constant)
+                np.multiply(acc, -s.sign, out=row[s.target])
     if checks is not None:
         mask = kernels.feasible_mask(table, *checks)
         if np.count_nonzero(mask) < mask.size:  # a wide table is costly to copy
@@ -708,6 +726,7 @@ class QipEnumeration(Record):
         self.full_solutions = full_solutions  # tuples over names, if requested
 
 
+@collector_paused
 def enumerate_qip(
     problem: QipProblem, cap: int = DEFAULT_CAP, keep_full: bool = False
 ) -> QipEnumeration:
@@ -715,7 +734,8 @@ def enumerate_qip(
 
     The units are the bits of each exactly-one row and the variables
     with no substitution rule; the cap applies to the product of their
-    sizes.  A table is variable-major: row ``i`` holds variable ``i``'s
+    sizes, and a product past ``SPACE_LIMIT`` stops at any cap, as in
+    ``enumerate_fzn``.  A table is variable-major: row ``i`` holds variable ``i``'s
     values, one column per partial assignment, so a step or a check
     reads and writes whole contiguous rows.  Units of size 1 are preset
     in the seed column and the others are added smallest first.  A unit
@@ -748,7 +768,7 @@ def enumerate_qip(
     in proportion to the problem in any declaration order (``_plan``).
     On the compiled corpus a call costs about 56 us after its model's
     compile and read-back and 45 us in a tight loop, and on a 300-link
-    ``int_times`` chain about 0.85 ms (2-core shared host).
+    ``int_times`` chain about 0.84 ms (2-core shared host).
 
     Tables hold ``_table_width`` assignments and are expanded depth
     first, one table per unit of size >= 2 at a time, so at most
@@ -804,8 +824,8 @@ def enumerate_qip(
             order.append(u)
         else:
             seed[u.cols[0]] = u.lo if u.row is None else 1
-    if size > cap:
-        raise CapExceeded(size, cap, [(u.name, u.size) for u in units])
+    if size > cap or size > SPACE_LIMIT:
+        raise CapExceeded(size, cap if size > cap else None, [(u.name, u.size) for u in units])
     dtype = _table_dtype(worst)
     order.sort(key=attrgetter("size"))
     for k, u in enumerate(order, start=1):
@@ -852,16 +872,24 @@ def enumerate_qip(
             work[max(stage[cols[0]], stage[cols[1]], stage[cols[2]])][3].append(cols)
     for c in sorted(computed):
         work[stage[c]][4].append(c)
-    stages = []  # per stage: None, or its steps and feasible_mask arguments
+    # per stage: None, or its steps, the rows they touch and its
+    # feasible_mask arguments (None if it checks nothing)
+    stages = []
     for stage_steps, *checks, bounded in work:
         if bounded:
             lims = np.array([doms[c].lo for c in bounded] + [doms[c].hi for c in bounded],
                             dtype=dtype).reshape(2, -1, 1)
             checks.append((np.array(bounded), lims[0], lims[1]))
         elif not any(checks):
-            stages.append((stage_steps, None) if stage_steps else None)
-            continue
-        stages.append((stage_steps, checks))
+            if not stage_steps:
+                stages.append(None)
+                continue
+            checks = None
+        cols = set()
+        for s in stage_steps:
+            cols.add(s.target)
+            cols.update(s.inputs)
+        stages.append((stage_steps, cols, checks))
 
     result = QipEnumeration(names, [names[i] for i in model_cols], set(),
                             [u.name for u in units], size,
@@ -936,6 +964,7 @@ class EquivalenceResult(Record):
         )
 
 
+@collector_paused
 def check_equivalence(
     model: FzModel, problem: QipProblem | None, cap: int = DEFAULT_CAP
 ) -> EquivalenceResult:
@@ -977,6 +1006,7 @@ class OptimumResult(Record):
         return (self.fzn_status, self.fzn_value) == (self.qip_status, self.qip_value)
 
 
+@collector_paused
 def solve_optimum(
     model: FzModel, problem: QipProblem, cap: int = DEFAULT_CAP
 ) -> OptimumResult:

@@ -50,7 +50,7 @@ from .errors import (
     checked_int,
 )
 from .frontend import FzModel, Lit, Ref
-from .model import BINARY, Domain, LinExpr, QipProblem, QipVar, Record
+from .model import BINARY, Domain, LinExpr, QipProblem, QipVar, Record, collector_paused
 
 
 class RewriteOptions(Record):
@@ -580,6 +580,7 @@ def _drop_decided_rows(problem: QipProblem) -> None:
             del variables[name]
 
 
+@collector_paused
 def compile_model(model: FzModel, options: RewriteOptions | None = None) -> QipProblem:
     """Compile a checked model into a validated problem.
 

@@ -165,6 +165,97 @@ def test_run_pauses_the_collector_and_restores_it(tmp_path, capsys, monkeypatch,
     assert during == [False, False]
 
 
+def _entry_point_calls():
+    """(label, call, the error it raises or None) for each library entry
+    point: one call that returns and one that raises."""
+    good = fzn2qip.typecheck(fzn2qip.parse_model(GOOD))
+    problem = fzn2qip.compile_model(good)
+    text = problem.serialize()
+    minimize = fzn2qip.typecheck(fzn2qip.parse_model("var 2..5: x;\nsolve minimize x;\n"))
+    wide = fzn2qip.typecheck(fzn2qip.parse_model(
+        "\n".join(f"var -4..4: v{i};" for i in range(8)) + "\nsolve minimize v0;\n"))
+    wide_problem = fzn2qip.compile_model(wide)
+    unsat = fzn2qip.typecheck(fzn2qip.parse_model(
+        "var 1..3: x;\nconstraint set_in(x, {7, 8});\nsolve satisfy;\n"))
+    cap = fzn2qip.CapExceeded
+    return [
+        ("parse_model", lambda: fzn2qip.parse_model(GOOD), None),
+        ("parse_model", lambda: fzn2qip.parse_model("var float: x;\nsolve satisfy;\n"),
+         fzn2qip.Diagnostic),
+        ("typecheck", lambda: fzn2qip.typecheck(fzn2qip.parse_model(GOOD)), None),
+        ("typecheck", lambda: fzn2qip.typecheck(fzn2qip.parse_model(
+            "var 0..1: x;\nconstraint int_le(x, y);\nsolve satisfy;\n")), fzn2qip.Diagnostic),
+        ("compile_model", lambda: fzn2qip.compile_model(good), None),
+        ("compile_model", lambda: fzn2qip.compile_model(unsat), fzn2qip.CompileUnsat),
+        ("deserialize", lambda: fzn2qip.deserialize(text), None),
+        ("deserialize", lambda: fzn2qip.deserialize("{}"), fzn2qip.Fzn2QipError),
+        ("enumerate_fzn", lambda: fzn2qip.enumerate_fzn(good), None),
+        ("enumerate_fzn", lambda: fzn2qip.enumerate_fzn(wide, 100), cap),
+        ("enumerate_qip", lambda: fzn2qip.enumerate_qip(problem), None),
+        ("enumerate_qip", lambda: fzn2qip.enumerate_qip(wide_problem, 100), cap),
+        ("check_equivalence", lambda: fzn2qip.check_equivalence(good, problem), None),
+        ("check_equivalence", lambda: fzn2qip.check_equivalence(wide, wide_problem, 100), cap),
+        ("solve_optimum", lambda: fzn2qip.solve_optimum(
+            minimize, fzn2qip.compile_model(minimize)), None),
+        ("solve_optimum", lambda: fzn2qip.solve_optimum(wide, wide_problem, 100), cap),
+    ]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_library_entry_points_restore_the_collector(enabled):
+    """Each entry point leaves the collector as the caller had it, on
+    return and on a diagnostic, a compile-time UNSAT or a cap stop."""
+    calls = _entry_point_calls()
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for label, call, error in calls:
+            if error is None:
+                call()
+            else:
+                with pytest.raises(error):
+                    call()
+            assert gc.isenabled() == enabled, (label, error)
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert {label for label, _, _ in calls} == {
+        "parse_model", "typecheck", "compile_model", "deserialize", *fzn2qip._PROOF_NAMES}
+
+
+def test_library_entry_points_run_with_the_collector_paused(monkeypatch):
+    """A parse runs with the collector off, and a nested call
+    (``check_equivalence`` calling ``enumerate_qip``) leaves it off for
+    the rest of the outer call: only the outermost turns it back on."""
+    from fzn2qip import frontend, oracle
+
+    seen = []
+    real_model, real_enumerate_qip = frontend._Parser.model, oracle.enumerate_qip
+
+    def model(parser):
+        seen.append(("parse", gc.isenabled()))
+        return real_model(parser)
+
+    def enumerate_qip(*args):
+        seen.append(("after enumerate_fzn", gc.isenabled()))
+        result = real_enumerate_qip(*args)
+        seen.append(("after enumerate_qip", gc.isenabled()))
+        return result
+
+    monkeypatch.setattr(frontend._Parser, "model", model)
+    monkeypatch.setattr(oracle, "enumerate_qip", enumerate_qip)
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        m = fzn2qip.typecheck(fzn2qip.parse_model(GOOD))
+        assert gc.isenabled()
+        assert oracle.check_equivalence(m, fzn2qip.compile_model(m)).equal
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [("parse", False), ("after enumerate_fzn", False),
+                    ("after enumerate_qip", False)]
+
+
 @pytest.mark.parametrize("n", [65, 20_000])
 def test_check_fixed_chain_past_64_variables(tmp_path, capsys, n):
     """A fixed variable takes no axis of the source tables, so a
@@ -178,14 +269,17 @@ def test_check_fixed_chain_past_64_variables(tmp_path, capsys, n):
 
 
 def test_space_past_int64_indexing_is_one_line_exit_3(tmp_path, capsys):
+    """2^65 assignments is within the cap asked for, but past the most a
+    proof enumerates: ``check`` and ``solve`` each stop at once."""
     src = write(tmp_path, "m.fzn",
                 "\n".join(f"var 0..1: x{i};" for i in range(65)) + "\nsolve satisfy;\n")
-    assert run(["check", src, "--cap", "1" + "0" * 30]) == 3
-    out = capsys.readouterr()
-    (line,) = out.err.splitlines()
-    assert out.out == ""
-    assert line.startswith("cap exceeded: state space of ~3.7e19 assignments exceeds "
-                           "2^63 - 1, the int64 index limit")
+    for command in ("check", "solve"):
+        assert run([command, src, "--cap", "1" + "0" * 30]) == 3, command
+        out = capsys.readouterr()
+        (line,) = out.err.splitlines()
+        assert out.out == ""
+        assert line.startswith("cap exceeded: state space of ~3.7e19 assignments exceeds "
+                               "2^63 - 1, the most a proof enumerates;"), command
 
 
 def test_solve_minimize_prints_value(tmp_path, capsys):

@@ -21,6 +21,8 @@ from fzn2qip.errors import (
 from fzn2qip.frontend import (
     SIGNATURES,
     Arr,
+    BoolLit,
+    ConstraintItem,
     FzModel,
     Lit,
     Ref,
@@ -96,6 +98,90 @@ def test_assignment_becomes_equality():
         solve satisfy;
     """)
     assert any(c.name == "int_eq" for c in m.constraints)
+
+
+def _refs(model: FzModel) -> list[Ref]:
+    """Every Ref in the model's constraint arguments, arrays unpacked."""
+    out = []
+    for item in model.constraints:
+        for a in item.args:
+            out += [x for x in (a.items if type(a) is Arr else (a,)) if type(x) is Ref]
+    return out
+
+
+def test_one_ref_per_name_and_none_shared_between_parses():
+    src = """
+        var 0..5: x;
+        var 0..5: y = x;
+        var bool: b;
+        constraint int_le(x, y);
+        constraint int_lin_le([1, 2], [x, y], 7);
+        constraint bool_eq(b, true);
+        constraint int_plus(z, x, y);
+        var 0..9: z;
+        solve satisfy;
+    """
+    first, second = parse_model(src), parse_model(src)
+    one = {}
+    for ref in _refs(first):
+        assert one.setdefault(ref.name, ref) is ref, ref.name
+    assert sorted(one) == ["b", "x", "y", "z"]
+    assert first.constraints[0].args[0] is one["y"]  # y = x, made at y's declaration
+    assert first.constraints[3].args[1] == BoolLit(True)
+    assert not {id(r) for r in _refs(first)} & {id(r) for r in _refs(second)}
+    assert first == second
+
+
+def test_a_variable_named_true_still_reads_as_a_literal():
+    """``true`` and ``false`` read as literals wherever they appear; a
+    variable given that name is still the left side of its assignment."""
+    m = parse_model("var bool: true = false;\nconstraint bool_eq(true, true);\nsolve satisfy;\n")
+    assert m.constraints[0].args == (Ref("true"), BoolLit(False))
+    assert m.constraints[1].args == (BoolLit(True), BoolLit(True))
+
+
+def test_typecheck_keeps_unchanged_items_and_leaves_the_parsed_model():
+    m = parse_model("""
+        int: k = 2;
+        var 0..3: x;
+        var 0..3: y;
+        var bool: b;
+        constraint int_times(x, y, x);
+        constraint int_le(x, k);
+        constraint int_lin_le([1, 2], [x, y], 3);
+        constraint bool_eq(b, true);
+        solve satisfy;
+    """)
+    checked = typecheck(m)
+    same = [a is b for a, b in zip(m.constraints, checked.constraints)]
+    assert same == [True, False, True, False]
+    assert checked.constraints[1].args == (Ref("x"), Lit(2))
+    assert checked.constraints[3].args == (Ref("b"), Lit(1))
+    assert m.constraints[1].args == (Ref("x"), Ref("k"))
+    assert m.constraints[3].args == (Ref("b"), BoolLit(True))
+
+
+def test_typecheck_of_list_arguments_returns_tuples_and_leaves_the_model():
+    """A hand-built model may hold lists where the parser makes tuples:
+    the checked model holds tuples, and the given one is not changed."""
+    def build():
+        return FzModel(
+            vars={n: VarDecl(n, "int", Domain(0, 3)) for n in ("x", "y")},
+            constraints=[ConstraintItem("int_lin_le", [Arr([Lit(1), Lit(2)]),
+                                                       Arr([Ref("x"), Ref("y")]), Lit(3)]),
+                         ConstraintItem("int_le", [Ref("x"), Ref("y")])])
+
+    model = build()
+    checked = typecheck(model)
+    assert model == build()
+    assert type(model.constraints[0].args) is list
+    assert type(model.constraints[0].args[1].items) is list
+    for item in checked.constraints:
+        assert type(item.args) is tuple
+        assert all(type(a.items) is tuple for a in item.args if type(a) is Arr)
+    assert checked.constraints[0].args == (Arr((Lit(1), Lit(2))), Arr((Ref("x"), Ref("y"))),
+                                           Lit(3))
+    assert checked.constraints[1].args == (Ref("x"), Ref("y"))
 
 
 def test_set_argument():

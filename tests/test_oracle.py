@@ -96,14 +96,15 @@ def test_enumerate_fzn_cap():
 
 
 def test_enumerate_fzn_past_int64_indexing_is_a_cap_stop():
-    """2^65 assignments is within the cap asked for but past what an int64
-    flat index addresses: a CapExceeded that names no cap."""
+    """2^65 assignments is within the cap asked for but past the most a
+    proof enumerates: a CapExceeded that names no cap, on either side."""
     m = check("\n".join(f"var 0..1: x{i};" for i in range(65)) + "\nsolve satisfy;\n")
-    with pytest.raises(CapExceeded) as exc:
-        enumerate_fzn(m, cap=10**30)
-    assert exc.value.message == (
-        "state space of ~3.7e19 assignments exceeds 2^63 - 1, the int64 index "
-        "limit; largest free units: x0 (2), x1 (2), x2 (2)")
+    for enumerate_side, arg in ((enumerate_fzn, m), (enumerate_qip, compile_model(m))):
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_side(arg, cap=10**30)
+        assert exc.value.message == (
+            "state space of ~3.7e19 assignments exceeds 2^63 - 1, the most a proof "
+            "enumerates; largest free units: x0 (2), x1 (2), x2 (2)")
 
 
 def test_enumerate_fzn_fixed_variables_take_no_decode_axis():
@@ -358,6 +359,28 @@ def test_int32_on_both_sides_would_agree_on_a_wrapped_solution(monkeypatch):
     monkeypatch.setattr(oracle, "_source_dtype", lambda model: np.int32)
     monkeypatch.setattr(oracle, "_table_dtype", lambda worst: np.int32)
     assert oracle.check_equivalence(m, compile_model(m)).describe() == "Equal (2 solutions)"
+
+
+def test_int_pow_with_a_literal_exponent_keeps_the_table_dtype():
+    """A literal exponent is raised as a Python int, so the power column of
+    an int32 table stays int32 (a 0-d int64 exponent would widen it to
+    int64), and a negative one answers False without a power."""
+    powers = []
+
+    class Column(np.ndarray):
+        def __pow__(self, other):
+            power = np.asarray(self) ** other
+            powers.append(power.dtype)
+            return power
+
+    x = np.arange(-5, 6, dtype=np.int32).view(Column)
+    cubes = np.array([v**3 for v in range(-5, 6)], dtype=np.int32)
+    assert oracle._COLUMNWISE["int_pow"]([x, 3, cubes]).all()
+    assert oracle._COLUMNWISE["int_pow"]([x, -1, cubes]) is False
+    assert powers == [np.int32]
+    m = check("var -5..5: x; var -125..125: z; constraint int_pow(x, 3, z); solve satisfy;")
+    assert oracle._source_dtype(m) is np.int32
+    assert oracle.check_equivalence(m, compile_model(m)).describe() == "Equal (11 solutions)"
 
 
 def test_source_tables_are_the_flat_product_in_order():
@@ -641,6 +664,19 @@ def test_int_times_chain_declared_result_first_plans_in_linear_time():
     assert enum.free_names == [f"x{links}"]
     assert len(enum.solutions) == 2
     assert elapsed < 5.0, f"enumerate_qip took {elapsed:.1f} s"
+
+
+def test_plan_order_puts_inputs_before_targets_declared_either_way():
+    """Products ``(result, left, right)`` over columns, 0 known: planned
+    in order, the plan keeps its order; planned result first, each step's
+    target is read by an earlier one, and the plan is sorted."""
+    prods = [(1, 0, 0), (2, 1, 1), (3, 2, 2)]
+    for order in (prods, prods[::-1]):
+        steps = oracle._build_substitution([], order, set(), {0})
+        assert [s.target for s in steps] == [1, 2, 3], order
+    # an equality computing 1 from 2, planned after the product reading 1
+    steps = oracle._build_substitution([([(1, 1), (2, -1)], 0)], [(3, 1, 1)], {1}, {0, 2})
+    assert [s.target for s in steps] == [1, 3]
 
 
 def test_planning_sweeps_the_equalities_until_none_plans():
