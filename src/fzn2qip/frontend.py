@@ -198,10 +198,15 @@ SIGNATURES: dict[str, list[list[str]]] = {
 # ----------------------------------------------------------------------
 # scanner
 #
-# One group-free pattern, so ``findall`` returns the token strings.  ASCII
-# whitespace matches no alternative and is skipped; the last alternative
-# takes any other character no rule accepts, as a token of length 1.
-# ASCII: \d and \s take no other script's digits or spaces.
+# Two scans give the same token strings.  ``_split_scan`` works in C: it
+# cuts comments, pads each mark with spaces and calls ``str.split``, and
+# it answers only for a text it provably reads as ``_TOKEN_RE.findall``
+# does.  Any other text (a string, a float, a bad character, non-ASCII)
+# goes through ``_TOKEN_RE``, one group-free pattern, so ``findall``
+# returns the token strings.  ASCII whitespace matches no alternative
+# and is skipped; the last alternative takes any other character no rule
+# accepts, as a token of length 1.  ASCII: \d and \s take no other
+# script's digits or spaces.  ``tokenize`` is the one positioned scan.
 
 _TOKEN_RE = re.compile(
     r"""
@@ -222,6 +227,39 @@ _ONE_CHAR_TOKENS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWX
                              "0123456789_()[]{},;:=-+%")
 
 
+_COMMENT_RE = re.compile(r"%[^\n]*")
+_SPLIT_MARKS = frozenset("()[]{},;=+-:") | {"..", "::"}
+
+
+def _split_scan(source: str) -> list[str] | None:
+    """The token strings of ``source`` less comments, as ``_TOKEN_RE``
+    reads them; None for a text whose tokens the split cannot vouch for.
+
+    It answers only for an ASCII text with no ``"`` and none of the
+    characters 0x1c-0x1f (whitespace to ``str.split``, not to the
+    pattern) whose tokens are all marks, identifiers or unsigned
+    integers: a chunk that is neither (``1.5``, ``1e5``, ``1abc``,
+    ``...``, ``?``) sends the text to ``findall``.
+    """
+    if (not source.isascii() or '"' in source or "\x1c" in source
+            or "\x1d" in source or "\x1e" in source or "\x1f" in source):
+        return None
+    text = _COMMENT_RE.sub("", source) if "%" in source else source
+    # Each mark padded with spaces (a replace that finds nothing returns
+    # its text uncopied), ":" last: then two colons stand two spaces
+    # apart only where they were adjacent, so " :  : " is "::" and ": :"
+    # stays two tokens.
+    toks = (text.replace("(", " ( ").replace(")", " ) ").replace("[", " [ ")
+            .replace("]", " ] ").replace("{", " { ").replace("}", " } ")
+            .replace(",", " , ").replace(";", " ; ").replace("=", " = ")
+            .replace("+", " + ").replace("-", " - ").replace("..", " .. ")
+            .replace(":", " : ").replace(" :  : ", " :: ").split())
+    for t in set(toks) - _SPLIT_MARKS:
+        if not (t.isidentifier() or t.isdigit()):
+            return None
+    return toks
+
+
 class Token(Record):
     """A token's text and its 1-based line and column; unpacks as the
     triple ``text, line, col``."""
@@ -240,8 +278,9 @@ class Token(Record):
 def tokenize(source: str) -> list[Token]:
     """Split ``source`` into tokens, each with its 1-based line and column.
 
-    The scan of ``parse_model``, with positions.  Only the skipped
-    whitespace holds a newline: comments and strings stop before one.
+    The tokens of ``parse_model``'s scan, with positions; only
+    diagnostics call it.  Only the skipped whitespace holds a newline:
+    comments and strings stop before one.
     """
     tokens = []
     line, line_start, end = 1, 0, 0
@@ -584,12 +623,18 @@ class _Parser:
 
 @collector_paused
 def parse_model(source: str) -> FzModel:
-    """Parse FlatZinc source text into an (unchecked) model."""
-    toks = _TOKEN_RE.findall(source)
-    if "%" in source:
-        toks = [t for t in toks if t[0] != "%"]
-    if 1 in map(len, set(toks) - _ONE_CHAR_TOKENS):
-        tokenize(source)  # raises at the first token no rule accepts
+    """Parse FlatZinc source text into an (unchecked) model.
+
+    The token strings come from ``_split_scan`` when it answers and from
+    ``_TOKEN_RE.findall`` otherwise; both give the same strings.
+    """
+    toks = _split_scan(source)
+    if toks is None:
+        toks = _TOKEN_RE.findall(source)
+        if "%" in source:
+            toks = [t for t in toks if t[0] != "%"]
+        if 1 in map(len, set(toks) - _ONE_CHAR_TOKENS):
+            tokenize(source)  # raises at the first token no rule accepts
     toks.append("")
     return _Parser(source, toks).model()
 

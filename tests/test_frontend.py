@@ -19,6 +19,7 @@ from fzn2qip.errors import (
     UnsupportedItem,
 )
 from fzn2qip.frontend import (
+    _TOKEN_RE,
     SIGNATURES,
     Arr,
     BoolLit,
@@ -29,6 +30,7 @@ from fzn2qip.frontend import (
     SetVal,
     VarDecl,
     model_to_fzn,
+    _split_scan,
     parse_model,
     tokenize,
     typecheck,
@@ -373,15 +375,7 @@ def test_tokenize_bad_character_position():
 _MUTATION_CHARS = "\n\r\t %\".:;,()[]{}-+09eExé?@\x00\u2028"
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.sampled_from(CORPUS_TEXTS),
-    st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
-                       st.sampled_from(["replace", "insert", "delete"]),
-                       st.sampled_from(_MUTATION_CHARS)),
-             min_size=1, max_size=6),
-)
-def test_tokenize_matches_reference_on_mutated_corpus(source, edits):
+def _edited(source, edits):
     chars = list(source)
     for where, op, ch in edits:
         i = int(where * len(chars))
@@ -391,7 +385,132 @@ def test_tokenize_matches_reference_on_mutated_corpus(source, edits):
             chars[i] = ch
         elif chars:
             del chars[i]
-    _assert_same_tokens("".join(chars))
+    return "".join(chars)
+
+
+def _edits(alphabet):
+    return st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                              st.sampled_from(["replace", "insert", "delete"]),
+                              st.sampled_from(alphabet)),
+                    min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CORPUS_TEXTS), _edits(_MUTATION_CHARS))
+def test_tokenize_matches_reference_on_mutated_corpus(source, edits):
+    _assert_same_tokens(_edited(source, edits))
+
+
+# ----------------------------------------------------------------------
+# the split scan: wherever it answers, its tokens are the comment-free
+# tokens of ``findall``; a text it declines takes the ``findall`` path
+
+
+def _findall_tokens(source):
+    return [t for t in _TOKEN_RE.findall(source) if t[0] != "%"]
+
+
+def _split_agrees(source):
+    """Whether the split scan answered; if it did, it matched ``findall``."""
+    toks = _split_scan(source)
+    if toks is not None:
+        assert toks == _findall_tokens(source)
+    return toks is not None
+
+
+def _chain_text(links, comments=False, annotation=""):
+    """The ``int_times`` chain of ``links`` links over 0..1 variables."""
+    lines = [f"var 0..1: x{i};" for i in range(links + 1)]
+    lines += [f"constraint int_times(x{i}, x{i}, x{i + 1}){annotation if i == links // 2 else ''};"
+              for i in range(links)]
+    lines.append("solve satisfy;")
+    if comments:
+        lines = [f"{line}% line {k}" for k, line in enumerate(lines)]
+    return "\n".join(lines) + "\n"
+
+
+def test_split_scan_takes_and_matches_every_corpus_text_and_the_chain():
+    for source in CORPUS_TEXTS:
+        assert _split_agrees(source), source
+    assert _split_agrees(_chain_text(300))
+    assert _split_agrees(_chain_text(300, comments=True))
+    assert not _split_agrees(_chain_text(300, annotation=' :: ann("s")'))
+
+
+@pytest.mark.parametrize("source, split", [
+    # whitespace to str.split but not to the pattern
+    ("var 0..1:\x1cx;", False),
+    ("var 0..1: x;\x1dsolve satisfy;", False),
+    ("var\x1e0..1: x;", False),
+    ("var 0..1: x\x1f;", False),
+    ("var 0..1: x;\x00", False),
+    ("var 0..1:\x0bx;\x0csolve satisfy;", True),
+    ("var 0..1:\u00a0x;", False),
+    ("var 0..1: x;\u2028solve satisfy;", False),
+    ("var 0..1: x ::: y;", True),
+    ("var 0..1: x :::: y;", True),
+    ("var 0..1: x : : y;", True),
+    ("var 0..1: x::y;", True),
+    ("var 0..1: x;::\n::", True),
+    ("var 0...1: x;", False),
+    ("var 0....1: x;", True),
+    ("constraint int_le(x, 1e-5);", False),
+    ("constraint int_le(x, 1abc);", False),
+    ("constraint int_le(x, 1.5);", False),
+    ("var 1..5: x;\nconstraint int_le(x, -2);", True),
+    ('var 0..1: x :: ann("s");', False),
+    ("var 0..1: x;% comment\nsolve satisfy;%", True),
+    ("var 0..1: x;\r\nconstraint int_le(x, 1);\r\n% c\r\nsolve satisfy;\r\n", True),
+    ("var 0..1: x; % \"quoted\" comment", False),
+    ("", True),
+    ("% only a comment", True),
+    ("var 0..1: x ? 2;", False),
+])
+def test_split_scan_matches_findall_on_crafted_texts(source, split):
+    assert _split_agrees(source) is split
+
+
+_SPLIT_EDIT_CHARS = _MUTATION_CHARS + "\x1c\x1d\x1e\x1f\x0b\x0c\u00a0_a"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CORPUS_TEXTS), _edits(_SPLIT_EDIT_CHARS))
+def test_split_scan_matches_findall_on_mutated_corpus(source, edits):
+    _split_agrees(_edited(source, edits))
+
+
+def _lin_le_text(n_cons, annotation=""):
+    """``n_cons`` ``int_lin_le`` constraints over 3 of 300 ``var -5..5``."""
+    rng = random.Random(2000)
+    lines = [f"var -5..5: x{i};" for i in range(300)]
+    for k in range(n_cons):
+        coefs = [rng.randint(-3, 3) for _ in range(3)]
+        xs = [f"x{i}" for i in rng.sample(range(300), 3)]
+        lines.append(f"constraint int_lin_le({coefs}, [{', '.join(xs)}], {rng.randint(-5, 5)})"
+                     f"{annotation if k == n_cons // 2 else ''};")
+    lines.append("solve satisfy;")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("plain, other, other_splits", [
+    (_lin_le_text(2000), _lin_le_text(2000, ' :: ann("s")'), False),
+    (_chain_text(300), _chain_text(300, annotation=' :: ann("s")'), False),
+    (_chain_text(300), _chain_text(300, comments=True), True),
+], ids=["lin_le_2000_string", "chain300_string", "chain300_comments"])
+def test_both_scans_parse_a_long_model_alike(plain, other, other_splits):
+    """The split path gives the model the other text gives, through its
+    own path; a string annotation is discarded, so only the token indices
+    after it move, by its 5 tokens ``:: ann ( "s" )``."""
+    assert _split_scan(plain) is not None
+    assert (_split_scan(other) is not None) is other_splits
+    shift = 0 if other_splits else 5
+    a, b = parse_model(plain), parse_model(other)
+    assert a == b
+    assert len(a.constraints) >= 300
+    half = len(a.constraints) // 2
+    assert [c.tok for c in a.constraints[:half + 1]] == [c.tok for c in b.constraints[:half + 1]]
+    assert [c.tok + shift for c in a.constraints[half + 1:]] == [c.tok for c in b.constraints[half + 1:]]
+    assert model_to_fzn(typecheck(a)) == model_to_fzn(typecheck(b))
 
 
 # ----------------------------------------------------------------------
